@@ -9,10 +9,11 @@ significant digits so every file round-trips bit-exactly.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,27 +27,25 @@ from .analysis import (
 )
 from .estimation import MleOptions
 from .protocols import DEFAULT_DELTA, PROTOCOLS
-from .quantum import DensityMatrix, random_bures_mixed, random_pure_haar
+from .quantum import (
+    DensityMatrix,
+    random_bures_mixed,
+    random_pure_haar,
+    require_qubit,
+)
 from .simulator import (
     Schedule,
     SourceModel,
     TomographyTrace,
+    _fmt,
+    _matrix_fields,
+    _qubit_matrix,
     read_records,
     replay_counts,
     run_tomography,
 )
 
 OUTPUT_ENV_VAR = "TOMOSIM_OUT"
-
-_TRACE_COLUMNS = ("protocol", "run_id", "seed", "iteration", "n_emit",
-                  "n_det", "d_bures_sq", "fidelity", "loglik")
-
-
-def _fmt(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        return "0"  # canonicalize -0.0 so parse/write cycles are byte-stable
-    return format(x, ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +54,7 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class TraceFile:
-    """Parsed form of one per-run trace file."""
+    """Parsed form of one per-run trace file; its fields are the columns."""
 
     protocol: str
     run_id: int
@@ -69,31 +68,31 @@ class TraceFile:
 
     @classmethod
     def from_trace(cls, trace: TomographyTrace, run_id: int, seed: int) -> "TraceFile":
-        e = trace.entries
-        return cls(
-            protocol=trace.protocol,
-            run_id=run_id,
-            seed=seed,
-            iteration=np.array([x.iteration for x in e], dtype=int),
-            n_emit=np.array([x.n_emit for x in e]),
-            n_det=np.array([x.n_det for x in e], dtype=int),
-            d_bures_sq=np.array([x.d_bures_sq for x in e]),
-            fidelity=np.array([x.fidelity for x in e]),
-            loglik=np.array([x.loglik for x in e]),
-        )
+        return cls(trace.protocol, run_id, seed, **{
+            c: np.array([getattr(e, c) for e in trace.entries], dtype=t)
+            for c, t in _ROW_TYPES.items()})
+
+    def select(self, keep: np.ndarray) -> "TraceFile":
+        """The same file restricted to the rows where keep is true."""
+        return replace(self, **{c: getattr(self, c)[keep] for c in _ROW_TYPES})
 
     def curve_points(self) -> tuple[np.ndarray, np.ndarray]:
         return self.n_emit, self.d_bures_sq
 
 
+_TRACE_COLUMNS = tuple(f.name for f in fields(TraceFile))
+# The columns after protocol, run_id and seed hold one value per row, of
+# the type each is written and parsed as.
+_ROW_TYPES = {c: int if c in ("iteration", "n_det") else float
+              for c in _TRACE_COLUMNS[3:]}
+
+
 def write_trace_file(path, tf: TraceFile) -> None:
     lines = [",".join(_TRACE_COLUMNS)]
-    for i in range(len(tf.iteration)):
-        lines.append(",".join([
-            tf.protocol, str(tf.run_id), str(tf.seed), str(int(tf.iteration[i])),
-            _fmt(tf.n_emit[i]), str(int(tf.n_det[i])), _fmt(tf.d_bures_sq[i]),
-            _fmt(tf.fidelity[i]), _fmt(tf.loglik[i]),
-        ]))
+    for row in zip(*(getattr(tf, c) for c in _ROW_TYPES)):
+        cells = [str(int(v)) if t is int else _fmt(v)
+                 for v, t in zip(row, _ROW_TYPES.values())]
+        lines.append(",".join([tf.protocol, str(tf.run_id), str(tf.seed), *cells]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -104,17 +103,13 @@ def read_trace_file(path) -> TraceFile:
     rows = [ln.split(",") for ln in lines[1:]]
     if not rows or any(len(r) != len(_TRACE_COLUMNS) for r in rows):
         raise ValueError(f"{path}: malformed trace rows")
-    return TraceFile(
-        protocol=rows[0][0],
-        run_id=int(rows[0][1]),
-        seed=int(rows[0][2]),
-        iteration=np.array([int(r[3]) for r in rows], dtype=int),
-        n_emit=np.array([float(r[4]) for r in rows]),
-        n_det=np.array([int(r[5]) for r in rows], dtype=int),
-        d_bures_sq=np.array([float(r[6]) for r in rows]),
-        fidelity=np.array([float(r[7]) for r in rows]),
-        loglik=np.array([float(r[8]) for r in rows]),
-    )
+    columns = list(zip(*rows))[3:]
+    try:
+        arrays = {c: np.array([t(x) for x in col], dtype=t)
+                  for (c, t), col in zip(_ROW_TYPES.items(), columns)}
+    except OverflowError as exc:  # an integer cell beyond int64
+        raise ValueError(f"{path}: {exc}") from None
+    return TraceFile(rows[0][0], int(rows[0][1]), int(rows[0][2]), **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +140,8 @@ def read_curve_file(path) -> tuple[ConvergenceCurve, dict]:
             header_seen = True
         else:
             rows.append([float(x) for x in ln.split(",")])
+            if len(rows[-1]) != 3:
+                raise ValueError(f"{path}: curve row {ln!r} needs 3 values")
     if not header_seen or not rows:
         raise ValueError(f"{path}: not a curve file")
     arr = np.array(rows)
@@ -175,29 +172,23 @@ class CampaignConfig:
         for p in self.protocols:
             if p not in PROTOCOLS:
                 raise ValueError(f"unknown protocol {p!r}; expected one of {PROTOCOLS}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must be in (0, 1)")
         if self.states not in ("pure", "bures") and not Path(self.states).exists():
             raise ValueError(f"state file {self.states!r} does not exist")
 
 
 def read_state_file(path) -> DensityMatrix:
-    """Explicit true state: first line D, second line 2D^2 reals (re/im interleaved)."""
+    """Explicit true state: first line D = 2, second line 8 reals (re/im interleaved)."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ValueError(f"{path}: expected two lines (dimension, entries)")
-    dim = int(lines[0])
-    reals = np.array([float(x) for x in lines[1].split(",")])
-    if reals.size != 2 * dim * dim:
-        raise ValueError(f"{path}: expected {2 * dim * dim} entry values")
-    return DensityMatrix((reals[0::2] + 1j * reals[1::2]).reshape(dim, dim))
+    require_qubit(int(lines[0]), path)
+    return DensityMatrix(_qubit_matrix(lines[1].split(",")))
 
 
 def write_state_file(path, rho: DensityMatrix) -> None:
-    flat = rho.matrix.reshape(-1)
-    entries = []
-    for z in flat:
-        entries.append(_fmt(z.real))
-        entries.append(_fmt(z.imag))
-    Path(path).write_text(f"{rho.dim}\n" + ",".join(entries) + "\n")
+    Path(path).write_text(f"{rho.dim}\n" + ",".join(_matrix_fields(rho.matrix)) + "\n")
 
 
 def _true_state(cfg: CampaignConfig, run_idx: int) -> DensityMatrix:
@@ -374,12 +365,7 @@ def cmd_replay(record_files, n0: float | None, out_dir,
         keep = tf.n_emit <= clip_fraction * n0_actual
         if not np.any(keep):
             raise ValueError(f"{path}: no points survive clipping at N0/4")
-        clipped.append(TraceFile(
-            protocol="replay", run_id=i, seed=-1,
-            iteration=tf.iteration[keep], n_emit=tf.n_emit[keep],
-            n_det=tf.n_det[keep], d_bures_sq=tf.d_bures_sq[keep],
-            fidelity=tf.fidelity[keep], loglik=tf.loglik[keep],
-        ))
+        clipped.append(tf.select(keep))
 
     report = [f"replay.files = {len(clipped)}"]
     if len(clipped) >= 2:
@@ -404,7 +390,10 @@ def cmd_replay(record_files, n0: float | None, out_dir,
 
 def _parse_count(text: str) -> int:
     """Accept scientific notation for counts (1e6 -> 1000000)."""
-    return int(round(float(text)))
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"count {text!r} is not finite")
+    return int(round(value))
 
 
 def _parse_window(text: str) -> tuple[float, float]:

@@ -7,6 +7,7 @@ source intensity and M_j is a unit-trace measurement operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ class MleOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if not 0.0 < self.dilution <= 1.0:
             raise ValueError("dilution must be in (0, 1]")
         if not 0.0 <= self.mix_floor < 1.0:

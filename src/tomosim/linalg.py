@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: Hermitian eigendecomposition, PSD square
-root, numeric rank.
+"""Dense complex-matrix kernel: Hermitian eigendecomposition, numeric rank,
+trace norm.
 
 Everything operates on small (dim <= ~16) square complex numpy arrays.
 All functions return fresh arrays; nothing mutates its input.
@@ -65,21 +65,6 @@ def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
         )
     w, v = np.linalg.eigh(m)
     return EigenDecomposition(w, v)
-
-
-def psd_sqrt(a, clamp: float = EIGENVALUE_CLAMP) -> np.ndarray:
-    """Unique PSD square root B of a Hermitian PSD matrix (B @ B = A).
-
-    Eigenvalues in [-clamp, 0] are treated as 0; more negative values
-    raise NotPositiveSemidefiniteError.
-    """
-    w, v = hermitian_eig(a)
-    if w[0] < -clamp:
-        raise NotPositiveSemidefiniteError(
-            f"matrix has negative eigenvalue {w[0]:.3e} < -{clamp:.3e}"
-        )
-    s = np.sqrt(np.clip(w, 0.0, None))
-    return hermitize((v * s) @ v.conj().T)
 
 
 def numeric_rank(a, tol: float) -> int:

@@ -190,32 +190,15 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (c.conjugate() / abs(c))
 
 
-def complement_to_basis(m: TimedMeasurement, rng: np.random.Generator) -> MeasurementPlan:
-    """Complete a rank-1 measurement to an orthonormal basis.
+def complement_to_basis(m: TimedMeasurement) -> MeasurementPlan:
+    """Complete a rank-1 qubit measurement to an orthonormal basis.
 
-    All D projectors inherit the input's time weight and share one
-    simultaneity group. The completion is the (unique up to phase)
-    orthogonal vector for qubits; higher dimensions use Gram-Schmidt
-    over Haar-random vectors.
+    Both projectors inherit the input's time weight and share one
+    simultaneity group; the completion is the (unique up to phase)
+    orthogonal vector.
     """
-    d = m.projector.dim
-    v0 = _principal_vector(m.projector.matrix)
-    vectors = [v0]
-    if d == 2:
-        a, b = v0
-        vectors.append(np.array([-b.conjugate(), a.conjugate()]))
-    else:
-        while len(vectors) < d:
-            cand = haar_unitary(d, rng)[:, 0]
-            for u in vectors:
-                cand = cand - u * np.vdot(u, cand)
-            norm = np.linalg.norm(cand)
-            if norm > 1e-6:
-                vectors.append(cand / norm)
-    measurements = tuple(
-        TimedMeasurement(PovmElement(projector(v)), m.time_weight) for v in vectors
-    )
-    return MeasurementPlan(measurements, (tuple(range(d)),))
+    a, b = _principal_vector(m.projector.matrix)
+    return _plan(((a, b), (-b.conjugate(), a.conjugate())), ((0, 1),), m.time_weight)
 
 
 def complement_minimal(elements) -> tuple[list[PovmElement], list[PovmElement]]:
@@ -239,11 +222,12 @@ def complement_minimal(elements) -> tuple[list[PovmElement], list[PovmElement]]:
     return scaled, extra
 
 
-def _basis_plan(vectors, time_weight: float = 1.0) -> MeasurementPlan:
+def _plan(vectors, groups, time_weight: float = 1.0) -> MeasurementPlan:
+    """Rank-1 projectors onto unit vectors, each held for time_weight."""
     measurements = tuple(
         TimedMeasurement(PovmElement(projector(v)), time_weight) for v in vectors
     )
-    return MeasurementPlan(measurements, (tuple(range(len(measurements))),))
+    return MeasurementPlan(measurements, groups)
 
 
 def _eigen_basis(rho_hat: DensityMatrix) -> list[np.ndarray]:
@@ -272,10 +256,7 @@ def _eigen_frame_plan(rho_hat: DensityMatrix) -> MeasurementPlan:
         sq2 * (u1 + u2), sq2 * (u1 - u2),
         sq2 * (u1 + 1j * u2), sq2 * (u1 - 1j * u2),
     )
-    measurements = tuple(
-        TimedMeasurement(PovmElement(projector(v)), 1.0) for v in vectors
-    )
-    return MeasurementPlan(measurements, ((0, 1), (2, 3), (4, 5)))
+    return _plan(vectors, ((0, 1), (2, 3), (4, 5)))
 
 
 def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
@@ -292,10 +273,8 @@ def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
     """
     d = rho_hat.dim
     if protocol == "random":
-        return _basis_plan(haar_unitary(d, rng).T)
+        return _plan(haar_unitary(d, rng).T, (tuple(range(d)),))
     if protocol == "eigen":
-        if d != 2:
-            return _basis_plan(_eigen_basis(rho_hat))
         return _eigen_frame_plan(rho_hat)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
@@ -310,16 +289,10 @@ def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
         return MeasurementPlan(tuple(timed), tuple((i,) for i in range(len(timed))))
 
     if protocol == "rankp-b":
-        measurements: list[TimedMeasurement] = []
-        groups: list[tuple[int, ...]] = []
-        for e in transformed:
-            if e.inert:
-                continue
-            sub = complement_to_basis(normalize_with_time(e), rng)
-            offset = len(measurements)
-            measurements.extend(sub.measurements)
-            groups.append(tuple(offset + i for i in sub.groups[0]))
-        return MeasurementPlan(tuple(measurements), tuple(groups))
+        subs = [complement_to_basis(normalize_with_time(e))
+                for e in transformed if not e.inert]
+        return MeasurementPlan(tuple(t for sub in subs for t in sub.measurements),
+                               tuple((2 * i, 2 * i + 1) for i in range(len(subs))))
 
     # rankp-m
     scaled, extra = complement_minimal(transformed)

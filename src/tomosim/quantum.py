@@ -7,7 +7,9 @@ sampling (Haar-uniform pure states, Bures-ensemble mixed states).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -131,27 +133,38 @@ def born_probability(element: PovmElement, rho: DensityMatrix) -> float:
     return min(max(p, 0.0), element.weight)
 
 
-def _principal_eigvec(m: np.ndarray) -> np.ndarray:
-    return np.linalg.eigh(m)[1][:, -1]
+def require_qubit(dim: int, source) -> None:
+    """Reject a state or record stream that is not a qubit (D = 2)."""
+    if dim != 2:
+        raise ValueError(f"{source}: only qubits (D = 2) are supported, got D = {dim}")
+
+
+def _qubit_det(m: np.ndarray) -> float:
+    """det of a 2x2 Hermitian matrix, rounded once from its exact value.
+
+    For a near-pure state a*d - |b|^2 cancels down to round-off, which the
+    square root in fidelity would magnify to ~1e-9; exact rationals avoid it.
+    """
+    b = m[0, 1]
+    exact = (Fraction(m[0, 0].real) * Fraction(m[1, 1].real)
+             - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2)
+    return float(exact)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity Tr^2 sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
+    """Uhlmann fidelity of two qubit states, in [0, 1].
 
-    Rank-1 inputs take the exact pure-state form <psi|other|psi>; the
-    general route loses ~sqrt(eps) accuracy on round-off eigenvalues of a
-    rank-deficient factor.
+    Qubit closed form F = Tr(rho sigma) + 2 sqrt(det rho det sigma), equal
+    to Tr^2 sqrt(sqrt(rho) sigma sqrt(rho)) for 2x2 PSD matrices. Equal
+    states give exactly 1.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError("fidelity needs states of equal dimension")
-    for a, b in ((rho, sigma), (sigma, rho)):
-        if linalg.numeric_rank(a.matrix, 1e-12) == 1:
-            psi = _principal_eigvec(a.matrix)
-            f = float(np.real(psi.conj() @ b.matrix @ psi))
-            return min(max(f, 0.0), 1.0)
-    sr = linalg.psd_sqrt(rho.matrix)
-    inner = linalg.hermitize(sr @ sigma.matrix @ sr)
-    f = float(linalg.psd_sqrt(inner).trace().real) ** 2
+    require_qubit(rho.dim, "fidelity")
+    require_qubit(sigma.dim, "fidelity")
+    if np.array_equal(rho.matrix, sigma.matrix):
+        return 1.0
+    overlap = float(np.einsum("ij,ji->", rho.matrix, sigma.matrix).real)
+    dets = _qubit_det(rho.matrix) * _qubit_det(sigma.matrix)
+    f = overlap + 2.0 * math.sqrt(max(dets, 0.0))
     return min(max(f, 0.0), 1.0)
 
 

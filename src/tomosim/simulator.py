@@ -33,11 +33,15 @@ from .quantum import (
     Povm,
     PovmElement,
     born_probability,
-    bures_sq,
     fidelity,
     maximally_mixed,
     mub_qubit,
+    require_qubit,
 )
+
+# Not called here (fidelity is computed once per entry), but kept importable:
+# perfbench/spans.py times the metric layer by wrapping this module's names.
+from .quantum import bures_sq  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,8 @@ class SourceModel:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.intensity <= 0:
-            raise ValueError("intensity must be positive")
+        if not 0.0 < self.intensity < math.inf:
+            raise ValueError("intensity must be positive and finite")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
 
@@ -63,12 +67,12 @@ class Schedule:
     n_max: int = 10 ** 6
 
     def __post_init__(self):
-        if self.initial_budget < 1:
+        if not self.initial_budget >= 1:
             raise ValueError("initial_budget must be >= 1")
-        if self.growth < 1.0:
-            raise ValueError("growth must be >= 1")
-        if self.n_max <= self.initial_budget:
-            raise ValueError("n_max must exceed initial_budget")
+        if not 1.0 <= self.growth < math.inf:
+            raise ValueError("growth must be >= 1 and finite")
+        if not self.initial_budget < self.n_max < math.inf:
+            raise ValueError("n_max must exceed initial_budget and be finite")
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,7 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     sampled records and re-estimates. Stops once cumulative N_emit
     reaches the schedule's n_max. Fully deterministic for a fixed seed.
     """
+    require_qubit(rho_true.dim, "true state")
     rng = np.random.default_rng(seed)
     base = base if base is not None else mub_qubit()
     opts = mle_options or MleOptions()
@@ -195,22 +200,25 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
         n_det += detected
         n_emit += emitted_copies(base_time * exposure, src)
 
-        data = LikelihoodData(tuple(r.record for r in trace.records), src.intensity)
+        # Counts arrive at the detected rate I * eff; N_emit stays on I.
+        data = LikelihoodData(tuple(r.record for r in trace.records),
+                              src.intensity * src.efficiency)
         rho_hat = mle_estimate(data, opts)
-        trace.entries.append(TraceEntry(
-            iteration=iteration,
-            n_emit=n_emit,
-            n_det=n_det,
-            estimator=rho_hat,
-            d_bures_sq=bures_sq(rho_true, rho_hat),
-            fidelity=fidelity(rho_true, rho_hat),
-            loglik=log_likelihood(data, rho_hat),
-        ))
+        trace.entries.append(
+            _entry(iteration, n_emit, n_det, rho_true, data, rho_hat))
         if n_emit >= sched.n_max:
             break
         budget *= sched.growth
         iteration += 1
     return trace
+
+
+def _entry(iteration: int, n_emit: float, n_det: int, reference: DensityMatrix,
+           data: LikelihoodData, est: DensityMatrix) -> TraceEntry:
+    """Trace entry of an estimate, scored against a reference state."""
+    f = fidelity(reference, est)
+    return TraceEntry(iteration, n_emit, n_det, est, 2.0 - 2.0 * np.sqrt(f), f,
+                      log_likelihood(data, est))
 
 
 def _group_runs(grouped: Sequence[GroupedRecord]) -> list[list[MeasurementRecord]]:
@@ -260,24 +268,18 @@ def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
     for idx in picks:
         prefix = [r for g in groups[:idx + 1] for r in g]
         data = LikelihoodData(tuple(prefix), intensity)
-        est = mle_estimate(data, opts)
-        trace.entries.append(TraceEntry(
-            iteration=idx,
-            n_emit=cum_n[idx],
-            n_det=sum(r.counts for r in prefix),
-            estimator=est,
-            d_bures_sq=bures_sq(ref_state, est),
-            fidelity=fidelity(ref_state, est),
-            loglik=log_likelihood(data, est),
-        ))
+        est = ref_state if idx == ref_idx else mle_estimate(data, opts)
+        trace.entries.append(_entry(idx, cum_n[idx], sum(r.counts for r in prefix),
+                                    ref_state, data, est))
     return trace
 
 
 # ---------------------------------------------------------------------------
 # Record-stream file format: one exposure record per line,
-#   group_id, 2*D^2 projector reals (row-major, re/im interleaved), time, counts
-# preceded by a header line carrying D and the measured intensity I.
+#   group_id, 8 projector reals (row-major, re/im interleaved), time, counts
+# preceded by a header line carrying D = 2 and the measured intensity I.
 # Floats are written with 17 significant digits so round-trips are bit-exact.
+# State files share the matrix codec.
 
 def _fmt(x: float) -> str:
     x = float(x)
@@ -286,18 +288,27 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _matrix_fields(m: np.ndarray) -> list[str]:
+    """A matrix as row-major reals, re/im interleaved."""
+    return [_fmt(x) for z in m.reshape(-1) for x in (z.real, z.imag)]
+
+
+def _qubit_matrix(fields) -> np.ndarray:
+    """The 2x2 matrix that _matrix_fields wrote as 8 reals."""
+    reals = np.array([float(x) for x in fields])
+    if reals.size != 8 or not np.isfinite(reals).all():
+        raise ValueError(f"expected 8 finite matrix reals, got {fields!r}")
+    return (reals[0::2] + 1j * reals[1::2]).reshape(2, 2)
+
+
 def write_records(path, grouped: Sequence[GroupedRecord], intensity: float) -> None:
     if not grouped:
         raise ValueError("nothing to write")
     dim = grouped[0].record.element.dim
     lines = [f"{dim},{_fmt(intensity)}"]
     for gid, rec in grouped:
-        m = rec.element.matrix.reshape(-1)
-        entries = []
-        for z in m:
-            entries.append(_fmt(z.real))
-            entries.append(_fmt(z.imag))
-        lines.append(",".join([str(gid), *entries, _fmt(rec.time), str(rec.counts)]))
+        lines.append(",".join([str(gid), *_matrix_fields(rec.element.matrix),
+                               _fmt(rec.time), str(rec.counts)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -312,20 +323,16 @@ def read_records(path) -> tuple[list[GroupedRecord], int, float]:
     if len(head) != 2:
         raise ValueError(f"malformed header in {path}: {lines[0]!r}")
     dim, intensity = int(head[0]), float(head[1])
-    n_fields = 1 + 2 * dim * dim + 2
+    require_qubit(dim, path)
     out: list[GroupedRecord] = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != n_fields:
-            raise ValueError(
-                f"malformed record line (expected {n_fields} fields): {ln!r}")
-        gid = int(parts[0])
-        reals = np.array([float(x) for x in parts[1:1 + 2 * dim * dim]])
-        mat = (reals[0::2] + 1j * reals[1::2]).reshape(dim, dim)
+        if len(parts) != 11:
+            raise ValueError(f"malformed record line (expected 11 fields): {ln!r}")
         rec = MeasurementRecord(
-            element=PovmElement(mat),
+            element=PovmElement(_qubit_matrix(parts[1:-2])),
             time=float(parts[-2]),
             counts=int(parts[-1]),
         )
-        out.append(GroupedRecord(gid, rec))
+        out.append(GroupedRecord(int(parts[0]), rec))
     return out, dim, intensity

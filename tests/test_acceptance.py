@@ -168,7 +168,7 @@ def test_criterion_5_completion_exactness():
         total = sum(e.matrix for e in scaled) + sum(e.matrix for e in extra)
         worst_m = max(worst_m, float(np.max(np.abs(total - np.eye(2)))))
         for e in transformed:
-            plan = complement_to_basis(normalize_with_time(e), rng)
+            plan = complement_to_basis(normalize_with_time(e))
             group_total = sum(t.projector.matrix for t in plan.measurements)
             worst_b = max(worst_b, float(np.max(np.abs(group_total - np.eye(2)))))
     ok = worst_m <= 1e-9 and worst_b <= 1e-9

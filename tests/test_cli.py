@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tomosim.cli import (
     TraceFile,
@@ -14,7 +16,13 @@ from tomosim.cli import (
 from tomosim.analysis import ConvergenceCurve
 from tomosim.quantum import maximally_mixed, pure_state, random_bures_mixed
 from tomosim import quantum
-from tomosim.simulator import Schedule, SourceModel, run_tomography, write_records
+from tomosim.simulator import (
+    Schedule,
+    SourceModel,
+    read_records,
+    run_tomography,
+    write_records,
+)
 
 
 def simulate_args(out, protocols="eigen", runs=2, n_max="3e3", seed=5, extra=()):
@@ -66,11 +74,49 @@ class TestSimulateCommand:
                    "--out", str(tmp_path), "--workers", "1"])
         assert rc == 0
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mle-tol", "nan", "finite"), ("--efficiency", "nan", "finite"),
+        ("--growth", "inf", "finite"), ("--delta", "nan", "delta")])
+    def test_non_finite_knob_fails(self, tmp_path, capsys, flag, value, message):
+        rc = main(simulate_args(tmp_path, extra=(flag, value)))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tomosim: ") and message in err
+
+    def test_non_finite_state_file_fails(self, tmp_path, capsys):
+        state = tmp_path / "state.txt"
+        state.write_text("2\nnan,0,0,0,0,0,0.5,0\n")
+        rc = main(["simulate", "--protocol", "eigen", "--states", str(state),
+                   "--runs", "2", "--n-max", "2e3", "--workers", "1",
+                   "--out", str(tmp_path / "sim")])
+        assert rc == 1
+        assert "finite matrix reals" in capsys.readouterr().err
+
+    def test_non_finite_count_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(simulate_args(tmp_path, n_max="inf"))
+        assert exc.value.code == 2
+
     def test_missing_state_file_fails(self, tmp_path, capsys):
         rc = main(["simulate", "--states", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestQubitsOnly:
+    def test_qutrit_state_and_record_files_fail(self, tmp_path, capsys):
+        state = tmp_path / "qutrit.txt"
+        write_state_file(state, maximally_mixed(3))
+        records = tmp_path / "qutrit.csv"  # one record: projector |0><0|, 5 counts
+        records.write_text("3,1000\n0,1," + ",".join(["0"] * 17) + ",1,5\n")
+        for argv in (["simulate", "--protocol", "eigen", "--states", str(state),
+                      "--runs", "2", "--n-max", "2e3", "--workers", "1",
+                      "--out", str(tmp_path / "sim")],
+                     ["replay", str(records), "--out", str(tmp_path / "rep")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("tomosim: ") and "only qubits (D = 2)" in err
 
 
 class TestTraceFileRoundTrip:
@@ -113,6 +159,13 @@ class TestCurveFileRoundTrip:
         p2 = tmp_path / "c2.csv"
         write_curve_file(p2, back, meta)
         assert p.read_bytes() == p2.read_bytes()
+
+
+    def test_short_row_rejected(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("n,mean,std_of_mean\n1\n")
+        with pytest.raises(ValueError, match="needs 3 values"):
+            read_curve_file(p)
 
 
 class TestStateFileRoundTrip:
@@ -222,3 +275,37 @@ class TestEnvironmentDefaults:
         args = build_parser().parse_args(
             ["simulate", "--runs", "1", "--n-max", "1e3"])
         assert args.out == str(tmp_path / "envout")
+
+
+# Fuzzing: every reader turns malformed text into a ValueError (which the
+# CLI reports as a tomosim: message), never another exception.
+_TOKENS = ("0", "1", "2", "3", "-1", "0.5", "1e3", "nan", "inf", "-inf", "x", "",
+           "1e400", "9" * 30)
+# Rows of equal length, so that parsing gets past the ragged-row checks.
+_ROWS = st.integers(1, 12).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from(_TOKENS), min_size=k, max_size=k).map(",".join),
+    min_size=1, max_size=4).map("\n".join))
+_READERS = {
+    read_records: "2,1000\n",
+    read_trace_file: "protocol,run_id,seed,iteration,n_emit,n_det,d_bures_sq,"
+                     "fidelity,loglik\n",
+    read_curve_file: "# runs=2\nn,mean,std_of_mean\n",
+    read_state_file: "2\n",
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_readers_raise_only_value_error(tmp_path_factory, reader, data):
+    text = data.draw(st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=200),
+        _ROWS,
+        _ROWS.map(lambda rows: _READERS[reader] + rows),
+    ))
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        reader(path)
+    except ValueError:
+        pass

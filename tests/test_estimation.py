@@ -201,6 +201,9 @@ class TestMleOptions:
             MleOptions(dilution=0.0)
         with pytest.raises(ValueError):
             MleOptions(mix_floor=1.0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                MleOptions(tol=tol)
 
     def test_defaults(self):
         opts = MleOptions()

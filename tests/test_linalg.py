@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomosim import linalg
-from conftest import random_hermitian, random_psd
+from conftest import random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -48,31 +48,6 @@ class TestHermitianEig:
             assert np.max(np.abs((v * w) @ v.conj().T - a)) <= 1e-10
 
 
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(linalg.psd_sqrt(np.eye(2)), np.eye(2), atol=1e-14)
-
-    def test_diagonal(self):
-        assert np.allclose(linalg.psd_sqrt(np.diag([4.0, 9.0])),
-                           np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_square_recovers_input(self, rng):
-        for _ in range(200):
-            a = random_psd(rng, int(rng.integers(2, 5)))
-            a /= np.trace(a).real  # keep magnitudes tame
-            b = linalg.psd_sqrt(a)
-            assert np.max(np.abs(b @ b - a)) <= 1e-9
-            assert linalg.hermiticity_defect(b) <= 1e-12
-
-    def test_clamps_tiny_negatives(self):
-        b = linalg.psd_sqrt(np.diag([1.0, -5e-11]))
-        assert np.allclose(b, np.diag([1.0, 0.0]), atol=1e-9)
-
-    def test_rejects_negative(self):
-        with pytest.raises(linalg.NotPositiveSemidefiniteError):
-            linalg.psd_sqrt(np.diag([1.0, -1e-6]))
-
-
 class TestNumericRank:
     def test_identity(self):
         assert linalg.numeric_rank(np.eye(2), 1e-8) == 2
@@ -104,15 +79,6 @@ def test_eig_reconstruction_property(seed, dim):
     a = random_hermitian(np.random.default_rng(seed), dim)
     w, v = linalg.hermitian_eig(a)
     assert np.max(np.abs((v * w) @ v.conj().T - a)) <= 1e-10
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=2, max_value=4))
-def test_psd_sqrt_property(seed, dim):
-    a = random_psd(np.random.default_rng(seed), dim)
-    a /= np.trace(a).real
-    b = linalg.psd_sqrt(a)
-    assert np.max(np.abs(b @ b - a)) <= 1e-9
 
 
 def test_trace_norm_hermitian(rng):

@@ -151,9 +151,9 @@ class TestNormalizeWithTime:
 
 
 class TestComplementToBasis:
-    def test_h_completes_to_v(self, rng):
+    def test_h_completes_to_v(self):
         m = TimedMeasurement(PovmElement(projector(quantum.KET_H)), 2.5)
-        plan = complement_to_basis(m, rng)
+        plan = complement_to_basis(m)
         assert len(plan.measurements) == 2
         assert plan.groups == ((0, 1),)
         mats = [t.projector.matrix for t in plan.measurements]
@@ -165,7 +165,7 @@ class TestComplementToBasis:
         for _ in range(100):
             v = haar_unitary(2, rng)[:, 0]
             m = TimedMeasurement(PovmElement(projector(v)), 1.0)
-            plan = complement_to_basis(m, rng)
+            plan = complement_to_basis(m)
             total = sum(t.projector.matrix for t in plan.measurements)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
             a, b = (t.projector.matrix for t in plan.measurements)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,39 @@ class TestFidelityAndBures:
             a = random_bures_mixed(2, rng)
             b = random_pure_haar(2, rng)
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
+
+    def test_equal_states_give_exactly_one(self, rng):
+        for rho in (random_bures_mixed(2, rng), random_pure_haar(2, rng)):
+            assert fidelity(rho, DensityMatrix(rho.matrix.copy())) == 1.0
+            assert bures_sq(rho, rho) == 0.0
+
+    def test_rejects_non_qubits(self):
+        with pytest.raises(ValueError, match="only qubits"):
+            fidelity(maximally_mixed(3), maximally_mixed(3))
+
+    def test_matches_high_precision_reference(self, rng):
+        # Uhlmann's Tr^2 sqrt(sqrt(rho) sigma sqrt(rho)) at 60 digits on the
+        # exact stored entries; near-pure factors are where double-precision
+        # routes lose ~sqrt(eps)
+        mpmath.mp.dps = 60
+
+        def reference(a, b):
+            w, v = mpmath.eighe(mpmath.matrix(a.tolist()))
+            root = v * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * v.H
+            inner = root * mpmath.matrix(b.tolist()) * root
+            w2, _ = mpmath.eighe((inner + inner.H) / 2)
+            return float(sum(mpmath.sqrt(max(x, 0)) for x in w2) ** 2)
+
+        def state(kind):
+            if kind == 0:
+                return random_bures_mixed(2, rng)
+            psi = random_pure_haar(2, rng).matrix
+            mix = 0.0 if kind == 1 else 10.0 ** rng.uniform(-15, -3)
+            return DensityMatrix(linalg.hermitize((1 - mix) * psi + mix * np.eye(2) / 2))
+
+        for _ in range(300):
+            a, b = state(rng.integers(3)), state(rng.integers(3))
+            assert abs(fidelity(a, b) - reference(a.matrix, b.matrix)) <= 1e-9
 
     def test_small_distance_linearization(self, rng):
         # d_B^2 ~= 1 - F when d_B^2 << 1

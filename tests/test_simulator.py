@@ -150,6 +150,22 @@ class TestRunTomography:
         assert len(next_plan("random", rho, mub_qubit(), rng).groups) == 1
         assert len(next_plan("rankp-nc", rho, mub_qubit(), rng).groups) == 6
 
+    def test_detector_efficiency_enters_the_likelihood(self):
+        # Counts arrive at rate I * eff. Before the estimator was told I, a
+        # non-complemented set read the missing counts as state information:
+        # these runs gave mean N * d_B^2 = 204 at eff = 0.5 (4.7 at eff = 1).
+        vals = []
+        for i in range(4):
+            rho = random_bures_mixed(2, np.random.default_rng(100 + i))
+            tr = run_tomography("rankp-nc", rho, SourceModel(1000.0, 0.5),
+                                Schedule(100, 1.25, 2 * 10 ** 4), 7 + i)
+            vals.append(tr.entries[-1].n_emit * tr.entries[-1].d_bures_sq)
+        assert np.mean(vals) < 40.0
+
+    def test_rejects_non_qubit_state(self):
+        with pytest.raises(ValueError, match="only qubits"):
+            run_tomography("eigen", maximally_mixed(3), SRC, Schedule(50, 1.3, 2000), 1)
+
 
 def regularized_pure(rng):
     from tomosim.estimation import regularize_full_rank
@@ -184,6 +200,21 @@ class TestReplayCounts:
             firsts.append(np.median(d[:split]))
             lasts.append(np.median(d[split:]))
         assert np.median(lasts) < np.median(firsts)
+
+    def test_reference_prefix_estimated_once(self, monkeypatch):
+        from tomosim import simulator
+        calls = []
+
+        def counted(data, opts=None, logliks=None):
+            calls.append(len(data.records))
+            return mle_estimate(data, opts, logliks)
+
+        records = self.make_trace().records
+        mle_estimate = simulator.mle_estimate
+        monkeypatch.setattr(simulator, "mle_estimate", counted)
+        rep = replay_counts(records, SRC.intensity)
+        assert len(calls) == len(rep.entries)
+        assert calls.count(max(calls)) == 1
 
     def test_n_grid_is_increasing(self):
         tr = self.make_trace()
@@ -227,6 +258,12 @@ class TestRecordIO:
         with pytest.raises(ValueError, match="malformed"):
             read_records(p)
 
+    def test_non_qubit_stream_rejected(self, tmp_path):
+        p = tmp_path / "qutrit.csv"
+        p.write_text("3,100.0\n")
+        with pytest.raises(ValueError, match="only qubits"):
+            read_records(p)
+
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("2,100.0\n0,1.0,0.0\n")
@@ -242,6 +279,13 @@ class TestScheduleAndSource:
             Schedule(growth=0.5)
         with pytest.raises(ValueError):
             Schedule(initial_budget=100, n_max=50)
+        for growth in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                Schedule(growth=growth)
+        with pytest.raises(ValueError, match="finite"):
+            Schedule(n_max=float("inf"))
+        with pytest.raises(ValueError):
+            Schedule(initial_budget=float("nan"))
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
@@ -250,3 +294,8 @@ class TestScheduleAndSource:
             SourceModel(10.0, efficiency=0.0)
         with pytest.raises(ValueError):
             SourceModel(10.0, efficiency=1.5)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SourceModel(value)
+            with pytest.raises(ValueError):
+                SourceModel(10.0, efficiency=value)
