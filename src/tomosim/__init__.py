@@ -47,8 +47,7 @@ from .simulator import (
     GroupedRecord,
     Schedule,
     SourceModel,
-    TomographyTrace,
-    TraceEntry,
+    Trace,
     emitted_copies,
     read_records,
     replay_counts,

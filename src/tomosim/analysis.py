@@ -58,8 +58,7 @@ def log_grid(n_lo: float, n_hi: float, per_decade: int = 10) -> np.ndarray:
     return 10.0 ** (np.arange(k_lo, k_hi + 1) / per_decade)
 
 
-def average_curves(traces, per_decade: int = 10,
-                   grid: np.ndarray | None = None) -> ConvergenceCurve:
+def average_curves(traces, per_decade: int = 10) -> ConvergenceCurve:
     """Average run curves on a shared logarithmic grid.
 
     Each trace is interpolated linearly in (log N, log d_B^2); per grid
@@ -74,12 +73,7 @@ def average_curves(traces, per_decade: int = 10,
     hi = min(float(n[-1]) for n, _ in points)
     if hi <= lo:
         raise ValueError("traces have disjoint N support")
-    if grid is None:
-        grid = log_grid(lo, hi, per_decade)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid[0] < lo or grid[-1] > hi:
-            raise ValueError("grid extends beyond the common trace support")
+    grid = log_grid(lo, hi, per_decade)
 
     log_grid_n = np.log(grid)
     values = np.empty((len(points), grid.size))

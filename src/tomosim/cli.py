@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,80 +36,18 @@ from .quantum import (
 from .simulator import (
     Schedule,
     SourceModel,
-    TomographyTrace,
+    Trace,
     _fmt,
     _matrix_fields,
     _qubit_matrix,
     read_records,
+    read_trace_file,
     replay_counts,
     run_tomography,
+    write_trace_file,
 )
 
 OUTPUT_ENV_VAR = "TOMOSIM_OUT"
-
-
-# ---------------------------------------------------------------------------
-# Trace files
-
-
-@dataclass
-class TraceFile:
-    """Parsed form of one per-run trace file; its fields are the columns."""
-
-    protocol: str
-    run_id: int
-    seed: int
-    iteration: np.ndarray
-    n_emit: np.ndarray
-    n_det: np.ndarray
-    d_bures_sq: np.ndarray
-    fidelity: np.ndarray
-    loglik: np.ndarray
-
-    @classmethod
-    def from_trace(cls, trace: TomographyTrace, run_id: int, seed: int) -> "TraceFile":
-        return cls(trace.protocol, run_id, seed, **{
-            c: np.array([getattr(e, c) for e in trace.entries], dtype=t)
-            for c, t in _ROW_TYPES.items()})
-
-    def select(self, keep: np.ndarray) -> "TraceFile":
-        """The same file restricted to the rows where keep is true."""
-        return replace(self, **{c: getattr(self, c)[keep] for c in _ROW_TYPES})
-
-    def curve_points(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.n_emit, self.d_bures_sq
-
-
-_TRACE_COLUMNS = tuple(f.name for f in fields(TraceFile))
-# The columns after protocol, run_id and seed hold one value per row, of
-# the type each is written and parsed as.
-_ROW_TYPES = {c: int if c in ("iteration", "n_det") else float
-              for c in _TRACE_COLUMNS[3:]}
-
-
-def write_trace_file(path, tf: TraceFile) -> None:
-    lines = [",".join(_TRACE_COLUMNS)]
-    for row in zip(*(getattr(tf, c) for c in _ROW_TYPES)):
-        cells = [str(int(v)) if t is int else _fmt(v)
-                 for v, t in zip(row, _ROW_TYPES.values())]
-        lines.append(",".join([tf.protocol, str(tf.run_id), str(tf.seed), *cells]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_trace_file(path) -> TraceFile:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(_TRACE_COLUMNS):
-        raise ValueError(f"{path}: not a trace file")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if not rows or any(len(r) != len(_TRACE_COLUMNS) for r in rows):
-        raise ValueError(f"{path}: malformed trace rows")
-    columns = list(zip(*rows))[3:]
-    try:
-        arrays = {c: np.array([t(x) for x in col], dtype=t)
-                  for (c, t), col in zip(_ROW_TYPES.items(), columns)}
-    except OverflowError as exc:  # an integer cell beyond int64
-        raise ValueError(f"{path}: {exc}") from None
-    return TraceFile(rows[0][0], int(rows[0][1]), int(rows[0][2]), **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -202,63 +140,59 @@ def _true_state(cfg: CampaignConfig, run_idx: int) -> DensityMatrix:
     return read_state_file(cfg.states)
 
 
-def _run_one(cfg: CampaignConfig, protocol: str, run_idx: int) -> TraceFile:
+def _run_one(cfg: CampaignConfig, protocol: str, run_idx: int) -> Trace:
     rho_true = _true_state(cfg, run_idx)
     # One substream per (master seed, run index), shared by all protocols:
     # paired noise across protocols tightens ratio comparisons.
     run_seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, run_idx))
-    trace = run_tomography(
+    trace, _ = run_tomography(
         protocol, rho_true, cfg.source, cfg.schedule, run_seed,
         mle_options=cfg.mle, delta=cfg.delta, random_v=cfg.random_v,
     )
-    return TraceFile.from_trace(trace, run_id=run_idx, seed=cfg.seed)
+    return replace(trace, run_id=run_idx, seed=cfg.seed)
 
 
 def run_campaign(cfg: CampaignConfig, workers: int | None = None,
-                 on_trace=None) -> dict[str, list[TraceFile]]:
+                 on_trace=None) -> dict[str, list[Trace]]:
     """Execute all (protocol, run) jobs, optionally in parallel.
 
-    ``on_trace(protocol, trace_file)`` is invoked as each run completes.
+    ``on_trace(protocol, trace)`` is invoked as each run completes.
     Results are deterministic for a fixed config regardless of worker count.
     """
     jobs = [(p, r) for p in cfg.protocols for r in range(cfg.runs)]
     workers = workers if workers is not None else (os.cpu_count() or 1)
-    results: dict[str, list[TraceFile]] = {p: [None] * cfg.runs for p in cfg.protocols}
+    results: dict[str, list[Trace]] = {p: [None] * cfg.runs for p in cfg.protocols}
 
     if workers <= 1 or len(jobs) == 1:
         for p, r in jobs:
-            tf = _run_one(cfg, p, r)
-            results[p][r] = tf
+            trace = _run_one(cfg, p, r)
+            results[p][r] = trace
             if on_trace:
-                on_trace(p, tf)
+                on_trace(p, trace)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_one, cfg, p, r): (p, r) for p, r in jobs}
             for fut in as_completed(futures):
                 p, r = futures[fut]
-                tf = fut.result()
-                results[p][r] = tf
+                trace = fut.result()
+                results[p][r] = trace
                 if on_trace:
-                    on_trace(p, tf)
+                    on_trace(p, trace)
     return results
 
 
-def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
-                 per_decade: int = 10) -> int:
+def cmd_simulate(cfg: CampaignConfig, workers: int | None = None) -> int:
     """Run campaigns and write per-run trace files plus aggregated curves."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def flush(protocol: str, tf: TraceFile) -> None:
-        write_trace_file(out / f"trace_{protocol}_{tf.run_id:03d}.csv", tf)
+    def flush(protocol: str, trace: Trace) -> None:
+        write_trace_file(out / f"trace_{protocol}_{trace.run_id:03d}.csv", trace)
 
     results = run_campaign(cfg, workers=workers, on_trace=flush)
     for protocol, traces in results.items():
-        if any(t is None for t in traces):
-            print(f"simulate: runs missing for {protocol}", file=sys.stderr)
-            return 1
         if len(traces) >= 2:
-            curve = average_curves(traces, per_decade=per_decade)
+            curve = average_curves(traces)
             meta = {
                 "protocol": protocol,
                 "states": cfg.states,
@@ -275,7 +209,7 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
 # Analyze
 
 
-def _collect_trace_files(inputs) -> list[TraceFile]:
+def _collect_trace_files(inputs) -> list[Trace]:
     paths: list[Path] = []
     for item in inputs:
         p = Path(item)
@@ -289,22 +223,22 @@ def _collect_trace_files(inputs) -> list[TraceFile]:
 
 
 def cmd_analyze(inputs, window: tuple[float, float] | None,
-                comparisons, out_dir, per_decade: int = 10) -> int:
+                comparisons, out_dir) -> int:
     """Fit grouped traces, emit pairwise ratios and plot-ready columns."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traces = _collect_trace_files(inputs)
 
-    by_protocol: dict[str, list[TraceFile]] = {}
-    for tf in traces:
-        by_protocol.setdefault(tf.protocol, []).append(tf)
+    by_protocol: dict[str, list[Trace]] = {}
+    for trace in traces:
+        by_protocol.setdefault(trace.protocol, []).append(trace)
 
     report: list[str] = []
     fits = {}
     for protocol, group in sorted(by_protocol.items()):
         if len(group) < 2:
             raise ValueError(f"protocol {protocol!r} has {len(group)} trace(s); need >= 2")
-        curve = average_curves(group, per_decade=per_decade)
+        curve = average_curves(group)
         win = window or (100.0, float(curve.n[-1]))
         fit = fit_power_law(curve, win)
         fits[protocol] = fit
@@ -345,27 +279,26 @@ def cmd_analyze(inputs, window: tuple[float, float] | None,
 
 def cmd_replay(record_files, n0: float | None, out_dir,
                window: tuple[float, float] | None = None,
-               points_per_decade: int = 10, clip_fraction: float = 0.25) -> int:
+               points_per_decade: int = 10) -> int:
     """Self-referenced replay of recorded count streams.
 
     Each stream is re-estimated on growing prefixes; distances are taken
-    to the assessment at N0. Points with N > N0 * clip_fraction are
-    clipped away (the curve plunges to zero at N0 by construction).
+    to the assessment at N0. The curve plunges to zero at N0 by
+    construction, so the averaged curve keeps only points with N <= N0/4;
+    the per-stream trace files keep every point.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    clipped: list[TraceFile] = []
+    clipped: list[Trace] = []
     for i, path in enumerate(record_files):
         grouped, _, intensity = read_records(path)
-        trace = replay_counts(grouped, intensity, n0,
-                              points_per_decade=points_per_decade)
-        tf = TraceFile.from_trace(trace, run_id=i, seed=-1)
-        write_trace_file(out / f"replay_{i:03d}.csv", tf)
-        n0_actual = float(tf.n_emit[-1])
-        keep = tf.n_emit <= clip_fraction * n0_actual
+        trace = replace(replay_counts(grouped, intensity, n0,
+                                      points_per_decade=points_per_decade), run_id=i)
+        write_trace_file(out / f"replay_{i:03d}.csv", trace)
+        keep = trace.n_emit <= trace.n_emit[-1] / 4
         if not np.any(keep):
             raise ValueError(f"{path}: no points survive clipping at N0/4")
-        clipped.append(tf.select(keep))
+        clipped.append(trace.select(keep))
 
     report = [f"replay.files = {len(clipped)}"]
     if len(clipped) >= 2:
@@ -412,26 +345,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every simulate default is the one its config dataclass states.
+    d = CampaignConfig(protocols=())
     sim = sub.add_parser("simulate", help="run tomography campaigns")
     sim.add_argument("--protocol", default="rankp-nc",
                      help=f"comma-separated subset of {','.join(PROTOCOLS)}")
-    sim.add_argument("--states", default="pure",
+    sim.add_argument("--states", default=d.states,
                      help="pure | bures | path to an explicit state file")
-    sim.add_argument("--runs", type=int, default=50)
-    sim.add_argument("--n-max", type=_parse_count, default=10 ** 6)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--runs", type=int, default=d.runs)
+    sim.add_argument("--n-max", type=_parse_count, default=d.schedule.n_max)
+    sim.add_argument("--seed", type=int, default=d.seed)
     sim.add_argument("--out", default=_default_out())
-    sim.add_argument("--growth", type=float, default=1.25)
-    sim.add_argument("--initial-budget", type=_parse_count, default=100)
-    sim.add_argument("--mle-tol", type=float, default=1e-10)
-    sim.add_argument("--mle-max-iter", type=int, default=1000)
-    sim.add_argument("--delta", type=float, default=DEFAULT_DELTA,
+    sim.add_argument("--growth", type=float, default=d.schedule.growth)
+    sim.add_argument("--initial-budget", type=_parse_count,
+                     default=d.schedule.initial_budget)
+    sim.add_argument("--mle-tol", type=float, default=d.mle.tol)
+    sim.add_argument("--mle-max-iter", type=int, default=d.mle.max_iter)
+    sim.add_argument("--delta", type=float, default=d.delta,
                      help="estimator regularization before the transformation")
     sim.add_argument("--random-v", action="store_true",
                      help="left-multiply the transformation by a Haar-random unitary")
-    sim.add_argument("--efficiency", type=float, default=1000.0, metavar="I",
+    sim.add_argument("--efficiency", type=float, default=d.source.intensity, metavar="I",
                      help="source intensity (expected emissions per exposition unit)")
-    sim.add_argument("--det-efficiency", type=float, default=1.0,
+    sim.add_argument("--det-efficiency", type=float, default=d.source.efficiency,
                      help="detector efficiency in (0, 1]")
     sim.add_argument("--workers", type=int, default=None)
 

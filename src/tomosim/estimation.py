@@ -8,6 +8,7 @@ source intensity and M_j is a unit-trace measurement operator.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ PROB_CLAMP = 1e-12
 
 # Relative eigenvalue threshold defining the support of G.
 _SUPPORT_RTOL = 1e-12
+
+# Step mixing weight epsilon that the adaptive step size starts from.
+_DILUTION = 0.5
 
 
 class NonIdentifiableDataError(ValueError):
@@ -63,30 +67,17 @@ class LikelihoodData:
             raise ValueError("intensity must be positive")
         object.__setattr__(self, "records", tuple(self.records))
 
-    @property
-    def dim(self) -> int:
-        return self.records[0].element.dim
-
-    def total_counts(self) -> int:
-        return sum(r.counts for r in self.records)
-
 
 @dataclass(frozen=True)
 class MleOptions:
     max_iter: int = 1000
     tol: float = 1e-10          # stop threshold on trace-norm change
-    dilution: float = 0.5       # step mixing weight epsilon
-    mix_floor: float = 0.0      # mixing with eye/D applied to the result
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if not 0.0 < self.dilution <= 1.0:
-            raise ValueError("dilution must be in (0, 1]")
-        if not 0.0 <= self.mix_floor < 1.0:
-            raise ValueError("mix_floor must be in [0, 1)")
 
 
 def _stacked(data: LikelihoodData):
@@ -152,7 +143,8 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     the primary one stalls; its fixed point is the constrained-likelihood
     stationary state. Steps that would lower the log-likelihood halve eps
     and retry, so accepted iterates ascend monotonically. Pass ``logliks``
-    to collect the per-step values.
+    to collect the per-step values. Issues a RuntimeWarning when
+    ``opts.max_iter`` steps pass without convergence.
     """
     opts = opts or MleOptions()
     mats, times, counts = _stacked(data)
@@ -173,17 +165,16 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     counts_pos = counts[pos]
     eye = np.eye(dim)
 
-    def evaluate(cand: np.ndarray, floor: float | None = None):
+    def evaluate(cand: np.ndarray, floor: float):
         cand = linalg.hermitize(cand)
-        if floor is not None:
-            # Clip to a strictly positive floor, not to zero: an exactly
-            # rank-deficient iterate can never regain rank under the
-            # congruence-style steps and would freeze on the boundary face.
-            w, v = np.linalg.eigh(cand)
-            if w[-1] <= 0:
-                return None
-            if w[0] < floor:
-                cand = (v * np.maximum(w, floor)) @ v.conj().T
+        # Clip to a strictly positive floor, not to zero: an exactly
+        # rank-deficient iterate can never regain rank under the
+        # congruence-style steps and would freeze on the boundary face.
+        w, v = np.linalg.eigh(cand)
+        if w[-1] <= 0:
+            return None
+        if w[0] < floor:
+            cand = (v * np.maximum(w, floor)) @ v.conj().T
         tr = cand.trace().real
         if tr <= 0:
             return None
@@ -197,10 +188,10 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     if logliks is not None:
         logliks.append(ll)
 
-    # Step size adapts around the configured dilution: halved on rejected
-    # steps, doubled again (up to 1) after clean full-size accepts. The
-    # flat likelihood valleys of near-pure states need the large steps.
-    eps_start = opts.dilution
+    # Step size adapts around _DILUTION: halved on rejected steps, doubled
+    # again (up to 1) after clean full-size accepts. The flat likelihood
+    # valleys of near-pure states need the large steps.
+    eps_start = _DILUTION
     prev_delta = None
     prev_change = 0.0
     for _ in range(opts.max_iter):
@@ -242,7 +233,7 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         if halvings == 0:
             eps_start = min(1.0, 2.0 * eps_start)
         else:
-            eps_start = max(eps, opts.dilution / 2 ** 10)
+            eps_start = max(eps, _DILUTION / 2 ** 10)
         cand, p, ll_new = accepted
         delta = cand - rho
         change = linalg.trace_norm(delta)
@@ -270,10 +261,10 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
             logliks.append(ll)
         if change < opts.tol:
             break
-
-    if opts.mix_floor > 0:
-        rho = (1.0 - opts.mix_floor) * rho \
-            + opts.mix_floor * np.eye(dim) / dim
+    else:
+        warnings.warn(f"mle_estimate: max_iter = {opts.max_iter} steps reached before "
+                      f"the step fell below tol = {opts.tol:g}", RuntimeWarning,
+                      stacklevel=2)
     return DensityMatrix(_clip_spectrum(rho))
 
 

@@ -7,8 +7,6 @@ All functions return fresh arrays; nothing mutates its input.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Elementwise |A - A^dag| above this is treated as genuinely non-Hermitian.
@@ -24,13 +22,6 @@ class NonHermitianError(ValueError):
 
 class NotPositiveSemidefiniteError(ValueError):
     """Matrix has an eigenvalue below the round-off clamp."""
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectral decomposition A = U diag(w) U^dag with w ascending."""
-
-    eigenvalues: np.ndarray   # shape (D,), real, ascending
-    eigenvectors: np.ndarray  # shape (D, D), unitary, columns
 
 
 def as_square_complex(a) -> np.ndarray:
@@ -51,8 +42,9 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a Hermitian matrix: A = v diag(w) v^dag,
+    eigenvalues w ascending, eigenvectors in the columns of v.
 
     Raises NonHermitianError (with the offending deviation) if the input
     is not Hermitian within ``tol``.
@@ -64,7 +56,7 @@ def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
             f"matrix is not Hermitian: max|A - A^dag| = {defect:.3e} > {tol:.3e}"
         )
     w, v = np.linalg.eigh(m)
-    return EigenDecomposition(w, v)
+    return w, v
 
 
 def numeric_rank(a, tol: float) -> int:

@@ -16,7 +16,6 @@ import numpy as np
 from . import linalg
 
 TRACE_TOL = 1e-10
-COMPLETENESS_TOL = 1e-9
 # Elements with Tr M below this are treated as inert (unmeasurable).
 INERT_WEIGHT = 1e-12
 
@@ -87,10 +86,9 @@ class PovmElement:
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered measurement-operator set; complete=True means it sums to 1."""
+    """Ordered set of measurement operators of one dimension."""
 
     elements: tuple[PovmElement, ...]
-    complete: bool = False
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -99,10 +97,6 @@ class Povm:
         d = elements[0].dim
         if any(e.dim != d for e in elements):
             raise ValueError("POVM elements have mismatched dimensions")
-        if self.complete:
-            total = sum(e.matrix for e in elements)
-            if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
-                raise ValueError("complete POVM does not sum to identity")
         object.__setattr__(self, "elements", elements)
 
     @property
@@ -117,10 +111,12 @@ def projector(vec) -> np.ndarray:
 
 
 def pure_state(vec) -> DensityMatrix:
-    """Density matrix of a normalized pure state vector."""
+    """Density matrix of a normalized pure state vector, exactly Hermitian."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
-    return DensityMatrix(projector(v))
+    # The outer product leaves ~1e-18 imaginary parts on the diagonal and
+    # off-diagonals that are not exact conjugates.
+    return DensityMatrix(linalg.hermitize(projector(v)))
 
 
 def born_probability(element: PovmElement, rho: DensityMatrix) -> float:
@@ -193,7 +189,7 @@ def mub_qubit() -> Povm:
     The set concatenates three orthonormal bases, so it sums to 3*eye(2)
     and is not itself a decomposition of unity.
     """
-    return Povm(tuple(PovmElement(projector(k)) for k in MUB_KETS), complete=False)
+    return Povm(tuple(PovmElement(projector(k)) for k in MUB_KETS))
 
 
 def _complex_gaussians(rng: np.random.Generator, shape) -> np.ndarray:

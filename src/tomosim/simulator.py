@@ -1,15 +1,17 @@
 """Stochastic tomography engine.
 
 Poissonian photon-count sampling, the adaptive measure/estimate loop with
-emitted/detected copy accounting, replay of recorded count streams, and
-the record-stream file format.
+emitted/detected copy accounting, replay of recorded count streams, the
+per-iteration trace they both produce, and the trace and record-stream
+file formats.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +32,6 @@ from .protocols import (
 )
 from .quantum import (
     DensityMatrix,
-    Povm,
     PovmElement,
     born_probability,
     fidelity,
@@ -75,17 +76,6 @@ class Schedule:
             raise ValueError("n_max must exceed initial_budget and be finite")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    iteration: int
-    n_emit: float
-    n_det: int
-    estimator: DensityMatrix
-    d_bures_sq: float
-    fidelity: float
-    loglik: float
-
-
 class GroupedRecord(NamedTuple):
     """A measurement record tagged with its simultaneity-exposure id."""
 
@@ -93,21 +83,44 @@ class GroupedRecord(NamedTuple):
     record: MeasurementRecord
 
 
-@dataclass
-class TomographyTrace:
-    """Per-iteration log of one tomography run."""
+@dataclass(frozen=True)
+class Trace:
+    """Per-iteration log of one run; its fields are the trace-file columns.
+
+    The run loop and the replay label every trace run 0 with seed -1;
+    their callers relabel it with dataclasses.replace.
+    """
 
     protocol: str
+    run_id: int
     seed: int
-    entries: list[TraceEntry] = field(default_factory=list)
-    records: list[GroupedRecord] = field(default_factory=list)
-    true_state: DensityMatrix | None = None
+    iteration: np.ndarray
+    n_emit: np.ndarray
+    n_det: np.ndarray
+    d_bures_sq: np.ndarray
+    fidelity: np.ndarray
+    loglik: np.ndarray
+
+    def select(self, keep: np.ndarray) -> "Trace":
+        """The same trace restricted to the rows where keep is true."""
+        return replace(self, **{c: getattr(self, c)[keep] for c in _ROW_TYPES})
 
     def curve_points(self) -> tuple[np.ndarray, np.ndarray]:
         """(N_emit, d_B^2) arrays for curve aggregation."""
-        n = np.array([e.n_emit for e in self.entries])
-        d = np.array([e.d_bures_sq for e in self.entries])
-        return n, d
+        return self.n_emit, self.d_bures_sq
+
+
+_TRACE_COLUMNS = tuple(f.name for f in fields(Trace))
+# The columns after protocol, run_id and seed hold one value per row, of
+# the type each is written and parsed as.
+_ROW_TYPES = {c: int if c in ("iteration", "n_det") else float
+              for c in _TRACE_COLUMNS[3:]}
+
+
+def _trace(protocol: str, rows) -> Trace:
+    """Trace of run 0, seed -1 from rows ordered as the row columns."""
+    return Trace(protocol, 0, -1, **{c: np.array(col, dtype=t)
+                                    for (c, t), col in zip(_ROW_TYPES.items(), zip(*rows))})
 
 
 def sample_counts(m: TimedMeasurement, rho_true: DensityMatrix, src: SourceModel,
@@ -156,13 +169,12 @@ def _measure_plan(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceMod
 
 
 def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
-                   sched: Schedule, seed, *, base: Povm | None = None,
-                   mle_options: MleOptions | None = None,
+                   sched: Schedule, seed, *, mle_options: MleOptions | None = None,
                    delta: float = DEFAULT_DELTA,
-                   random_v: bool = False) -> TomographyTrace:
-    """One full adaptive tomography run.
+                   random_v: bool = False) -> tuple[Trace, list[GroupedRecord]]:
+    """One full adaptive tomography run; returns its trace and record stream.
 
-    Iteration 0 measures the untransformed base set; every following
+    Iteration 0 measures the untransformed MUB base set; every following
     iteration builds a plan from the current estimator, spends a
     geometrically growing budget of expected emitted copies, appends the
     sampled records and re-estimates. Stops once cumulative N_emit
@@ -170,15 +182,12 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     """
     require_qubit(rho_true.dim, "true state")
     rng = np.random.default_rng(seed)
-    base = base if base is not None else mub_qubit()
+    base = mub_qubit()
     opts = mle_options or MleOptions()
     dim = rho_true.dim
 
-    trace = TomographyTrace(
-        protocol=protocol,
-        seed=seed if isinstance(seed, int) else -1,
-        true_state=rho_true,
-    )
+    records: list[GroupedRecord] = []
+    rows = []
     rho_hat = maximally_mixed(dim)
     n_emit = 0.0
     n_det = 0
@@ -196,29 +205,28 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
         base_time = budget / (src.intensity * exposure)
         new_records, detected, group_id = _measure_plan(
             plan, rho_true, src, base_time, rng, group_id)
-        trace.records.extend(new_records)
+        records.extend(new_records)
         n_det += detected
         n_emit += emitted_copies(base_time * exposure, src)
 
         # Counts arrive at the detected rate I * eff; N_emit stays on I.
-        data = LikelihoodData(tuple(r.record for r in trace.records),
+        data = LikelihoodData(tuple(r.record for r in records),
                               src.intensity * src.efficiency)
         rho_hat = mle_estimate(data, opts)
-        trace.entries.append(
-            _entry(iteration, n_emit, n_det, rho_true, data, rho_hat))
+        rows.append(_row(iteration, n_emit, n_det, rho_true, data, rho_hat))
         if n_emit >= sched.n_max:
             break
         budget *= sched.growth
         iteration += 1
-    return trace
+    return _trace(protocol, rows), records
 
 
-def _entry(iteration: int, n_emit: float, n_det: int, reference: DensityMatrix,
-           data: LikelihoodData, est: DensityMatrix) -> TraceEntry:
-    """Trace entry of an estimate, scored against a reference state."""
+def _row(iteration: int, n_emit: float, n_det: int, reference: DensityMatrix,
+         data: LikelihoodData, est: DensityMatrix) -> tuple:
+    """Trace row of an estimate, scored against a reference state."""
     f = fidelity(reference, est)
-    return TraceEntry(iteration, n_emit, n_det, est, 2.0 - 2.0 * np.sqrt(f), f,
-                      log_likelihood(data, est))
+    return (iteration, n_emit, n_det, 2.0 - 2.0 * np.sqrt(f), f,
+            log_likelihood(data, est))
 
 
 def _group_runs(grouped: Sequence[GroupedRecord]) -> list[list[MeasurementRecord]]:
@@ -234,8 +242,7 @@ def _group_runs(grouped: Sequence[GroupedRecord]) -> list[list[MeasurementRecord
 
 
 def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
-                  n0: float | None = None, *, points_per_decade: int = 10,
-                  mle_options: MleOptions | None = None) -> TomographyTrace:
+                  n0: float | None = None, *, points_per_decade: int = 10) -> Trace:
     """Re-estimate on growing prefixes of a recorded count stream.
 
     Distances are measured against the final assessment, the estimate at
@@ -244,7 +251,6 @@ def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
     """
     if not grouped:
         raise ValueError("empty record stream")
-    opts = mle_options or MleOptions()
     groups = _group_runs(grouped)
     cum_n: list[float] = []
     running = 0.0
@@ -256,29 +262,32 @@ def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
     ref_idx = max(i for i, n in enumerate(cum_n) if n <= n0 or i == 0)
 
     flat = [r for g in groups[:ref_idx + 1] for r in g]
-    ref_state = mle_estimate(LikelihoodData(tuple(flat), intensity), opts)
+    ref_state = mle_estimate(LikelihoodData(tuple(flat), intensity))
 
     span = math.log10(cum_n[ref_idx] / cum_n[0]) if cum_n[ref_idx] > cum_n[0] else 0.0
     targets = np.geomspace(cum_n[0], cum_n[ref_idx],
                            num=max(2, int(span * points_per_decade) + 1))
     picks = sorted({min(bisect_left(cum_n, t), ref_idx) for t in targets} | {ref_idx})
 
-    trace = TomographyTrace(protocol="replay", seed=-1,
-                            records=list(grouped[: sum(len(g) for g in groups[:ref_idx + 1])]))
+    rows = []
     for idx in picks:
         prefix = [r for g in groups[:idx + 1] for r in g]
         data = LikelihoodData(tuple(prefix), intensity)
-        est = ref_state if idx == ref_idx else mle_estimate(data, opts)
-        trace.entries.append(_entry(idx, cum_n[idx], sum(r.counts for r in prefix),
-                                    ref_state, data, est))
-    return trace
+        est = ref_state if idx == ref_idx else mle_estimate(data)
+        rows.append(_row(idx, cum_n[idx], sum(r.counts for r in prefix),
+                         ref_state, data, est))
+    return _trace("replay", rows)
 
 
 # ---------------------------------------------------------------------------
-# Record-stream file format: one exposure record per line,
+# File formats. Floats are written with 17 significant digits so round-trips
+# are bit-exact.
+#
+# Trace files: a header line of the trace columns, then one line per row.
+#
+# Record streams: one exposure record per line,
 #   group_id, 8 projector reals (row-major, re/im interleaved), time, counts
 # preceded by a header line carrying D = 2 and the measured intensity I.
-# Floats are written with 17 significant digits so round-trips are bit-exact.
 # State files share the matrix codec.
 
 def _fmt(x: float) -> str:
@@ -286,6 +295,31 @@ def _fmt(x: float) -> str:
     if x == 0.0:
         return "0"  # canonicalize -0.0: re/im reassembly cannot preserve its sign
     return format(x, ".17g")
+
+
+def write_trace_file(path, trace: Trace) -> None:
+    lines = [",".join(_TRACE_COLUMNS)]
+    for row in zip(*(getattr(trace, c) for c in _ROW_TYPES)):
+        cells = [str(int(v)) if t is int else _fmt(v)
+                 for v, t in zip(row, _ROW_TYPES.values())]
+        lines.append(",".join([trace.protocol, str(trace.run_id), str(trace.seed), *cells]))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_trace_file(path) -> Trace:
+    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    if not lines or lines[0] != ",".join(_TRACE_COLUMNS):
+        raise ValueError(f"{path}: not a trace file")
+    rows = [ln.split(",") for ln in lines[1:]]
+    if not rows or any(len(r) != len(_TRACE_COLUMNS) for r in rows):
+        raise ValueError(f"{path}: malformed trace rows")
+    columns = list(zip(*rows))[3:]
+    try:
+        arrays = {c: np.array([t(x) for x in col], dtype=t)
+                  for (c, t), col in zip(_ROW_TYPES.items(), columns)}
+    except OverflowError as exc:  # an integer cell beyond int64
+        raise ValueError(f"{path}: {exc}") from None
+    return Trace(rows[0][0], int(rows[0][1]), int(rows[0][2]), **arrays)
 
 
 def _matrix_fields(m: np.ndarray) -> list[str]:

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomosim.cli import (
-    TraceFile,
     main,
     read_curve_file,
     read_state_file,
@@ -19,6 +20,7 @@ from tomosim import quantum
 from tomosim.simulator import (
     Schedule,
     SourceModel,
+    Trace,
     read_records,
     run_tomography,
     write_records,
@@ -121,9 +123,9 @@ class TestQubitsOnly:
 
 class TestTraceFileRoundTrip:
     def test_round_trip_identity(self, tmp_path):
-        tr = run_tomography("rankp-b", maximally_mixed(2), SourceModel(500.0),
-                            Schedule(80, 1.4, 2000), 9)
-        tf = TraceFile.from_trace(tr, run_id=3, seed=42)
+        tr, _ = run_tomography("rankp-b", maximally_mixed(2), SourceModel(500.0),
+                               Schedule(80, 1.4, 2000), 9)
+        tf = replace(tr, run_id=3, seed=42)
         p = tmp_path / "t.csv"
         write_trace_file(p, tf)
         back = read_trace_file(p)
@@ -182,7 +184,7 @@ class TestAnalyzeCommand:
         # hand-made traces following d = 2.25 / N exactly
         n = np.geomspace(1e2, 1e6, 41)
         for run in range(2):
-            tf = TraceFile(
+            tf = Trace(
                 protocol="eigen", run_id=run, seed=1,
                 iteration=np.arange(n.size), n_emit=n,
                 n_det=np.round(n).astype(int), d_bures_sq=2.25 / n,
@@ -202,7 +204,7 @@ class TestAnalyzeCommand:
         n = np.geomspace(1e2, 1e6, 41)
         for proto, alpha in (("eigen", 2.0), ("rankp-b", 3.0)):
             for run in range(2):
-                tf = TraceFile(
+                tf = Trace(
                     protocol=proto, run_id=run, seed=1,
                     iteration=np.arange(n.size), n_emit=n,
                     n_det=np.round(n).astype(int), d_bures_sq=alpha / n,
@@ -226,10 +228,10 @@ class TestReplayCommand:
         paths = []
         rho = random_bures_mixed(2, np.random.default_rng(14))
         for i in range(n_runs):
-            tr = run_tomography("eigen", rho, SourceModel(1000.0),
-                                Schedule(100, 1.25, n_max), 100 + i)
+            _, records = run_tomography("eigen", rho, SourceModel(1000.0),
+                                        Schedule(100, 1.25, n_max), 100 + i)
             p = tmp_path / f"records_{i}.csv"
-            write_records(p, tr.records, 1000.0)
+            write_records(p, records, 1000.0)
             paths.append(p)
         return paths
 
@@ -240,16 +242,19 @@ class TestReplayCommand:
         tf = read_trace_file(tmp_path / "rep" / "replay_000.csv")
         assert np.all(np.diff(tf.n_emit) > 0)
 
-    def test_clipping_rule(self, tmp_path):
+    def test_clipping_rule(self, tmp_path, capsys):
         paths = self.make_records(tmp_path)
         rc = main(["replay", str(paths[0]), "--out", str(tmp_path / "rep")])
         assert rc == 0
-        # the full replay trace ends at N0; the aggregated curve must not
-        # contain points beyond N0/4
+        # the per-stream trace keeps every point up to N0; only the
+        # averaged curve drops those beyond N0/4
         tf = read_trace_file(tmp_path / "rep" / "replay_000.csv")
-        n0 = tf.n_emit[-1]
-        report = (tmp_path / "rep" / "replay_report.txt").read_text()
-        assert "replay.files = 1" in report
+        assert np.any(tf.n_emit > tf.n_emit[-1] / 4)
+        assert "replay.files = 1" in (tmp_path / "rep" / "replay_report.txt").read_text()
+        # an N0 below four times the first prefix leaves nothing to average
+        rc = main(["replay", str(paths[0]), "--n0", "50", "--out", str(tmp_path / "r50")])
+        assert rc == 1
+        assert "no points survive clipping" in capsys.readouterr().err
 
     def test_average_and_fit_over_several_runs(self, tmp_path):
         paths = self.make_records(tmp_path, n_runs=4, n_max=2 * 10 ** 4)

@@ -14,6 +14,7 @@ from tomosim.quantum import (
 )
 from tomosim import quantum
 from tomosim.simulator import (
+    _TRACE_COLUMNS,
     Schedule,
     SourceModel,
     emitted_copies,
@@ -89,14 +90,14 @@ class TestRunTomography:
     def test_deterministic_replay(self):
         rho = pure_state(quantum.KET_D)
         sched = Schedule(50, 1.3, 2000)
-        t1 = run_tomography("rankp-nc", rho, SRC, sched, 7)
-        t2 = run_tomography("rankp-nc", rho, SRC, sched, 7)
-        assert len(t1.entries) == len(t2.entries)
-        for a, b in zip(t1.entries, t2.entries):
-            assert a.n_emit == b.n_emit
-            assert a.n_det == b.n_det
-            assert a.d_bures_sq == b.d_bures_sq
-            assert np.array_equal(a.estimator.matrix, b.estimator.matrix)
+        t1, r1 = run_tomography("rankp-nc", rho, SRC, sched, 7)
+        t2, r2 = run_tomography("rankp-nc", rho, SRC, sched, 7)
+        for c in _TRACE_COLUMNS:
+            assert np.array_equal(getattr(t1, c), getattr(t2, c))
+        assert len(r1) == len(r2)
+        for (g1, a), (g2, b) in zip(r1, r2):
+            assert g1 == g2 and a.time == b.time and a.counts == b.counts
+            assert np.array_equal(a.element.matrix, b.element.matrix)
 
     def test_mixed_state_convergence_sanity(self):
         # desk-scale version of the 9/(4N) sanity bound
@@ -105,42 +106,39 @@ class TestRunTomography:
         bound = 10 * 9 / (4 * 3e4)
         ok = 0
         for seed in range(6):
-            tr = run_tomography("eigen", rho, SRC, sched, seed)
-            ok += tr.entries[-1].d_bures_sq <= bound
+            tr, _ = run_tomography("eigen", rho, SRC, sched, seed)
+            ok += tr.d_bures_sq[-1] <= bound
         assert ok >= 5
 
     def test_eigen_large_budget_consistency(self):
         rho = DensityMatrix(np.diag([0.9, 0.1]))
-        tr = run_tomography("eigen", rho, SRC, Schedule(100, 1.25, 10 ** 7), 3)
-        assert tr.entries[-1].fidelity >= 0.9999
+        tr, _ = run_tomography("eigen", rho, SRC, Schedule(100, 1.25, 10 ** 7), 3)
+        assert tr.fidelity[-1] >= 0.9999
 
     def test_n_emit_follows_budget_schedule(self):
-        tr = run_tomography("random", maximally_mixed(2), SRC, Schedule(100, 1.25, 10 ** 4), 5)
-        n = [e.n_emit for e in tr.entries]
+        tr, _ = run_tomography("random", maximally_mixed(2), SRC, Schedule(100, 1.25, 10 ** 4), 5)
+        n = tr.n_emit
         assert n[0] == pytest.approx(100.0)
         assert n[1] == pytest.approx(100.0 + 125.0)
         assert np.all(np.diff(n) > 0)
         assert n[-1] >= 10 ** 4
 
     def test_n_det_monotone(self):
-        tr = run_tomography("rankp-m", random_pure_haar(2, np.random.default_rng(0)),
-                            SRC, Schedule(100, 1.3, 10 ** 4), 5)
-        det = [e.n_det for e in tr.entries]
-        assert all(np.diff(det) >= 0)
+        tr, _ = run_tomography("rankp-m", random_pure_haar(2, np.random.default_rng(0)),
+                               SRC, Schedule(100, 1.3, 10 ** 4), 5)
+        assert all(np.diff(tr.n_det) >= 0)
 
     def test_complete_protocol_detects_all(self):
         # E[N_det] = N_emit for decomposition-of-unity protocols
         rho = random_bures_mixed(2, np.random.default_rng(1))
         for proto in ("eigen", "random", "rankp-b"):
-            tr = run_tomography(proto, rho, SRC, Schedule(100, 1.25, 10 ** 5), 11)
-            e = tr.entries[-1]
-            assert abs(e.n_det - e.n_emit) <= 5 * np.sqrt(e.n_emit)
+            tr, _ = run_tomography(proto, rho, SRC, Schedule(100, 1.25, 10 ** 5), 11)
+            assert abs(tr.n_det[-1] - tr.n_emit[-1]) <= 5 * np.sqrt(tr.n_emit[-1])
 
     def test_rankp_nc_discards_outcomes_on_pure_states(self):
         rho = random_pure_haar(2, np.random.default_rng(2))
-        tr = run_tomography("rankp-nc", rho, SRC, Schedule(100, 1.25, 10 ** 5), 13)
-        e = tr.entries[-1]
-        assert e.n_det / e.n_emit < 0.9
+        tr, _ = run_tomography("rankp-nc", rho, SRC, Schedule(100, 1.25, 10 ** 5), 13)
+        assert tr.n_det[-1] / tr.n_emit[-1] < 0.9
 
     def test_exposure_grouping_rule(self, rng):
         # Eigen iterations consume one exposure per basis; RankP-NC six
@@ -157,9 +155,9 @@ class TestRunTomography:
         vals = []
         for i in range(4):
             rho = random_bures_mixed(2, np.random.default_rng(100 + i))
-            tr = run_tomography("rankp-nc", rho, SourceModel(1000.0, 0.5),
-                                Schedule(100, 1.25, 2 * 10 ** 4), 7 + i)
-            vals.append(tr.entries[-1].n_emit * tr.entries[-1].d_bures_sq)
+            tr, _ = run_tomography("rankp-nc", rho, SourceModel(1000.0, 0.5),
+                                   Schedule(100, 1.25, 2 * 10 ** 4), 7 + i)
+            vals.append(tr.n_emit[-1] * tr.d_bures_sq[-1])
         assert np.mean(vals) < 40.0
 
     def test_rejects_non_qubit_state(self):
@@ -178,24 +176,23 @@ class TestReplayCounts:
         return run_tomography("eigen", rho, SRC, Schedule(100, 1.25, n_max), seed)
 
     def test_final_prefix_distance_zero(self):
-        tr = self.make_trace()
-        rep = replay_counts(tr.records, SRC.intensity)
-        assert rep.entries[-1].d_bures_sq == pytest.approx(0.0, abs=1e-12)
+        _, records = self.make_trace()
+        rep = replay_counts(records, SRC.intensity)
+        assert rep.d_bures_sq[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_prefix_at_n0_is_reference(self):
-        tr = self.make_trace()
-        n0 = tr.entries[-1].n_emit
-        rep = replay_counts(tr.records, SRC.intensity, n0=n0)
-        assert rep.entries[-1].d_bures_sq == 0.0
+        tr, records = self.make_trace()
+        rep = replay_counts(records, SRC.intensity, n0=tr.n_emit[-1])
+        assert rep.d_bures_sq[-1] == 0.0
 
     def test_median_distance_decreases(self):
         # statistical smoke check across a few replays
         firsts, lasts = [], []
         for seed in (31, 32, 33, 34, 35):
-            tr = self.make_trace(seed=seed)
-            rep = replay_counts(tr.records, SRC.intensity)
-            d = [e.d_bures_sq for e in rep.entries[:-1]]  # drop the exact zero
-            n = [e.n_emit for e in rep.entries[:-1]]
+            _, records = self.make_trace(seed=seed)
+            rep = replay_counts(records, SRC.intensity)
+            d = rep.d_bures_sq[:-1]  # drop the exact zero
+            n = rep.n_emit[:-1]
             split = np.searchsorted(n, np.sqrt(n[0] * n[-1]))
             firsts.append(np.median(d[:split]))
             lasts.append(np.median(d[split:]))
@@ -209,18 +206,17 @@ class TestReplayCounts:
             calls.append(len(data.records))
             return mle_estimate(data, opts, logliks)
 
-        records = self.make_trace().records
+        _, records = self.make_trace()
         mle_estimate = simulator.mle_estimate
         monkeypatch.setattr(simulator, "mle_estimate", counted)
         rep = replay_counts(records, SRC.intensity)
-        assert len(calls) == len(rep.entries)
+        assert len(calls) == len(rep.n_emit)
         assert calls.count(max(calls)) == 1
 
     def test_n_grid_is_increasing(self):
-        tr = self.make_trace()
-        rep = replay_counts(tr.records, SRC.intensity)
-        n = [e.n_emit for e in rep.entries]
-        assert all(np.diff(n) > 0)
+        _, records = self.make_trace()
+        rep = replay_counts(records, SRC.intensity)
+        assert all(np.diff(rep.n_emit) > 0)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -230,14 +226,14 @@ class TestReplayCounts:
 class TestRecordIO:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         rho = random_pure_haar(2, rng)
-        tr = run_tomography("rankp-m", rho, SRC, Schedule(100, 1.3, 5000), 17)
+        _, records = run_tomography("rankp-m", rho, SRC, Schedule(100, 1.3, 5000), 17)
         path = tmp_path / "records.csv"
-        write_records(path, tr.records, SRC.intensity)
+        write_records(path, records, SRC.intensity)
         back, dim, intensity = read_records(path)
         assert dim == 2
         assert intensity == SRC.intensity
-        assert len(back) == len(tr.records)
-        for (g1, r1), (g2, r2) in zip(tr.records, back):
+        assert len(back) == len(records)
+        for (g1, r1), (g2, r2) in zip(records, back):
             assert g1 == g2
             assert r1.time == r2.time
             assert r1.counts == r2.counts
@@ -245,9 +241,9 @@ class TestRecordIO:
 
     def test_rewrite_identical_bytes(self, tmp_path, rng):
         rho = random_pure_haar(2, rng)
-        tr = run_tomography("eigen", rho, SRC, Schedule(100, 1.3, 2000), 23)
+        _, records = run_tomography("eigen", rho, SRC, Schedule(100, 1.3, 2000), 23)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records(p1, tr.records, SRC.intensity)
+        write_records(p1, records, SRC.intensity)
         back, _, intensity = read_records(p1)
         write_records(p2, back, intensity)
         assert p1.read_bytes() == p2.read_bytes()
