@@ -329,6 +329,13 @@ def _parse_count(text: str) -> int:
     return int(round(value))
 
 
+def _parse_positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_window(text: str) -> tuple[float, float]:
     n1, _, n2 = text.partition(":")
     return float(n1), float(n2)
@@ -386,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="reference copy count for the final assessment")
     rep.add_argument("--fit-window", type=_parse_window, default=None,
                      metavar="N1:N2")
-    rep.add_argument("--points-per-decade", type=int, default=10)
+    rep.add_argument("--points-per-decade", type=_parse_positive_int, default=10)
     rep.add_argument("--out", default=_default_out())
     return parser
 

@@ -27,6 +27,10 @@ _SUPPORT_RTOL = 1e-12
 # Step mixing weight epsilon that the adaptive step size starts from.
 _DILUTION = 0.5
 
+# Multiple of machine epsilon times the log-likelihood's magnitude below
+# which a change in the summed log-likelihood is taken as round-off.
+_ROUNDOFF = 4 * np.finfo(float).eps
+
 
 class NonIdentifiableDataError(ValueError):
     """Counts were registered outside the span of the measured operators."""
@@ -142,9 +146,12 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     trace-projected gradient K = R - G - Tr[(R - G) rho] is tried whenever
     the primary one stalls; its fixed point is the constrained-likelihood
     stationary state. Steps that would lower the log-likelihood halve eps
-    and retry, so accepted iterates ascend monotonically. Pass ``logliks``
-    to collect the per-step values. Issues a RuntimeWarning when
-    ``opts.max_iter`` steps pass without convergence.
+    and retry, so accepted iterates ascend monotonically. A call ends when
+    an accepted step moves rho by less than ``opts.tol`` in trace norm, or
+    when no step, however short, can raise the log-likelihood by more than
+    its round-off; so a ``tol`` too small to reach still ends at the
+    optimum. Pass ``logliks`` to collect the per-step values. Issues a
+    RuntimeWarning when ``opts.max_iter`` steps pass without either.
     """
     opts = opts or MleOptions()
     mats, times, counts = _stacked(data)
@@ -201,6 +208,21 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         grad = linalg.hermitize(r_op - g)
         k_op = grad - np.einsum("ij,ji->", grad, rho).real * eye
         k_scale = float(np.max(np.abs(np.linalg.eigvalsh(k_op))))
+        x_op = a_op @ rho @ a_op
+
+        # First-order log-likelihood gain per unit eps of each trial step,
+        # and the round-off of the summed log-likelihood. Once a step
+        # fails to ascend at eps and eps * slope is below the round-off,
+        # a quadratic model of the gain admits no resolvable ascent at
+        # any shorter step either, so halving further cannot help.
+        slope_fp = np.einsum("ij,ji->", k_op, x_op).real
+        slope_grad = (2.0 * np.einsum("ij,jk,ki->", k_op, rho, k_op).real / k_scale
+                      if k_scale > 0 else 0.0)
+        slope = max(slope_fp, slope_grad, 0.0)
+        p_pos = np.maximum(p[pos], PROB_CLAMP)
+        noise = _ROUNDOFF * (
+            np.dot(counts_pos, np.abs(np.log(data.intensity * p_pos * times[pos])))
+            + data.intensity * times.sum())
 
         # Cap how fast any step may shrink the smallest eigenvalue (10x per
         # accepted step): the multiplicative updates otherwise overshoot
@@ -213,8 +235,7 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         best = None
         halvings = 0
         for _ in range(60):
-            trials = [evaluate((1.0 - eps) * rho + eps * (a_op @ rho @ a_op),
-                               floor=floor)]
+            trials = [evaluate((1.0 - eps) * rho + eps * x_op, floor=floor)]
             if k_scale > 0:
                 step = eye + (eps / k_scale) * k_op
                 trials.append(evaluate(step @ rho @ step, floor=floor))
@@ -225,10 +246,12 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
                     best = cand
                 if best[2] > ll:
                     break
+            if eps * slope < noise:
+                break
             eps /= 2
             halvings += 1
-        if best is None or best[2] < ll:
-            break    # no ascending step exists; numerically at a fixed point
+        if best is None or best[2] <= ll:
+            break    # no ascent resolvable above round-off; at the optimum
         accepted = best
         if halvings == 0:
             eps_start = min(1.0, 2.0 * eps_start)

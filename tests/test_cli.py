@@ -266,6 +266,16 @@ class TestReplayCommand:
         report = (tmp_path / "rep" / "replay_report.txt").read_text()
         assert "replay.beta" in report
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_points_per_decade_below_one_rejected(self, tmp_path, capsys, value):
+        paths = self.make_records(tmp_path, n_max=2 * 10 ** 3)
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(paths[0]), "--points-per-decade", value,
+                  "--out", str(tmp_path / "rep")])
+        assert exc.value.code == 2
+        assert "--points-per-decade: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_malformed_records_fail(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("junk\n")

@@ -199,6 +199,22 @@ class TestMleEstimate:
             warnings.simplefilter("error")
             mle_estimate(data)
 
+    def test_tol_below_roundoff_ends_at_optimum(self):
+        # A trace-norm tol no step can reach: the call must still end once
+        # no step raises the log-likelihood beyond its round-off, instead
+        # of running to max_iter on a likelihood that no longer moves.
+        rng = np.random.default_rng(2)
+        rho = random_bures_mixed(2, rng)
+        data = LikelihoodData(tuple(
+            MeasurementRecord(e, 1.0, int(rng.poisson(1000.0 * born_probability(e, rho))))
+            for e in mub_qubit().elements), 1000.0)
+        logliks = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = mle_estimate(data, MleOptions(tol=1e-300), logliks=logliks)
+        assert len(logliks) < 100
+        assert abs(log_likelihood(data, est) - log_likelihood(data, mle_estimate(data))) <= 1e-9
+
 
 class TestMleOptions:
     def test_validation(self):

@@ -1,0 +1,49 @@
+"""Frozen estimator corpus: no estimator change may lower the optimum found.
+
+`tests/data/corpus_*.csv` are record streams of every protocol on a pure
+and a Bures-mixed state (N_emit up to 1e4), and `corpus_loglik.csv` holds
+the log-likelihood that the diluted fixed-point estimator with a 60-halving
+line search reached at each `replay_counts` prefix of them. See
+`tests/data/make_mle_corpus.py`.
+"""
+
+import csv
+import warnings
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+from tomosim.protocols import PROTOCOLS
+from tomosim.simulator import read_records, replay_counts
+
+DATA = Path(__file__).parent / "data"
+LL_TOL = 1e-9  # nats
+
+
+def _expected():
+    out = defaultdict(list)
+    with open(DATA / "corpus_loglik.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            out[row["stream"]].append((int(row["iteration"]), float(row["loglik"])))
+    return dict(out)
+
+
+EXPECTED = _expected()
+
+
+def test_corpus_covers_every_protocol_and_family():
+    assert sorted(EXPECTED) == sorted(f"corpus_{p}_{f}.csv"
+                                      for p in PROTOCOLS for f in ("pure", "bures"))
+
+
+@pytest.mark.parametrize("stream", sorted(EXPECTED))
+def test_loglik_not_below_frozen_optimum(stream):
+    grouped, _, intensity = read_records(DATA / stream)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)    # max_iter on pure states
+        trace = replay_counts(grouped, intensity)
+    iterations, frozen = zip(*EXPECTED[stream])
+    assert tuple(trace.iteration) == iterations
+    shortfall = [f - ll for f, ll in zip(frozen, trace.loglik)]
+    assert max(shortfall) <= LL_TOL, (stream, max(shortfall))
