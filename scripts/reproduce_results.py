@@ -19,7 +19,7 @@ import numpy as np
 
 from tomosim.analysis import average_curves, efficiency_ratio, fit_power_law
 from tomosim.cli import CampaignConfig, cmd_simulate, read_trace_file
-from tomosim.simulator import Schedule, SourceModel
+from tomosim.simulator import Schedule
 
 
 def main():
@@ -41,8 +41,7 @@ def main():
         cfg = CampaignConfig(
             protocols=("random", "eigen", "rankp-nc", "rankp-b", "rankp-m"),
             states=states, runs=runs, seed=args.seed,
-            schedule=Schedule(100, 1.25, n_max),
-            source=SourceModel(1000.0),
+            schedule=Schedule(n_max=n_max),
             out_dir=out / states,
         )
         rc = cmd_simulate(cfg, workers=args.workers)

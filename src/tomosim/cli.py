@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .analysis import (
     fit_power_law,
     gill_massar_bound,
 )
-from .estimation import MleOptions
 from .protocols import DEFAULT_DELTA, PROTOCOLS
 from .quantum import (
     DensityMatrix,
@@ -99,7 +98,6 @@ class CampaignConfig:
     seed: int = 0
     schedule: Schedule = field(default_factory=Schedule)
     source: SourceModel = field(default_factory=lambda: SourceModel(1000.0))
-    mle: MleOptions = field(default_factory=MleOptions)
     delta: float = DEFAULT_DELTA
     random_v: bool = False
     out_dir: Path = Path("results")
@@ -147,7 +145,7 @@ def _run_one(cfg: CampaignConfig, protocol: str, run_idx: int) -> Trace:
     run_seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, run_idx))
     trace, _ = run_tomography(
         protocol, rho_true, cfg.source, cfg.schedule, run_seed,
-        mle_options=cfg.mle, delta=cfg.delta, random_v=cfg.random_v,
+        delta=cfg.delta, random_v=cfg.random_v,
     )
     return replace(trace, run_id=run_idx, seed=cfg.seed)
 
@@ -181,6 +179,18 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
     return results
 
 
+def _campaign_meta(cfg: CampaignConfig) -> dict[str, str]:
+    """Every setting of a campaign under its field name, with the schedule's
+    and the source's fields in line; booleans as 0/1. Each curve names its
+    own protocol, and the output directory is not a setting."""
+    values = {}
+    for f in fields(cfg):
+        if f.name not in ("protocols", "out_dir"):
+            v = getattr(cfg, f.name)
+            values.update(asdict(v) if is_dataclass(v) else {f.name: v})
+    return {k: str(int(v)) if isinstance(v, bool) else str(v) for k, v in values.items()}
+
+
 def cmd_simulate(cfg: CampaignConfig, workers: int | None = None) -> int:
     """Run campaigns and write per-run trace files plus aggregated curves."""
     out = Path(cfg.out_dir)
@@ -193,14 +203,7 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None) -> int:
     for protocol, traces in results.items():
         if len(traces) >= 2:
             curve = average_curves(traces)
-            meta = {
-                "protocol": protocol,
-                "states": cfg.states,
-                "runs": str(cfg.runs),
-                "seed": str(cfg.seed),
-                "n_max": str(cfg.schedule.n_max),
-                "random_v": str(int(cfg.random_v)),
-            }
+            meta = {"protocol": protocol, **_campaign_meta(cfg)}
             write_curve_file(out / f"curve_{protocol}.csv", curve, meta)
     return 0
 
@@ -366,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--growth", type=float, default=d.schedule.growth)
     sim.add_argument("--initial-budget", type=_parse_count,
                      default=d.schedule.initial_budget)
-    sim.add_argument("--mle-tol", type=float, default=d.mle.tol)
-    sim.add_argument("--mle-max-iter", type=int, default=d.mle.max_iter)
     sim.add_argument("--delta", type=float, default=d.delta,
                      help="estimator regularization before the transformation")
     sim.add_argument("--random-v", action="store_true",
@@ -411,7 +412,6 @@ def main(argv=None) -> int:
                                   growth=args.growth, n_max=args.n_max),
                 source=SourceModel(intensity=args.efficiency,
                                    efficiency=args.det_efficiency),
-                mle=MleOptions(max_iter=args.mle_max_iter, tol=args.mle_tol),
                 delta=args.delta,
                 random_v=args.random_v,
                 out_dir=Path(args.out),

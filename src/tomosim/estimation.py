@@ -49,8 +49,8 @@ class MeasurementRecord:
             raise ValueError(
                 f"record element must have unit trace, got {self.element.weight!r}"
             )
-        if self.time < 0:
-            raise ValueError("record time must be >= 0")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(f"record time must be finite and >= 0, got {self.time!r}")
         if self.counts < 0 or self.counts != int(self.counts):
             raise ValueError("record counts must be a non-negative integer")
         if self.time == 0 and self.counts != 0:
@@ -67,21 +67,18 @@ class LikelihoodData:
     intensity: float
 
     def __post_init__(self):
-        if self.intensity <= 0:
-            raise ValueError("intensity must be positive")
+        if not 0 < self.intensity < math.inf:
+            raise ValueError(f"intensity must be positive and finite, got {self.intensity!r}")
         object.__setattr__(self, "records", tuple(self.records))
 
 
 @dataclass(frozen=True)
 class MleOptions:
     max_iter: int = 1000
-    tol: float = 1e-10          # stop threshold on trace-norm change
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
 
 
 def _stacked(data: LikelihoodData):
@@ -146,12 +143,11 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     trace-projected gradient K = R - G - Tr[(R - G) rho] is tried whenever
     the primary one stalls; its fixed point is the constrained-likelihood
     stationary state. Steps that would lower the log-likelihood halve eps
-    and retry, so accepted iterates ascend monotonically. A call ends when
-    an accepted step moves rho by less than ``opts.tol`` in trace norm, or
-    when no step, however short, can raise the log-likelihood by more than
-    its round-off; so a ``tol`` too small to reach still ends at the
-    optimum. Pass ``logliks`` to collect the per-step values. Issues a
-    RuntimeWarning when ``opts.max_iter`` steps pass without either.
+    and retry, so accepted iterates ascend monotonically. The
+    log-likelihood is concave, so a call ends, converged, once no step,
+    however short, can raise it by more than its round-off. Pass
+    ``logliks`` to collect the per-step values. Issues a RuntimeWarning
+    when ``opts.max_iter`` steps pass without reaching that point.
     """
     opts = opts or MleOptions()
     mats, times, counts = _stacked(data)
@@ -199,8 +195,7 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     # again (up to 1) after clean full-size accepts. The flat likelihood
     # valleys of near-pure states need the large steps.
     eps_start = _DILUTION
-    prev_delta = None
-    prev_change = 0.0
+    prev_change = 0.0    # 0 after an extrapolation: the next step has no rate
     for _ in range(opts.max_iter):
         ratios = counts_pos / np.maximum(p[pos], PROB_CLAMP)
         r_op = np.einsum("k,kij->ij", ratios, mats_pos)
@@ -267,7 +262,7 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         # the limit. Kept honest by the same log-likelihood guard; the
         # floor caps how far one jump may shrink the smallest eigenvalue
         # (10x) so a radial overshoot stays resolvable and reversible.
-        if prev_delta is not None and prev_change > 0:
+        if prev_change > 0:
             rate = change / prev_change
             if 1e-3 < rate < 0.999:
                 gain = min(rate / (1.0 - rate), 1e3)
@@ -276,18 +271,16 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
                                  floor=max(0.1 * lam_c[0], 1e-18 * lam_c[-1]))
                 if trial is not None and trial[2] >= ll_new:
                     cand, p, ll_new = trial
-                    delta, change = None, linalg.trace_norm(cand - rho)
-        prev_delta, prev_change = delta, change
+                    change = 0.0
+        prev_change = change
 
         rho, ll = cand, ll_new
         if logliks is not None:
             logliks.append(ll)
-        if change < opts.tol:
-            break
     else:
         warnings.warn(f"mle_estimate: max_iter = {opts.max_iter} steps reached before "
-                      f"the step fell below tol = {opts.tol:g}", RuntimeWarning,
-                      stacklevel=2)
+                      "no step could raise the log-likelihood above its round-off",
+                      RuntimeWarning, stacklevel=2)
     return DensityMatrix(_clip_spectrum(rho))
 
 

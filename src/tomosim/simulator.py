@@ -19,7 +19,6 @@ import numpy as np
 from .estimation import (
     LikelihoodData,
     MeasurementRecord,
-    MleOptions,
     log_likelihood,
     mle_estimate,
 )
@@ -169,8 +168,7 @@ def _measure_plan(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceMod
 
 
 def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
-                   sched: Schedule, seed, *, mle_options: MleOptions | None = None,
-                   delta: float = DEFAULT_DELTA,
+                   sched: Schedule, seed, *, delta: float = DEFAULT_DELTA,
                    random_v: bool = False) -> tuple[Trace, list[GroupedRecord]]:
     """One full adaptive tomography run; returns its trace and record stream.
 
@@ -183,7 +181,6 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     require_qubit(rho_true.dim, "true state")
     rng = np.random.default_rng(seed)
     base = mub_qubit()
-    opts = mle_options or MleOptions()
     dim = rho_true.dim
 
     records: list[GroupedRecord] = []
@@ -212,7 +209,7 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
         # Counts arrive at the detected rate I * eff; N_emit stays on I.
         data = LikelihoodData(tuple(r.record for r in records),
                               src.intensity * src.efficiency)
-        rho_hat = mle_estimate(data, opts)
+        rho_hat = mle_estimate(data)
         rows.append(_row(iteration, n_emit, n_det, rho_true, data, rho_hat))
         if n_emit >= sched.n_max:
             break

@@ -42,6 +42,17 @@ class TestSimulateCommand:
             for run in range(2):
                 assert (tmp_path / f"trace_{proto}_{run:03d}.csv").exists()
 
+    def test_curve_metadata_records_every_setting(self, tmp_path):
+        rc = main(simulate_args(tmp_path, extra=(
+            "--initial-budget", "50", "--growth", "1.5", "--efficiency", "800",
+            "--det-efficiency", "0.9", "--delta", "0.002", "--random-v")))
+        assert rc == 0
+        _, meta = read_curve_file(tmp_path / "curve_eigen.csv")
+        assert meta == {"protocol": "eigen", "states": "pure", "runs": "2", "seed": "5",
+                        "initial_budget": "50", "growth": "1.5", "n_max": "3000",
+                        "intensity": "800.0", "efficiency": "0.9", "delta": "0.002",
+                        "random_v": "1"}
+
     def test_same_seed_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(simulate_args(out1)) == 0
@@ -77,8 +88,8 @@ class TestSimulateCommand:
         assert rc == 0
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--mle-tol", "nan", "finite"), ("--efficiency", "nan", "finite"),
-        ("--growth", "inf", "finite"), ("--delta", "nan", "delta")])
+        ("--efficiency", "nan", "finite"), ("--growth", "inf", "finite"),
+        ("--delta", "nan", "delta")])
     def test_non_finite_knob_fails(self, tmp_path, capsys, flag, value, message):
         rc = main(simulate_args(tmp_path, extra=(flag, value)))
         assert rc == 1
@@ -275,6 +286,26 @@ class TestReplayCommand:
         assert exc.value.code == 2
         assert "--points-per-decade: must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("intensity, time, message", [
+        ("nan", None, "intensity must be positive and finite"),
+        ("inf", None, "intensity must be positive and finite"),
+        (None, "nan", "record time must be finite"),
+        (None, "inf", "record time must be finite")],
+        ids=["intensity-nan", "intensity-inf", "time-nan", "time-inf"])
+    def test_non_finite_stream_fails(self, tmp_path, capsys, intensity, time, message):
+        path = self.make_records(tmp_path, n_max=2 * 10 ** 3)[0]
+        head, *lines = path.read_text().splitlines()
+        if intensity is not None:
+            head = f"2,{intensity}"
+        if time is not None:
+            fields = lines[0].split(",")
+            lines[0] = ",".join([*fields[:-2], time, fields[-1]])
+        path.write_text("\n".join([head, *lines]) + "\n")
+        rc = main(["replay", str(path), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tomosim: ") and message in err
 
     def test_malformed_records_fail(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

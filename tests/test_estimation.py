@@ -199,37 +199,38 @@ class TestMleEstimate:
             warnings.simplefilter("error")
             mle_estimate(data)
 
-    def test_tol_below_roundoff_ends_at_optimum(self):
-        # A trace-norm tol no step can reach: the call must still end once
-        # no step raises the log-likelihood beyond its round-off, instead
-        # of running to max_iter on a likelihood that no longer moves.
+    def test_default_call_ends_at_roundoff_optimum(self):
+        # The only end rule: a call ends once no step raises the
+        # log-likelihood beyond its round-off, soon and without a warning,
+        # instead of running to max_iter on a likelihood that no longer moves.
         rng = np.random.default_rng(2)
         rho = random_bures_mixed(2, rng)
+        elements = mub_qubit().elements
+        counts = [int(rng.poisson(1000.0 * born_probability(e, rho))) for e in elements]
         data = LikelihoodData(tuple(
-            MeasurementRecord(e, 1.0, int(rng.poisson(1000.0 * born_probability(e, rho))))
-            for e in mub_qubit().elements), 1000.0)
+            MeasurementRecord(e, 1.0, n) for e, n in zip(elements, counts)), 1000.0)
         logliks = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            est = mle_estimate(data, MleOptions(tol=1e-300), logliks=logliks)
+            est = mle_estimate(data, logliks=logliks)
         assert len(logliks) < 100
-        assert abs(log_likelihood(data, est) - log_likelihood(data, mle_estimate(data))) <= 1e-9
+        # Each MUB basis sums to eye(2) and is held for the same time, so an
+        # interior optimum gives each outcome its frequency within its
+        # basis: rho = sum_k f_k M_k - eye(2).
+        freqs = [n / (counts[k] + counts[k ^ 1]) for k, n in enumerate(counts)]
+        optimum = sum(f * e.matrix for f, e in zip(freqs, elements)) - np.eye(2)
+        assert abs(log_likelihood(data, est)
+                   - log_likelihood(data, DensityMatrix(optimum))) <= 1e-9
 
 
 class TestMleOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             MleOptions(max_iter=0)
-        with pytest.raises(ValueError):
-            MleOptions(tol=0.0)
-        for tol in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite"):
-                MleOptions(tol=tol)
 
     def test_defaults(self):
         opts = MleOptions()
         assert opts.max_iter == 1000
-        assert opts.tol == 1e-10
 
 
 # Property tests: transformations of the data that leave the likelihood's
