@@ -7,7 +7,9 @@ source intensity and M_j is a unit-trace measurement operator.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +32,9 @@ _DILUTION = 0.5
 # Multiple of machine epsilon times the log-likelihood's magnitude below
 # which a change in the summed log-likelihood is taken as round-off.
 _ROUNDOFF = 4 * np.finfo(float).eps
+
+# Pauli matrices: a unit-trace qubit operator is (1 + m.sigma)/2, m_a = Tr(sigma_a M).
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class NonIdentifiableDataError(ValueError):
@@ -70,6 +75,15 @@ class LikelihoodData:
         if not 0 < self.intensity < math.inf:
             raise ValueError(f"intensity must be positive and finite, got {self.intensity!r}")
         object.__setattr__(self, "records", tuple(self.records))
+        # Poisson means I*t must stay normal floats, or G and log(I p t)
+        # overflow or underflow deep inside the estimator.
+        live = [r.time for r in self.records if r.time > 0]
+        if live and not self.intensity * min(live) >= sys.float_info.min:
+            raise ValueError("intensity * record time must be a normal float, "
+                             f"got {self.intensity!r} * {min(live)!r}")
+        if not math.isfinite(self.intensity * sum(live)):
+            raise ValueError("intensity * total record time must be finite, "
+                             f"got {self.intensity!r} * {sum(live)!r}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +156,10 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     the count-rate information, so a multiplicative ascent step along the
     trace-projected gradient K = R - G - Tr[(R - G) rho] is tried whenever
     the primary one stalls; its fixed point is the constrained-likelihood
-    stationary state. Steps that would lower the log-likelihood halve eps
-    and retry, so accepted iterates ascend monotonically. The
+    stationary state. A Newton step on the Bloch vector of rho, quadratic
+    on interior optima, is tried first; the best ascending trial is taken.
+    Steps that would lower the log-likelihood halve eps and retry, so
+    accepted iterates ascend monotonically. The
     log-likelihood is concave, so a call ends, converged, once no step,
     however short, can raise it by more than its round-off. Pass
     ``logliks`` to collect the per-step values. Issues a RuntimeWarning
@@ -167,6 +183,14 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     mats_pos = mats[pos]
     counts_pos = counts[pos]
     eye = np.eye(dim)
+    # Bloch vectors m_k of the records and the count-independent part of
+    # the log-likelihood's gradient in Bloch coordinates.
+    bloch = np.einsum("aji,kij->ka", _PAULI, mats).real
+    bloch_pos = bloch[pos]
+    drift = data.intensity * times @ bloch
+    # Counts on fewer than three independent directions leave H singular:
+    # a Newton step along the rest would be set by round-off.
+    full_rank = np.linalg.matrix_rank(bloch_pos) == 3
 
     def evaluate(cand: np.ndarray, floor: float):
         cand = linalg.hermitize(cand)
@@ -197,7 +221,8 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     eps_start = _DILUTION
     prev_change = 0.0    # 0 after an extrapolation: the next step has no rate
     for _ in range(opts.max_iter):
-        ratios = counts_pos / np.maximum(p[pos], PROB_CLAMP)
+        p_pos = np.maximum(p[pos], PROB_CLAMP)
+        ratios = counts_pos / p_pos
         r_op = np.einsum("k,kij->ij", ratios, mats_pos)
         a_op = linalg.hermitize(g_isqrt @ r_op @ g_isqrt)
         grad = linalg.hermitize(r_op - g)
@@ -214,7 +239,6 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         slope_grad = (2.0 * np.einsum("ij,jk,ki->", k_op, rho, k_op).real / k_scale
                       if k_scale > 0 else 0.0)
         slope = max(slope_fp, slope_grad, 0.0)
-        p_pos = np.maximum(p[pos], PROB_CLAMP)
         noise = _ROUNDOFF * (
             np.dot(counts_pos, np.abs(np.log(data.intensity * p_pos * times[pos])))
             + data.intensity * times.sum())
@@ -226,8 +250,24 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         lam = np.linalg.eigvalsh(rho)
         floor = max(0.1 * lam[0], 1e-18 * lam[-1])
 
-        eps = eps_start
+        # Newton step in Bloch coordinates, where the log-likelihood is
+        # concave: r' = r + H^-1 g with g = (1/2) sum (n_k/p_k - I t_k) m_k
+        # and H = (1/4) sum n_k/p_k^2 m_k m_k^T. It converges quadratically
+        # on interior optima; it is dropped when H is singular or r' leaves
+        # the open unit ball, and seeds the best trial only if it ascends.
         best = None
+        r_new = np.ones(3)    # outside the ball: no Newton trial
+        if full_rank:
+            hess = 0.25 * (bloch_pos.T * (ratios / p_pos)) @ bloch_pos
+            with contextlib.suppress(np.linalg.LinAlgError):
+                r_new = np.einsum("aji,ij->a", _PAULI, rho).real + np.linalg.solve(
+                    hess, 0.5 * (ratios @ bloch_pos - drift))
+        if r_new @ r_new < 1.0:
+            newton = evaluate(0.5 * (eye + np.einsum("a,aij->ij", r_new, _PAULI)), floor)
+            if newton is not None and newton[2] > ll:
+                best = newton
+
+        eps = eps_start
         halvings = 0
         for _ in range(60):
             trials = [evaluate((1.0 - eps) * rho + eps * x_op, floor=floor)]

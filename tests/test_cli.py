@@ -291,8 +291,12 @@ class TestReplayCommand:
         ("nan", None, "intensity must be positive and finite"),
         ("inf", None, "intensity must be positive and finite"),
         (None, "nan", "record time must be finite"),
-        (None, "inf", "record time must be finite")],
-        ids=["intensity-nan", "intensity-inf", "time-nan", "time-inf"])
+        (None, "inf", "record time must be finite"),
+        # finite, but I*t overflows or I underflows to a subnormal float
+        (None, "1e306", "intensity * total record time must be finite"),
+        ("1e-320", None, "intensity * record time must be a normal float")],
+        ids=["intensity-nan", "intensity-inf", "time-nan", "time-inf",
+             "time-overflow", "intensity-subnormal"])
     def test_non_finite_stream_fails(self, tmp_path, capsys, intensity, time, message):
         path = self.make_records(tmp_path, n_max=2 * 10 ** 3)[0]
         head, *lines = path.read_text().splitlines()
