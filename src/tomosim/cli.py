@@ -33,6 +33,7 @@ from .quantum import (
     require_qubit,
 )
 from .simulator import (
+    GroupedRecord,
     Schedule,
     SourceModel,
     Trace,
@@ -43,6 +44,7 @@ from .simulator import (
     read_trace_file,
     replay_counts,
     run_tomography,
+    write_records,
     write_trace_file,
 )
 
@@ -138,24 +140,26 @@ def _true_state(cfg: CampaignConfig, run_idx: int) -> DensityMatrix:
     return read_state_file(cfg.states)
 
 
-def _run_one(cfg: CampaignConfig, protocol: str, run_idx: int) -> Trace:
+def _run_one(cfg: CampaignConfig, protocol: str,
+             run_idx: int) -> tuple[Trace, list[GroupedRecord]]:
     rho_true = _true_state(cfg, run_idx)
     # One substream per (master seed, run index), shared by all protocols:
     # paired noise across protocols tightens ratio comparisons.
     run_seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, run_idx))
-    trace, _ = run_tomography(
+    trace, records = run_tomography(
         protocol, rho_true, cfg.source, cfg.schedule, run_seed,
         delta=cfg.delta, random_v=cfg.random_v,
     )
-    return replace(trace, run_id=run_idx, seed=cfg.seed)
+    return replace(trace, run_id=run_idx, seed=cfg.seed), records
 
 
 def run_campaign(cfg: CampaignConfig, workers: int | None = None,
-                 on_trace=None) -> dict[str, list[Trace]]:
+                 on_run=None) -> dict[str, list[Trace]]:
     """Execute all (protocol, run) jobs, optionally in parallel.
 
-    ``on_trace(protocol, trace)`` is invoked as each run completes.
-    Results are deterministic for a fixed config regardless of worker count.
+    ``on_run(protocol, trace, records)`` is invoked as each run completes,
+    with the run's record stream. Results are deterministic for a fixed
+    config regardless of worker count.
     """
     jobs = [(p, r) for p in cfg.protocols for r in range(cfg.runs)]
     workers = workers if workers is not None else (os.cpu_count() or 1)
@@ -163,19 +167,19 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
 
     if workers <= 1 or len(jobs) == 1:
         for p, r in jobs:
-            trace = _run_one(cfg, p, r)
+            trace, records = _run_one(cfg, p, r)
             results[p][r] = trace
-            if on_trace:
-                on_trace(p, trace)
+            if on_run:
+                on_run(p, trace, records)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_one, cfg, p, r): (p, r) for p, r in jobs}
             for fut in as_completed(futures):
                 p, r = futures[fut]
-                trace = fut.result()
+                trace, records = fut.result()
                 results[p][r] = trace
-                if on_trace:
-                    on_trace(p, trace)
+                if on_run:
+                    on_run(p, trace, records)
     return results
 
 
@@ -191,15 +195,24 @@ def _campaign_meta(cfg: CampaignConfig) -> dict[str, str]:
     return {k: str(int(v)) if isinstance(v, bool) else str(v) for k, v in values.items()}
 
 
-def cmd_simulate(cfg: CampaignConfig, workers: int | None = None) -> int:
-    """Run campaigns and write per-run trace files plus aggregated curves."""
+def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
+                 records: bool = False) -> int:
+    """Run campaigns and write per-run trace files plus aggregated curves.
+
+    With ``records``, also write each run's record stream, whose header
+    carries the detected rate I * eff the counts follow, for ``replay``.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def flush(protocol: str, trace: Trace) -> None:
-        write_trace_file(out / f"trace_{protocol}_{trace.run_id:03d}.csv", trace)
+    def flush(protocol: str, trace: Trace, stream: list[GroupedRecord]) -> None:
+        name = f"{protocol}_{trace.run_id:03d}.csv"
+        write_trace_file(out / f"trace_{name}", trace)
+        if records:
+            write_records(out / f"records_{name}", stream,
+                          cfg.source.intensity * cfg.source.efficiency)
 
-    results = run_campaign(cfg, workers=workers, on_trace=flush)
+    results = run_campaign(cfg, workers=workers, on_run=flush)
     for protocol, traces in results.items():
         if len(traces) >= 2:
             curve = average_curves(traces)
@@ -373,11 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="estimator regularization before the transformation")
     sim.add_argument("--random-v", action="store_true",
                      help="left-multiply the transformation by a Haar-random unitary")
-    sim.add_argument("--efficiency", type=float, default=d.source.intensity, metavar="I",
+    sim.add_argument("--intensity", type=float, default=d.source.intensity, metavar="I",
                      help="source intensity (expected emissions per exposition unit)")
     sim.add_argument("--det-efficiency", type=float, default=d.source.efficiency,
                      help="detector efficiency in (0, 1]")
     sim.add_argument("--workers", type=int, default=None)
+    sim.add_argument("--records", action="store_true",
+                     help="also write each run's record stream, records_<protocol>_<run>.csv")
 
     ana = sub.add_parser("analyze", help="fit traces and compute efficiency ratios")
     ana.add_argument("inputs", nargs="+", help="trace files or directories")
@@ -410,13 +425,13 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 schedule=Schedule(initial_budget=args.initial_budget,
                                   growth=args.growth, n_max=args.n_max),
-                source=SourceModel(intensity=args.efficiency,
+                source=SourceModel(intensity=args.intensity,
                                    efficiency=args.det_efficiency),
                 delta=args.delta,
                 random_v=args.random_v,
                 out_dir=Path(args.out),
             )
-            return cmd_simulate(cfg, workers=args.workers)
+            return cmd_simulate(cfg, workers=args.workers, records=args.records)
         if args.command == "analyze":
             return cmd_analyze(args.inputs, args.fit_window, args.compare, args.out)
         if args.command == "replay":

@@ -29,6 +29,10 @@ _SUPPORT_RTOL = 1e-12
 # Step mixing weight epsilon that the adaptive step size starts from.
 _DILUTION = 0.5
 
+# Share of the Newton decrement a Newton step must gain to be taken alone,
+# without the fixed-point and gradient line search.
+_NEWTON_GAIN = 1 / 8
+
 # Multiple of machine epsilon times the log-likelihood's magnitude below
 # which a change in the summed log-likelihood is taken as round-off.
 _ROUNDOFF = 4 * np.finfo(float).eps
@@ -147,23 +151,28 @@ def _support_isqrt(g: np.ndarray):
 
 def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
                  logliks: list | None = None) -> DensityMatrix:
-    """Maximum-likelihood state estimate by diluted fixed-point iteration.
+    """Maximum-likelihood state estimate by Newton and fixed-point steps.
 
-    The primary step is rho <- normalize[(1-eps) rho + eps A rho A] with
+    Each iteration first tries a Newton step on the Bloch vector of rho,
+    quadratic on interior optima, and takes it alone when it gains at least
+    _NEWTON_GAIN of the Newton decrement. Otherwise it falls back to a line
+    search: the diluted fixed-point step
+    rho <- normalize[(1-eps) rho + eps A rho A] with
     A = G^-1/2 R G^-1/2, R = sum_j (n_j/p_j) M_j and G = I sum_j t_j M_j,
     starting from the fully mixed state. When the measured operators do
     not sum proportionally to the identity, that step's fixed point drops
     the count-rate information, so a multiplicative ascent step along the
-    trace-projected gradient K = R - G - Tr[(R - G) rho] is tried whenever
-    the primary one stalls; its fixed point is the constrained-likelihood
-    stationary state. A Newton step on the Bloch vector of rho, quadratic
-    on interior optima, is tried first; the best ascending trial is taken.
-    Steps that would lower the log-likelihood halve eps and retry, so
-    accepted iterates ascend monotonically. The
-    log-likelihood is concave, so a call ends, converged, once no step,
-    however short, can raise it by more than its round-off. Pass
-    ``logliks`` to collect the per-step values. Issues a RuntimeWarning
-    when ``opts.max_iter`` steps pass without reaching that point.
+    trace-projected gradient K = R - G - Tr[(R - G) rho] is tried as well;
+    its fixed point is the constrained-likelihood stationary state. The
+    best ascending trial, the Newton one included, is taken; when none
+    ascends, eps halves and the trials are retried, so accepted iterates
+    ascend monotonically. The log-likelihood is concave, and a call ends,
+    converged, once no step can raise it by more than its round-off: on
+    an interior optimum, once the Newton decrement is below the round-off;
+    otherwise, on the boundary, once the halving search finds no ascent
+    above it. Pass ``logliks`` to collect the per-step values. Issues a
+    RuntimeWarning when ``opts.max_iter`` steps pass without reaching that
+    point.
     """
     opts = opts or MleOptions()
     mats, times, counts = _stacked(data)
@@ -223,6 +232,48 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     for _ in range(opts.max_iter):
         p_pos = np.maximum(p[pos], PROB_CLAMP)
         ratios = counts_pos / p_pos
+        # Round-off of the summed log-likelihood.
+        noise = _ROUNDOFF * (
+            np.dot(counts_pos, np.abs(np.log(data.intensity * p_pos * times[pos])))
+            + data.intensity * times.sum())
+
+        # Newton step in Bloch coordinates, where the log-likelihood is
+        # concave: r' = r + s, s = H^-1 g with g = (1/2) sum (n_k/p_k - I t_k) m_k
+        # and H = (1/4) sum n_k/p_k^2 m_k m_k^T. It converges quadratically
+        # on interior optima; it is dropped when H is singular or r' leaves
+        # the open unit ball. With every p_k > PROB_CLAMP the negated
+        # log-likelihood is self-concordant, so no state in the ball lies
+        # more than the decrement g.s above the current one: at or below the
+        # round-off, the call has converged. A Newton step that gains at
+        # least _NEWTON_GAIN of that decrement is taken alone; one that
+        # gains less seeds the line search below if it ascends.
+        step_b = None
+        if full_rank:
+            hess = 0.25 * (bloch_pos.T * (ratios / p_pos)) @ bloch_pos
+            grad_b = 0.5 * (ratios @ bloch_pos - drift)
+            with contextlib.suppress(np.linalg.LinAlgError):
+                step_b = np.linalg.solve(hess, grad_b)
+        if step_b is not None:
+            r_new = np.einsum("aji,ij->a", _PAULI, rho).real + step_b
+            decrement = grad_b @ step_b
+            if r_new @ r_new >= 1.0:
+                step_b = None
+            elif decrement <= noise and np.all(p[pos] > PROB_CLAMP):
+                break    # interior optimum, within round-off
+
+        floor = _eigen_floor(rho)
+        best = None
+        if step_b is not None:
+            newton = evaluate(0.5 * (eye + np.einsum("a,aij->ij", r_new, _PAULI)), floor)
+            if newton is not None and newton[2] > ll:
+                if newton[2] - ll >= _NEWTON_GAIN * decrement:
+                    rho, p, ll = newton
+                    prev_change = 0.0    # not a fixed-point step: no rate
+                    if logliks is not None:
+                        logliks.append(ll)
+                    continue
+                best = newton
+
         r_op = np.einsum("k,kij->ij", ratios, mats_pos)
         a_op = linalg.hermitize(g_isqrt @ r_op @ g_isqrt)
         grad = linalg.hermitize(r_op - g)
@@ -230,42 +281,14 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         k_scale = float(np.max(np.abs(np.linalg.eigvalsh(k_op))))
         x_op = a_op @ rho @ a_op
 
-        # First-order log-likelihood gain per unit eps of each trial step,
-        # and the round-off of the summed log-likelihood. Once a step
-        # fails to ascend at eps and eps * slope is below the round-off,
-        # a quadratic model of the gain admits no resolvable ascent at
-        # any shorter step either, so halving further cannot help.
+        # First-order log-likelihood gain per unit eps of each trial step.
+        # Once a step fails to ascend at eps and eps * slope is below the
+        # round-off, a quadratic model of the gain admits no resolvable
+        # ascent at any shorter step either, so halving further cannot help.
         slope_fp = np.einsum("ij,ji->", k_op, x_op).real
         slope_grad = (2.0 * np.einsum("ij,jk,ki->", k_op, rho, k_op).real / k_scale
                       if k_scale > 0 else 0.0)
         slope = max(slope_fp, slope_grad, 0.0)
-        noise = _ROUNDOFF * (
-            np.dot(counts_pos, np.abs(np.log(data.intensity * p_pos * times[pos])))
-            + data.intensity * times.sum())
-
-        # Cap how fast any step may shrink the smallest eigenvalue (10x per
-        # accepted step): the multiplicative updates otherwise overshoot
-        # the radial coordinate into numerically exact rank deficiency,
-        # where no congruence step can restore rank.
-        lam = np.linalg.eigvalsh(rho)
-        floor = max(0.1 * lam[0], 1e-18 * lam[-1])
-
-        # Newton step in Bloch coordinates, where the log-likelihood is
-        # concave: r' = r + H^-1 g with g = (1/2) sum (n_k/p_k - I t_k) m_k
-        # and H = (1/4) sum n_k/p_k^2 m_k m_k^T. It converges quadratically
-        # on interior optima; it is dropped when H is singular or r' leaves
-        # the open unit ball, and seeds the best trial only if it ascends.
-        best = None
-        r_new = np.ones(3)    # outside the ball: no Newton trial
-        if full_rank:
-            hess = 0.25 * (bloch_pos.T * (ratios / p_pos)) @ bloch_pos
-            with contextlib.suppress(np.linalg.LinAlgError):
-                r_new = np.einsum("aji,ij->a", _PAULI, rho).real + np.linalg.solve(
-                    hess, 0.5 * (ratios @ bloch_pos - drift))
-        if r_new @ r_new < 1.0:
-            newton = evaluate(0.5 * (eye + np.einsum("a,aij->ij", r_new, _PAULI)), floor)
-            if newton is not None and newton[2] > ll:
-                best = newton
 
         eps = eps_start
         halvings = 0
@@ -299,16 +322,12 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         # Aitken-style extrapolation along the dominant slow mode: the
         # fixed-point map contracts linearly, so when successive steps
         # shrink geometrically, jumping r/(1-r) deltas ahead lands near
-        # the limit. Kept honest by the same log-likelihood guard; the
-        # floor caps how far one jump may shrink the smallest eigenvalue
-        # (10x) so a radial overshoot stays resolvable and reversible.
+        # the limit. Kept honest by the same log-likelihood guard and floor.
         if prev_change > 0:
             rate = change / prev_change
             if 1e-3 < rate < 0.999:
                 gain = min(rate / (1.0 - rate), 1e3)
-                lam_c = np.linalg.eigvalsh(cand)
-                trial = evaluate(cand + gain * delta,
-                                 floor=max(0.1 * lam_c[0], 1e-18 * lam_c[-1]))
+                trial = evaluate(cand + gain * delta, floor=_eigen_floor(cand))
                 if trial is not None and trial[2] >= ll_new:
                     cand, p, ll_new = trial
                     change = 0.0
@@ -322,6 +341,17 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
                       "no step could raise the log-likelihood above its round-off",
                       RuntimeWarning, stacklevel=2)
     return DensityMatrix(_clip_spectrum(rho))
+
+
+def _eigen_floor(rho: np.ndarray) -> float:
+    """Smallest eigenvalue a step from rho may leave: a tenth of rho's.
+
+    The multiplicative updates otherwise overshoot the radial coordinate
+    into numerically exact rank deficiency, where no congruence step can
+    restore rank; 10x per step keeps an overshoot resolvable and reversible.
+    """
+    lam = np.linalg.eigvalsh(rho)
+    return max(0.1 * lam[0], 1e-18 * lam[-1])
 
 
 def _clip_spectrum(rho: np.ndarray) -> np.ndarray:

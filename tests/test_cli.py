@@ -41,10 +41,11 @@ class TestSimulateCommand:
             assert (tmp_path / f"curve_{proto}.csv").exists()
             for run in range(2):
                 assert (tmp_path / f"trace_{proto}_{run:03d}.csv").exists()
+        assert not list(tmp_path.glob("records_*"))    # only with --records
 
     def test_curve_metadata_records_every_setting(self, tmp_path):
         rc = main(simulate_args(tmp_path, extra=(
-            "--initial-budget", "50", "--growth", "1.5", "--efficiency", "800",
+            "--initial-budget", "50", "--growth", "1.5", "--intensity", "800",
             "--det-efficiency", "0.9", "--delta", "0.002", "--random-v")))
         assert rc == 0
         _, meta = read_curve_file(tmp_path / "curve_eigen.csv")
@@ -88,7 +89,7 @@ class TestSimulateCommand:
         assert rc == 0
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--efficiency", "nan", "finite"), ("--growth", "inf", "finite"),
+        ("--intensity", "nan", "finite"), ("--growth", "inf", "finite"),
         ("--delta", "nan", "delta")])
     def test_non_finite_knob_fails(self, tmp_path, capsys, flag, value, message):
         rc = main(simulate_args(tmp_path, extra=(flag, value)))
@@ -276,6 +277,29 @@ class TestReplayCommand:
         assert curve.n[-1] <= tf.n_emit[-1] / 4 + 1e-9
         report = (tmp_path / "rep" / "replay_report.txt").read_text()
         assert "replay.beta" in report
+
+    def test_simulate_records_replay_analyze(self, tmp_path):
+        # The CLI alone: simulate writes record streams, replay re-estimates
+        # them, analyze fits the replayed traces. A stream's header carries
+        # the detected rate I * eff, so its full-stream estimate is the
+        # campaign's last one, with the same log-likelihood.
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim, n_max="1e4", extra=(
+            "--det-efficiency", "0.8", "--records"))) == 0
+        streams = sorted(sim.glob("records_eigen_*.csv"))
+        assert [p.name for p in streams] == ["records_eigen_000.csv", "records_eigen_001.csv"]
+        assert main(["replay", *map(str, streams), "--out", str(tmp_path / "rep")]) == 0
+        for run, stream in enumerate(streams):
+            _, _, intensity = read_records(stream)
+            assert intensity == 800.0
+            trace = read_trace_file(sim / f"trace_eigen_{run:03d}.csv")
+            replayed = read_trace_file(tmp_path / "rep" / f"replay_{run:03d}.csv")
+            assert replayed.n_det[-1] == trace.n_det[-1]
+            assert replayed.loglik[-1] == trace.loglik[-1]
+        replays = sorted(map(str, (tmp_path / "rep").glob("replay_0*.csv")))
+        assert main(["analyze", *replays, "--fit-window", "100:2000",
+                     "--out", str(tmp_path / "ana")]) == 0
+        assert "fit.replay.beta = " in (tmp_path / "ana" / "report.txt").read_text()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_points_per_decade_below_one_rejected(self, tmp_path, capsys, value):

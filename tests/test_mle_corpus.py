@@ -12,13 +12,12 @@ import warnings
 from collections import defaultdict
 from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from tomosim.estimation import LikelihoodData, log_likelihood, mle_estimate
 from tomosim.protocols import PROTOCOLS
 from tomosim.simulator import read_records, replay_counts
+from conftest import bloch_ball_optimum
 
 DATA = Path(__file__).parent / "data"
 LL_TOL = 1e-9  # nats
@@ -52,29 +51,6 @@ def test_loglik_not_below_frozen_optimum(stream):
     assert max(shortfall) <= LL_TOL, (stream, max(shortfall))
 
 
-def _bloch_ball_optimum(records, intensity) -> float:
-    """Maximum of the Poisson log-likelihood over Bloch vectors r, |r| < 1,
-    by scipy's BFGS on r = x / sqrt(1 + |x|^2), for an interior optimum."""
-    mats = np.array([r.element.matrix for r in records])
-    m = np.stack([2 * mats[:, 0, 1].real, -2 * mats[:, 0, 1].imag,
-                  (mats[:, 0, 0] - mats[:, 1, 1]).real], axis=1)
-    t = np.array([r.time for r in records])
-    n = np.array([r.counts for r in records], dtype=float)
-
-    def neg_ll_and_grad(x):
-        s = np.sqrt(1.0 + x @ x)
-        r = x / s
-        p = 0.5 * (1.0 + m @ r)
-        grad_r = 0.5 * m.T @ (n / p - intensity * t)
-        grad_x = grad_r / s - x * (x @ grad_r) / s ** 3
-        return -np.sum(n * np.log(intensity * p * t) - intensity * p * t), -grad_x
-
-    res = minimize(neg_ll_and_grad, np.zeros(3), jac=True, method="BFGS",
-                   options={"gtol": 1e-10})
-    assert np.linalg.norm(res.x) < 1e3, "optimum on the sphere"
-    return -res.fun
-
-
 def test_default_call_reaches_optimum_of_short_stop_prefix():
     # Exposure groups 0-26 (30 records) of this stream: an optimum that a
     # stop on a small trace-norm step misses by 2.345 nats.
@@ -84,4 +60,6 @@ def test_default_call_reaches_optimum_of_short_stop_prefix():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         ll = log_likelihood(data, mle_estimate(data))
-    assert abs(ll - _bloch_ball_optimum(records, intensity)) <= 1e-6
+    optimum = bloch_ball_optimum(records, intensity)
+    assert optimum is not None, "optimum on the sphere"
+    assert abs(ll - optimum) <= 1e-6
