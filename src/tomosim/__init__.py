@@ -49,6 +49,7 @@ from .simulator import (
     SourceModel,
     Trace,
     emitted_copies,
+    read_header,
     read_records,
     replay_counts,
     run_tomography,

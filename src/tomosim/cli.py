@@ -40,6 +40,7 @@ from .simulator import (
     _fmt,
     _matrix_fields,
     _qubit_matrix,
+    read_header,
     read_records,
     read_trace_file,
     replay_counts,
@@ -200,7 +201,8 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
     """Run campaigns and write per-run trace files plus aggregated curves.
 
     With ``records``, also write each run's record stream, whose header
-    carries the detected rate I * eff the counts follow, for ``replay``.
+    carries the detected rate I * eff the counts follow and eff, for
+    ``replay``.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,7 +212,7 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
         write_trace_file(out / f"trace_{name}", trace)
         if records:
             write_records(out / f"records_{name}", stream,
-                          cfg.source.intensity * cfg.source.efficiency)
+                          cfg.source.intensity * cfg.source.efficiency, cfg.source.efficiency)
 
     results = run_campaign(cfg, workers=workers, on_run=flush)
     for protocol, traces in results.items():
@@ -308,8 +310,9 @@ def cmd_replay(record_files, n0: float | None, out_dir,
     clipped: list[Trace] = []
     for i, path in enumerate(record_files):
         grouped, _, intensity = read_records(path)
-        trace = replace(replay_counts(grouped, intensity, n0,
-                                      points_per_decade=points_per_decade), run_id=i)
+        efficiency = read_header(path)[2]
+        trace = replace(replay_counts(grouped, intensity, n0, points_per_decade=points_per_decade,
+                                      efficiency=efficiency), run_id=i)
         write_trace_file(out / f"replay_{i:03d}.csv", trace)
         keep = trace.n_emit <= trace.n_emit[-1] / 4
         if not np.any(keep):

@@ -7,7 +7,6 @@ source intensity and M_j is a unit-trace measurement operator.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 import warnings
@@ -29,9 +28,15 @@ _SUPPORT_RTOL = 1e-12
 # Step mixing weight epsilon that the adaptive step size starts from.
 _DILUTION = 0.5
 
-# Share of the Newton decrement a Newton step must gain to be taken alone,
-# without the fixed-point and gradient line search.
+# Share of its first-order gain (the Newton decrement, for a full step) a
+# Newton step must gain to be taken alone, without the fixed-point and
+# gradient line search.
 _NEWTON_GAIN = 1 / 8
+
+# Share of the way to the Bloch sphere that a Newton step leaving the ball
+# is cut to, and how many such cuts in a row mark an optimum on the sphere.
+_SPHERE_SHARE = 0.9
+_MAX_CUTS = 3
 
 # Multiple of machine epsilon times the log-likelihood's magnitude below
 # which a change in the summed log-likelihood is taken as round-off.
@@ -104,7 +109,7 @@ def _stacked(data: LikelihoodData):
     live = [r for r in data.records if r.time > 0]
     if not live:
         raise ValueError("need at least one record with positive time")
-    mats = np.stack([r.element.matrix for r in live])
+    mats = np.array([r.element.matrix for r in live])
     times = np.array([r.time for r in live])
     counts = np.array([r.counts for r in live], dtype=float)
     return mats, times, counts
@@ -153,53 +158,179 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
                  logliks: list | None = None) -> DensityMatrix:
     """Maximum-likelihood state estimate by Newton and fixed-point steps.
 
-    Each iteration first tries a Newton step on the Bloch vector of rho,
-    quadratic on interior optima, and takes it alone when it gains at least
-    _NEWTON_GAIN of the Newton decrement. Otherwise it falls back to a line
-    search: the diluted fixed-point step
+    The log-likelihood is concave in the Bloch vector r of rho, and a
+    call first solves for its maximum by Newton's method on r alone,
+    from the fully mixed state, with p_k = (Tr M_k + m_k.r)/2 over the
+    records' Bloch vectors m_k: a step that would leave the Bloch ball is
+    cut to _SPHERE_SHARE of the way to the sphere, and a step is halved
+    until it gains at least _NEWTON_GAIN of its first-order gain. The
+    call ends, converged, once the Newton point lies in the ball, every
+    counted p_k is above PROB_CLAMP and the Newton decrement is below the
+    log-likelihood's round-off. Data whose counted m_k span fewer than
+    three directions, a singular Hessian, more than _MAX_CUTS cut steps
+    running (the optimum lies on the sphere) or a step that no halving
+    makes ascend hand the call over to the line search below, which
+    restarts from the fully mixed state and leaves out the Newton loop's
+    steps.
+
+    The line search first tries the same Newton step and takes it alone
+    when it gains at least _NEWTON_GAIN of the Newton decrement.
+    Otherwise it tries the diluted fixed-point step
     rho <- normalize[(1-eps) rho + eps A rho A] with
-    A = G^-1/2 R G^-1/2, R = sum_j (n_j/p_j) M_j and G = I sum_j t_j M_j,
-    starting from the fully mixed state. When the measured operators do
-    not sum proportionally to the identity, that step's fixed point drops
-    the count-rate information, so a multiplicative ascent step along the
-    trace-projected gradient K = R - G - Tr[(R - G) rho] is tried as well;
-    its fixed point is the constrained-likelihood stationary state. The
-    best ascending trial, the Newton one included, is taken; when none
-    ascends, eps halves and the trials are retried, so accepted iterates
-    ascend monotonically. The log-likelihood is concave, and a call ends,
-    converged, once no step can raise it by more than its round-off: on
-    an interior optimum, once the Newton decrement is below the round-off;
-    otherwise, on the boundary, once the halving search finds no ascent
-    above it. Pass ``logliks`` to collect the per-step values. Issues a
-    RuntimeWarning when ``opts.max_iter`` steps pass without reaching that
-    point.
+    A = G^-1/2 R G^-1/2, R = sum_j (n_j/p_j) M_j and G = I sum_j t_j M_j.
+    When the measured operators do not sum proportionally to the
+    identity, that step's fixed point drops the count-rate information,
+    so a multiplicative ascent step along the trace-projected gradient
+    K = R - G - Tr[(R - G) rho] is tried as well; its fixed point is the
+    constrained-likelihood stationary state. The best ascending trial,
+    the Newton one included, is taken; when none ascends, eps halves and
+    the trials are retried, so accepted iterates ascend monotonically. It
+    ends on the same Newton decrement, or, on the boundary, once the
+    halving search finds no ascent above the round-off. Pass ``logliks``
+    to collect the start and the value after each accepted step. Issues a
+    RuntimeWarning when ``opts.max_iter`` steps pass without reaching an
+    end.
     """
     opts = opts or MleOptions()
     mats, times, counts = _stacked(data)
-    dim = mats.shape[1]
-    rho0 = maximally_mixed(dim)
     if counts.sum() == 0:
+        rho0 = maximally_mixed(mats.shape[1])
+        if logliks is not None:
+            logliks.append(_loglik(_probabilities(mats, rho0.matrix), times,
+                                   counts, data.intensity))
         return rho0
+    lik = _Likelihood(mats, times, counts, data.intensity)
+    if lik.full_rank:
+        solved = _newton_solve(lik, opts.max_iter)
+        if solved is not None:
+            r, steps, capped = solved
+            if logliks is not None:
+                logliks.extend(steps)
+            if capped:
+                _warn_cap(opts.max_iter)
+            return DensityMatrix(0.5 * (np.eye(2) + np.einsum("a,aij->ij", r, _PAULI)))
+    rho, capped = _line_search(lik, opts.max_iter, logliks)
+    if capped:
+        _warn_cap(opts.max_iter)
+    return DensityMatrix(_clip_spectrum(rho))
 
+
+def _warn_cap(max_iter: int) -> None:
+    warnings.warn(f"mle_estimate: max_iter = {max_iter} steps reached before "
+                  "no step could raise the log-likelihood above its round-off",
+                  RuntimeWarning, stacklevel=3)
+
+
+class _Likelihood:
+    """The arrays of one estimator call: the live records' operators,
+    times and counts, their Bloch vectors m_k (M_k = (Tr M_k + m_k.sigma)/2)
+    and the count-independent part of the gradient in Bloch coordinates."""
+
+    def __init__(self, mats, times, counts, intensity):
+        self.mats, self.times, self.counts, self.intensity = mats, times, counts, intensity
+        self.pos = counts > 0
+        self.counts_pos = counts[self.pos]
+        self.times_pos = times[self.pos]
+        self.total_rate = intensity * times.sum()
+        self.bloch = np.einsum("aji,kij->ka", _PAULI, mats).real
+        self.bloch_pos = self.bloch[self.pos]
+        self.drift = intensity * times @ self.bloch
+        # Counts on fewer than three independent directions leave H singular:
+        # a Newton step along the rest would be set by round-off.
+        self.full_rank = np.linalg.matrix_rank(self.bloch_pos) == 3
+
+    def loglik(self, p: np.ndarray) -> float:
+        return _loglik(p, self.times, self.counts, self.intensity)
+
+    def newton(self, p: np.ndarray):
+        """(n_k/p_k over the counted records, the log-likelihood's round-off,
+        Newton step s, Newton decrement g.s) at probabilities p, where
+        s = H^-1 g on the Bloch vector with g = (1/2) sum (n_k/p_k - I t_k) m_k
+        and H = (1/4) sum n_k/p_k^2 m_k m_k^T; s and g.s are None when H is
+        singular. Counted p_k are clamped at PROB_CLAMP."""
+        p_pos = np.maximum(p[self.pos], PROB_CLAMP)
+        ratios = self.counts_pos / p_pos
+        noise = _ROUNDOFF * (
+            np.dot(self.counts_pos, np.abs(np.log(self.intensity * p_pos * self.times_pos)))
+            + self.total_rate)
+        if not self.full_rank:
+            return ratios, noise, None, None
+        hess = 0.25 * (self.bloch_pos.T * (ratios / p_pos)) @ self.bloch_pos
+        grad = 0.5 * (ratios @ self.bloch_pos - self.drift)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return ratios, noise, None, None
+        return ratios, noise, step, grad @ step
+
+    def converged(self, p, noise, r_new, decrement) -> bool:
+        """The end rule on interior optima. With every counted p_k above
+        PROB_CLAMP the negated log-likelihood is self-concordant, so no
+        state in the ball lies more than the decrement above the current
+        one: at or below the round-off, the call has converged."""
+        return (r_new @ r_new < 1.0 and decrement <= noise
+                and bool(np.all(p[self.pos] > PROB_CLAMP)))
+
+
+def _newton_solve(lik: _Likelihood, max_iter: int):
+    """Newton ascent on the Bloch vector from the fully mixed state.
+
+    Returns (r, log-likelihoods of the start and each step, whether
+    max_iter ran out), or None to hand the call over to the line search.
+    """
+    traces = (lik.mats[:, 0, 0] + lik.mats[:, 1, 1]).real
+
+    def probabilities(r):
+        return np.clip(0.5 * (traces + lik.bloch @ r), 0.0, 1.0)
+
+    r = np.zeros(3)
+    p = probabilities(r)
+    ll = lik.loglik(p)
+    lls = [ll]
+    cuts = 0
+    for _ in range(max_iter):
+        _, noise, step, decrement = lik.newton(p)
+        if step is None:
+            return None
+        r_new = r + step
+        if lik.converged(p, noise, r_new, decrement):
+            return r, lls, False
+        if r_new @ r_new < 1.0:
+            t, cuts = 1.0, 0
+        else:
+            cuts += 1
+            if cuts > _MAX_CUTS:
+                return None    # the optimum lies on the sphere
+            # The share t of the step at which |r + t s| = 1.
+            a, b, c = step @ step, r @ step, r @ r - 1.0
+            t = _SPHERE_SHARE * (math.sqrt(b * b - a * c) - b) / a
+        while True:
+            p_new = probabilities(r + t * step)
+            ll_new = lik.loglik(p_new)
+            if ll_new - ll >= _NEWTON_GAIN * t * decrement:
+                break
+            t /= 2
+            if t * decrement < noise:
+                return None    # no resolvable ascent along the step
+        r, p, ll = r + t * step, p_new, ll_new
+        lls.append(ll)
+    return r, lls, True
+
+
+def _line_search(lik: _Likelihood, max_iter: int, logliks: list | None):
+    """The Newton, fixed-point and gradient line search from the fully
+    mixed state; returns (the last iterate, whether max_iter ran out)."""
+    mats, times, counts = lik.mats, lik.times, lik.counts
+    dim = mats.shape[1]
     g = linalg.hermitize(
-        data.intensity * np.einsum("k,kij->ij", times, mats)
+        lik.intensity * np.einsum("k,kij->ij", times, mats)
     )
     g_isqrt, support, basis = _support_isqrt(g)
     if not support.all():
         _check_counts_on_support(mats, counts, basis, support)
 
-    pos = counts > 0
-    mats_pos = mats[pos]
-    counts_pos = counts[pos]
+    mats_pos = mats[lik.pos]
     eye = np.eye(dim)
-    # Bloch vectors m_k of the records and the count-independent part of
-    # the log-likelihood's gradient in Bloch coordinates.
-    bloch = np.einsum("aji,kij->ka", _PAULI, mats).real
-    bloch_pos = bloch[pos]
-    drift = data.intensity * times @ bloch
-    # Counts on fewer than three independent directions leave H singular:
-    # a Newton step along the rest would be set by round-off.
-    full_rank = np.linalg.matrix_rank(bloch_pos) == 3
 
     def evaluate(cand: np.ndarray, floor: float):
         cand = linalg.hermitize(cand)
@@ -216,11 +347,11 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
             return None
         cand = cand / tr
         p_cand = _probabilities(mats, cand)
-        return cand, p_cand, _loglik(p_cand, times, counts, data.intensity)
+        return cand, p_cand, lik.loglik(p_cand)
 
-    rho = rho0.matrix.copy()
+    rho = maximally_mixed(dim).matrix.copy()
     p = _probabilities(mats, rho)
-    ll = _loglik(p, times, counts, data.intensity)
+    ll = lik.loglik(p)
     if logliks is not None:
         logliks.append(ll)
 
@@ -229,37 +360,18 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     # valleys of near-pure states need the large steps.
     eps_start = _DILUTION
     prev_change = 0.0    # 0 after an extrapolation: the next step has no rate
-    for _ in range(opts.max_iter):
-        p_pos = np.maximum(p[pos], PROB_CLAMP)
-        ratios = counts_pos / p_pos
-        # Round-off of the summed log-likelihood.
-        noise = _ROUNDOFF * (
-            np.dot(counts_pos, np.abs(np.log(data.intensity * p_pos * times[pos])))
-            + data.intensity * times.sum())
-
-        # Newton step in Bloch coordinates, where the log-likelihood is
-        # concave: r' = r + s, s = H^-1 g with g = (1/2) sum (n_k/p_k - I t_k) m_k
-        # and H = (1/4) sum n_k/p_k^2 m_k m_k^T. It converges quadratically
-        # on interior optima; it is dropped when H is singular or r' leaves
-        # the open unit ball. With every p_k > PROB_CLAMP the negated
-        # log-likelihood is self-concordant, so no state in the ball lies
-        # more than the decrement g.s above the current one: at or below the
-        # round-off, the call has converged. A Newton step that gains at
-        # least _NEWTON_GAIN of that decrement is taken alone; one that
-        # gains less seeds the line search below if it ascends.
-        step_b = None
-        if full_rank:
-            hess = 0.25 * (bloch_pos.T * (ratios / p_pos)) @ bloch_pos
-            grad_b = 0.5 * (ratios @ bloch_pos - drift)
-            with contextlib.suppress(np.linalg.LinAlgError):
-                step_b = np.linalg.solve(hess, grad_b)
+    for _ in range(max_iter):
+        # The Newton step converges quadratically on interior optima; it is
+        # dropped when H is singular or r + s leaves the open unit ball. One
+        # that gains at least _NEWTON_GAIN of the decrement is taken alone;
+        # one that gains less seeds the line search below if it ascends.
+        ratios, noise, step_b, decrement = lik.newton(p)
         if step_b is not None:
             r_new = np.einsum("aji,ij->a", _PAULI, rho).real + step_b
-            decrement = grad_b @ step_b
+            if lik.converged(p, noise, r_new, decrement):
+                break    # interior optimum, within round-off
             if r_new @ r_new >= 1.0:
                 step_b = None
-            elif decrement <= noise and np.all(p[pos] > PROB_CLAMP):
-                break    # interior optimum, within round-off
 
         floor = _eigen_floor(rho)
         best = None
@@ -337,10 +449,8 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         if logliks is not None:
             logliks.append(ll)
     else:
-        warnings.warn(f"mle_estimate: max_iter = {opts.max_iter} steps reached before "
-                      "no step could raise the log-likelihood above its round-off",
-                      RuntimeWarning, stacklevel=2)
-    return DensityMatrix(_clip_spectrum(rho))
+        return rho, True
+    return rho, False
 
 
 def _eigen_floor(rho: np.ndarray) -> float:

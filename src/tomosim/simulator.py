@@ -16,12 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .estimation import (
-    LikelihoodData,
-    MeasurementRecord,
-    log_likelihood,
-    mle_estimate,
-)
+from .estimation import LikelihoodData, MeasurementRecord, mle_estimate
 from .protocols import (
     DEFAULT_DELTA,
     MeasurementPlan,
@@ -39,8 +34,10 @@ from .quantum import (
     require_qubit,
 )
 
-# Not called here (fidelity is computed once per entry), but kept importable:
-# perfbench/spans.py times the metric layer by wrapping this module's names.
+# Not called here (fidelity is computed once per entry, and each estimate's
+# log-likelihood comes from the estimator), but kept importable:
+# perfbench/spans.py times these layers by wrapping this module's names.
+from .estimation import log_likelihood  # noqa: F401
 from .quantum import bures_sq  # noqa: F401
 
 
@@ -209,8 +206,8 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
         # Counts arrive at the detected rate I * eff; N_emit stays on I.
         data = LikelihoodData(tuple(r.record for r in records),
                               src.intensity * src.efficiency)
-        rho_hat = mle_estimate(data)
-        rows.append(_row(iteration, n_emit, n_det, rho_true, data, rho_hat))
+        rho_hat, loglik = _estimate(data)
+        rows.append(_row(iteration, n_emit, n_det, rho_true, rho_hat, loglik))
         if n_emit >= sched.n_max:
             break
         budget *= sched.growth
@@ -218,12 +215,18 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     return _trace(protocol, rows), records
 
 
+def _estimate(data: LikelihoodData) -> tuple[DensityMatrix, float]:
+    """The MLE of data and its log-likelihood, the estimator's last value."""
+    logliks: list[float] = []
+    est = mle_estimate(data, logliks=logliks)
+    return est, logliks[-1]
+
+
 def _row(iteration: int, n_emit: float, n_det: int, reference: DensityMatrix,
-         data: LikelihoodData, est: DensityMatrix) -> tuple:
+         est: DensityMatrix, loglik: float) -> tuple:
     """Trace row of an estimate, scored against a reference state."""
     f = fidelity(reference, est)
-    return (iteration, n_emit, n_det, 2.0 - 2.0 * np.sqrt(f), f,
-            log_likelihood(data, est))
+    return (iteration, n_emit, n_det, 2.0 - 2.0 * np.sqrt(f), f, loglik)
 
 
 def _group_runs(grouped: Sequence[GroupedRecord]) -> list[list[MeasurementRecord]]:
@@ -239,27 +242,32 @@ def _group_runs(grouped: Sequence[GroupedRecord]) -> list[list[MeasurementRecord
 
 
 def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
-                  n0: float | None = None, *, points_per_decade: int = 10) -> Trace:
+                  n0: float | None = None, *, points_per_decade: int = 10,
+                  efficiency: float = 1.0) -> Trace:
     """Re-estimate on growing prefixes of a recorded count stream.
 
-    Distances are measured against the final assessment, the estimate at
-    N0 (defaults to the full stream), instead of an unknown true state.
-    Prefixes are cut at exposure-group boundaries on a logarithmic N grid.
+    The counts arrive at the detected rate ``intensity``, which is the
+    source intensity I times the detector ``efficiency``; N counts emitted
+    copies, I * t. Distances are measured against the final assessment,
+    the estimate at N0 (defaults to the full stream), instead of an
+    unknown true state. Prefixes are cut at exposure-group boundaries on
+    a logarithmic N grid.
     """
     if not grouped:
         raise ValueError("empty record stream")
     groups = _group_runs(grouped)
+    emitted = intensity / efficiency
     cum_n: list[float] = []
     running = 0.0
     for g in groups:
-        running += intensity * max(r.time for r in g)
+        running += emitted * max(r.time for r in g)
         cum_n.append(running)
 
     n0 = cum_n[-1] if n0 is None else float(n0)
     ref_idx = max(i for i, n in enumerate(cum_n) if n <= n0 or i == 0)
 
     flat = [r for g in groups[:ref_idx + 1] for r in g]
-    ref_state = mle_estimate(LikelihoodData(tuple(flat), intensity))
+    ref_state, ref_loglik = _estimate(LikelihoodData(tuple(flat), intensity))
 
     span = math.log10(cum_n[ref_idx] / cum_n[0]) if cum_n[ref_idx] > cum_n[0] else 0.0
     targets = np.geomspace(cum_n[0], cum_n[ref_idx],
@@ -269,10 +277,12 @@ def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
     rows = []
     for idx in picks:
         prefix = [r for g in groups[:idx + 1] for r in g]
-        data = LikelihoodData(tuple(prefix), intensity)
-        est = ref_state if idx == ref_idx else mle_estimate(data)
+        if idx == ref_idx:
+            est, loglik = ref_state, ref_loglik
+        else:
+            est, loglik = _estimate(LikelihoodData(tuple(prefix), intensity))
         rows.append(_row(idx, cum_n[idx], sum(r.counts for r in prefix),
-                         ref_state, data, est))
+                         ref_state, est, loglik))
     return _trace("replay", rows)
 
 
@@ -284,7 +294,8 @@ def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
 #
 # Record streams: one exposure record per line,
 #   group_id, 8 projector reals (row-major, re/im interleaved), time, counts
-# preceded by a header line carrying D = 2 and the measured intensity I.
+# preceded by a header line carrying D = 2, the detected rate I * eff the
+# counts follow and, optionally, the detector efficiency eff (1 if absent).
 # State files share the matrix codec.
 
 def _fmt(x: float) -> str:
@@ -332,11 +343,14 @@ def _qubit_matrix(fields) -> np.ndarray:
     return (reals[0::2] + 1j * reals[1::2]).reshape(2, 2)
 
 
-def write_records(path, grouped: Sequence[GroupedRecord], intensity: float) -> None:
+def write_records(path, grouped: Sequence[GroupedRecord], intensity: float,
+                  efficiency: float = 1.0) -> None:
+    """Write a record stream whose counts follow the detected rate
+    ``intensity``, the source intensity times ``efficiency``."""
     if not grouped:
         raise ValueError("nothing to write")
     dim = grouped[0].record.element.dim
-    lines = [f"{dim},{_fmt(intensity)}"]
+    lines = [f"{dim},{_fmt(intensity)},{_fmt(efficiency)}"]
     for gid, rec in grouped:
         lines.append(",".join([str(gid), *_matrix_fields(rec.element.matrix),
                                _fmt(rec.time), str(rec.counts)]))
@@ -344,17 +358,38 @@ def write_records(path, grouped: Sequence[GroupedRecord], intensity: float) -> N
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_header(path, line: str) -> tuple[int, float, float]:
+    """(dim, detected rate, efficiency) of a record stream's header line."""
+    head = line.split(",")
+    try:
+        if len(head) not in (2, 3):
+            raise ValueError
+        dim, intensity = int(head[0]), float(head[1])
+        efficiency = float(head[2]) if len(head) == 3 else 1.0
+    except ValueError:
+        raise ValueError(f"malformed header in {path}: {line!r}") from None
+    require_qubit(dim, path)
+    if not 0.0 < efficiency <= 1.0:
+        raise ValueError(f"{path}: detector efficiency must be in (0, 1], got {efficiency!r}")
+    return dim, intensity, efficiency
+
+
+def read_header(path) -> tuple[int, float, float]:
+    """A record stream's (dim, detected rate I * eff, detector efficiency eff)."""
+    with open(path) as fh:
+        for ln in fh:
+            if ln.strip():
+                return _parse_header(path, ln.strip())
+    raise ValueError(f"empty record file {path}")
+
+
 def read_records(path) -> tuple[list[GroupedRecord], int, float]:
-    """Parse a record stream; returns (records, dim, intensity)."""
+    """Parse a record stream; returns (records, dim, detected rate I * eff)."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"empty record file {path}")
-    head = lines[0].split(",")
-    if len(head) != 2:
-        raise ValueError(f"malformed header in {path}: {lines[0]!r}")
-    dim, intensity = int(head[0]), float(head[1])
-    require_qubit(dim, path)
+    dim, intensity, _ = _parse_header(path, lines[0])
     out: list[GroupedRecord] = []
     for ln in lines[1:]:
         parts = ln.split(",")

@@ -21,6 +21,7 @@ from tomosim.simulator import (
     Schedule,
     SourceModel,
     Trace,
+    read_header,
     read_records,
     run_tomography,
     write_records,
@@ -281,8 +282,9 @@ class TestReplayCommand:
     def test_simulate_records_replay_analyze(self, tmp_path):
         # The CLI alone: simulate writes record streams, replay re-estimates
         # them, analyze fits the replayed traces. A stream's header carries
-        # the detected rate I * eff, so its full-stream estimate is the
-        # campaign's last one, with the same log-likelihood.
+        # the detected rate I * eff and eff, so its full-stream estimate is
+        # the campaign's last one, with the same log-likelihood, at the
+        # campaign's N_emit = I * t.
         sim = tmp_path / "sim"
         assert main(simulate_args(sim, n_max="1e4", extra=(
             "--det-efficiency", "0.8", "--records"))) == 0
@@ -292,10 +294,12 @@ class TestReplayCommand:
         for run, stream in enumerate(streams):
             _, _, intensity = read_records(stream)
             assert intensity == 800.0
+            assert read_header(stream) == (2, 800.0, 0.8)
             trace = read_trace_file(sim / f"trace_eigen_{run:03d}.csv")
             replayed = read_trace_file(tmp_path / "rep" / f"replay_{run:03d}.csv")
             assert replayed.n_det[-1] == trace.n_det[-1]
             assert replayed.loglik[-1] == trace.loglik[-1]
+            assert replayed.n_emit[-1] == pytest.approx(trace.n_emit[-1], rel=1e-12)
         replays = sorted(map(str, (tmp_path / "rep").glob("replay_0*.csv")))
         assert main(["analyze", *replays, "--fit-window", "100:2000",
                      "--out", str(tmp_path / "ana")]) == 0
@@ -335,6 +339,16 @@ class TestReplayCommand:
         err = capsys.readouterr().err
         assert err.startswith("tomosim: ") and message in err
 
+    @pytest.mark.parametrize("efficiency", ["nan", "inf", "0", "-0.5", "1.5"])
+    def test_efficiency_outside_unit_interval_fails(self, tmp_path, capsys, efficiency):
+        path = self.make_records(tmp_path, n_max=2 * 10 ** 3)[0]
+        head, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([f"2,800,{efficiency}", *lines]) + "\n")
+        rc = main(["replay", str(path), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tomosim: ") and "efficiency must be in (0, 1]" in err
+
     def test_malformed_records_fail(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("junk\n")
@@ -359,12 +373,14 @@ _TOKENS = ("0", "1", "2", "3", "-1", "0.5", "1e3", "nan", "inf", "-inf", "x", ""
 _ROWS = st.integers(1, 12).flatmap(lambda k: st.lists(
     st.lists(st.sampled_from(_TOKENS), min_size=k, max_size=k).map(",".join),
     min_size=1, max_size=4).map("\n".join))
+# Valid headers of each reader; a record stream's efficiency field is
+# optional and may hold any token.
 _READERS = {
-    read_records: "2,1000\n",
-    read_trace_file: "protocol,run_id,seed,iteration,n_emit,n_det,d_bures_sq,"
-                     "fidelity,loglik\n",
-    read_curve_file: "# runs=2\nn,mean,std_of_mean\n",
-    read_state_file: "2\n",
+    read_records: st.just("2,1000\n") | st.sampled_from(_TOKENS).map("2,1000,{}\n".format),
+    read_trace_file: st.just("protocol,run_id,seed,iteration,n_emit,n_det,d_bures_sq,"
+                             "fidelity,loglik\n"),
+    read_curve_file: st.just("# runs=2\nn,mean,std_of_mean\n"),
+    read_state_file: st.just("2\n"),
 }
 
 
@@ -375,7 +391,7 @@ def test_readers_raise_only_value_error(tmp_path_factory, reader, data):
     text = data.draw(st.one_of(
         st.text(st.characters(blacklist_categories=("Cs",)), max_size=200),
         _ROWS,
-        _ROWS.map(lambda rows: _READERS[reader] + rows),
+        st.tuples(_READERS[reader], _ROWS).map("".join),
     ))
     path = tmp_path_factory.mktemp("fuzz") / "input.txt"
     path.write_text(text, encoding="utf-8")
