@@ -200,25 +200,20 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
                                    counts, data.intensity))
         return rho0
     lik = _Likelihood(mats, times, counts, data.intensity)
-    if lik.full_rank:
-        solved = _newton_solve(lik, opts.max_iter)
-        if solved is not None:
-            r, steps, capped = solved
-            if logliks is not None:
-                logliks.extend(steps)
-            if capped:
-                _warn_cap(opts.max_iter)
-            return DensityMatrix(0.5 * (np.eye(2) + np.einsum("a,aij->ij", r, _PAULI)))
-    rho, capped = _line_search(lik, opts.max_iter, logliks)
+    solved = _newton_solve(lik, opts.max_iter) if lik.full_rank else None
+    if solved is not None:
+        r, steps, capped = solved
+        if logliks is not None:
+            logliks.extend(steps)
+        est = DensityMatrix(0.5 * (np.eye(2) + np.einsum("a,aij->ij", r, _PAULI)))
+    else:
+        rho, capped = _line_search(lik, opts.max_iter, logliks)
+        est = DensityMatrix(_clip_spectrum(rho))
     if capped:
-        _warn_cap(opts.max_iter)
-    return DensityMatrix(_clip_spectrum(rho))
-
-
-def _warn_cap(max_iter: int) -> None:
-    warnings.warn(f"mle_estimate: max_iter = {max_iter} steps reached before "
-                  "no step could raise the log-likelihood above its round-off",
-                  RuntimeWarning, stacklevel=3)
+        warnings.warn(f"mle_estimate: max_iter = {opts.max_iter} steps reached before "
+                      "no step could raise the log-likelihood above its round-off",
+                      RuntimeWarning, stacklevel=2)
+    return est
 
 
 class _Likelihood:
@@ -301,7 +296,7 @@ def _newton_solve(lik: _Likelihood, max_iter: int):
             cuts += 1
             if cuts > _MAX_CUTS:
                 return None    # the optimum lies on the sphere
-            # The share t of the step at which |r + t s| = 1.
+            # _SPHERE_SHARE of the share t of the step at which |r + t s| = 1.
             a, b, c = step @ step, r @ step, r @ r - 1.0
             t = _SPHERE_SHARE * (math.sqrt(b * b - a * c) - b) / a
         while True:

@@ -361,13 +361,14 @@ def write_records(path, grouped: Sequence[GroupedRecord], intensity: float,
 def _parse_header(path, line: str) -> tuple[int, float, float]:
     """(dim, detected rate, efficiency) of a record stream's header line."""
     head = line.split(",")
+    malformed = ValueError(f"malformed header in {path}: {line!r}")
+    if len(head) not in (2, 3):
+        raise malformed
     try:
-        if len(head) not in (2, 3):
-            raise ValueError
         dim, intensity = int(head[0]), float(head[1])
         efficiency = float(head[2]) if len(head) == 3 else 1.0
     except ValueError:
-        raise ValueError(f"malformed header in {path}: {line!r}") from None
+        raise malformed from None
     require_qubit(dim, path)
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"{path}: detector efficiency must be in (0, 1], got {efficiency!r}")

@@ -342,7 +342,7 @@ class TestReplayCommand:
     @pytest.mark.parametrize("efficiency", ["nan", "inf", "0", "-0.5", "1.5"])
     def test_efficiency_outside_unit_interval_fails(self, tmp_path, capsys, efficiency):
         path = self.make_records(tmp_path, n_max=2 * 10 ** 3)[0]
-        head, *lines = path.read_text().splitlines()
+        _, *lines = path.read_text().splitlines()
         path.write_text("\n".join([f"2,800,{efficiency}", *lines]) + "\n")
         rc = main(["replay", str(path), "--out", str(tmp_path / "rep")])
         assert rc == 1
