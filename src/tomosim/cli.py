@@ -166,21 +166,19 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
     workers = workers if workers is not None else (os.cpu_count() or 1)
     results: dict[str, list[Trace]] = {p: [None] * cfg.runs for p in cfg.protocols}
 
+    def finish(p: str, r: int, trace: Trace, records: list[GroupedRecord]) -> None:
+        results[p][r] = trace
+        if on_run:
+            on_run(p, trace, records)
+
     if workers <= 1 or len(jobs) == 1:
         for p, r in jobs:
-            trace, records = _run_one(cfg, p, r)
-            results[p][r] = trace
-            if on_run:
-                on_run(p, trace, records)
+            finish(p, r, *_run_one(cfg, p, r))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_one, cfg, p, r): (p, r) for p, r in jobs}
             for fut in as_completed(futures):
-                p, r = futures[fut]
-                trace, records = fut.result()
-                results[p][r] = trace
-                if on_run:
-                    on_run(p, trace, records)
+                finish(*futures[fut], *fut.result())
     return results
 
 
@@ -305,6 +303,8 @@ def cmd_replay(record_files, n0: float | None, out_dir,
     construction, so the averaged curve keeps only points with N <= N0/4;
     the per-stream trace files keep every point.
     """
+    if n0 is not None and not 0.0 < n0 < math.inf:
+        raise ValueError(f"--n0 must be positive and finite, got {n0!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clipped: list[Trace] = []
@@ -393,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="source intensity (expected emissions per exposition unit)")
     sim.add_argument("--det-efficiency", type=float, default=d.source.efficiency,
                      help="detector efficiency in (0, 1]")
-    sim.add_argument("--workers", type=int, default=None)
+    sim.add_argument("--workers", type=_parse_positive_int, default=None,
+                     help="worker processes (default: all CPUs)")
     sim.add_argument("--records", action="store_true",
                      help="also write each run's record stream, records_<protocol>_<run>.csv")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .quantum import DensityMatrix, PovmElement, maximally_mixed
+from .quantum import STOKES, DensityMatrix, PovmElement, maximally_mixed
 
 # Modeled probabilities below this are clamped when they divide or sit
 # inside a log; keeps the fixed point finite when counts land on outcomes
@@ -43,7 +43,7 @@ _MAX_CUTS = 3
 _ROUNDOFF = 4 * np.finfo(float).eps
 
 # Pauli matrices: a unit-trace qubit operator is (1 + m.sigma)/2, m_a = Tr(sigma_a M).
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI = STOKES[1:]
 
 
 class NonIdentifiableDataError(ValueError):

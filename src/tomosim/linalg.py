@@ -1,7 +1,5 @@
 """Dense complex-matrix kernel: Hermitian eigendecomposition, numeric rank,
-trace norm.
-
-Everything operates on small (dim <= ~16) square complex numpy arrays.
+trace norm, on the 2x2 complex numpy arrays of a qubit-only package.
 All functions return fresh arrays; nothing mutates its input.
 """
 

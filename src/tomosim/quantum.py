@@ -20,6 +20,19 @@ TRACE_TOL = 1e-10
 INERT_WEIGHT = 1e-12
 
 
+def _hermitian_psd(a, what: str) -> np.ndarray:
+    """a as a read-only complex matrix, checked Hermitian and PSD."""
+    m = linalg.as_square_complex(a)
+    defect = linalg.hermiticity_defect(m)
+    if defect > linalg.HERMITICITY_TOL:
+        raise linalg.NonHermitianError(f"{what} not Hermitian: defect {defect:.3e}")
+    w = np.linalg.eigvalsh(m)
+    if w[0] < -linalg.EIGENVALUE_CLAMP:
+        raise linalg.NotPositiveSemidefiniteError(f"{what} has eigenvalue {w[0]:.3e}")
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD operator. Immutable after construction."""
@@ -27,21 +40,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_square_complex(self.matrix)
-        defect = linalg.hermiticity_defect(m)
-        if defect > linalg.HERMITICITY_TOL:
-            raise linalg.NonHermitianError(
-                f"density matrix not Hermitian: defect {defect:.3e}"
-            )
+        m = _hermitian_psd(self.matrix, "density matrix")
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -linalg.EIGENVALUE_CLAMP:
-            raise linalg.NotPositiveSemidefiniteError(
-                f"density matrix has eigenvalue {w[0]:.3e}"
-            )
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -60,18 +62,7 @@ class PovmElement:
     weight: float = field(init=False)  # derived: Tr(matrix)
 
     def __post_init__(self):
-        m = linalg.as_square_complex(self.matrix)
-        defect = linalg.hermiticity_defect(m)
-        if defect > linalg.HERMITICITY_TOL:
-            raise linalg.NonHermitianError(
-                f"POVM element not Hermitian: defect {defect:.3e}"
-            )
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -linalg.EIGENVALUE_CLAMP:
-            raise linalg.NotPositiveSemidefiniteError(
-                f"POVM element has eigenvalue {w[0]:.3e}"
-            )
-        m.setflags(write=False)
+        m = _hermitian_psd(self.matrix, "POVM element")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "weight", float(m.trace().real))
 
@@ -133,6 +124,22 @@ def require_qubit(dim: int, source) -> None:
     """Reject a state or record stream that is not a qubit (D = 2)."""
     if dim != 2:
         raise ValueError(f"{source}: only qubits (D = 2) are supported, got D = {dim}")
+
+
+# Stokes basis (1, sigma_x, sigma_y, sigma_z): a qubit operator is
+# M = (S_0 + s.sigma)/2 with four-vector S_a = Tr(STOKES_a M), S_0 = Tr M.
+STOKES = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                   [[1, 0], [0, -1]]])
+
+
+def to_stokes(mats) -> np.ndarray:
+    """Four-vectors (Tr M, Tr sigma M) of a qubit operator or a stack of them."""
+    return np.einsum("aji,...ij->...a", STOKES, mats).real
+
+
+def from_stokes(vecs) -> np.ndarray:
+    """Qubit operators (S_0 + s.sigma)/2 of a four-vector or a stack of them."""
+    return 0.5 * np.einsum("...a,aij->...ij", vecs, STOKES)
 
 
 def _qubit_det(m: np.ndarray) -> float:

@@ -98,6 +98,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("tomosim: ") and message in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(simulate_args(tmp_path / "sim", extra=("--workers", value)))
+        assert exc.value.code == 2
+        assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_non_finite_state_file_fails(self, tmp_path, capsys):
         state = tmp_path / "state.txt"
         state.write_text("2\nnan,0,0,0,0,0,0.5,0\n")
@@ -268,6 +276,15 @@ class TestReplayCommand:
         rc = main(["replay", str(paths[0]), "--n0", "50", "--out", str(tmp_path / "r50")])
         assert rc == 1
         assert "no points survive clipping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+    def test_n0_not_positive_and_finite_fails(self, tmp_path, capsys, value):
+        path = self.make_records(tmp_path, n_max=2 * 10 ** 3)[0]
+        rc = main(["replay", str(path), "--n0", value, "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"tomosim: --n0 must be positive and finite, got {float(value)!r}")
+        assert not (tmp_path / "rep").exists()
 
     def test_average_and_fit_over_several_runs(self, tmp_path):
         paths = self.make_records(tmp_path, n_runs=4, n_max=2 * 10 ** 4)

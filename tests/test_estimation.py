@@ -28,7 +28,7 @@ from tomosim.quantum import (
     random_bures_mixed,
     random_pure_haar,
 )
-from conftest import bloch_ball_optimum
+from conftest import bloch_ball_fit, bloch_ball_optimum
 
 H_PROJ = PovmElement(projector(quantum.KET_H))
 V_PROJ = PovmElement(projector(quantum.KET_V))
@@ -337,15 +337,9 @@ def haar_projectors(rng):
     return [PovmElement(random_pure_haar(2, rng).matrix) for _ in range(rng.integers(3, 9))]
 
 
-@pytest.mark.parametrize("elements", [lambda rng: mub_qubit().elements, haar_projectors],
-                         ids=["mub", "haar"])
-@PROPERTY_SETTINGS
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_mle_reaches_bloch_ball_optimum_on_bures_data(elements, seed):
-    # A Bures-mixed state on the MUB set, or on a few Haar-random
-    # projectors, each record held for its own time: where the optimum is
-    # interior, the estimate is as good as scipy's BFGS on the Bloch-ball
-    # likelihood.
+def bures_records(elements, seed):
+    """Poisson counts of a Bures-mixed state at I = 1000 on elements(rng),
+    each record held for its own time, all drawn from default_rng(seed)."""
     rng = np.random.default_rng(seed)
     rho = random_bures_mixed(2, rng)
     recs = []
@@ -353,10 +347,36 @@ def test_mle_reaches_bloch_ball_optimum_on_bures_data(elements, seed):
         t = 10.0 ** rng.uniform(-1, 1)
         n = int(rng.poisson(1000.0 * born_probability(e, rho) * t))
         recs.append(MeasurementRecord(e, t, n))
+    return recs
+
+
+@pytest.mark.parametrize("elements", [lambda rng: mub_qubit().elements, haar_projectors],
+                         ids=["mub", "haar"])
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_mle_reaches_bloch_ball_optimum_on_bures_data(elements, seed):
+    # A Bures-mixed state on the MUB set, or on a few Haar-random
+    # projectors: where the optimum is interior, the estimate is as good
+    # as scipy's BFGS on the Bloch-ball likelihood.
+    recs = bures_records(elements, seed)
     optimum = bloch_ball_optimum(recs, 1000.0)
     assume(optimum is not None)
     data = LikelihoodData(tuple(recs), 1000.0)
     assert abs(log_likelihood(data, mle_estimate(data)) - optimum) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="the line search ends this boundary call at "
+                   "max_iter, 0.0255 nats below a feasible point; a Newton step on "
+                   "the sphere should reach the optimum")
+@pytest.mark.filterwarnings("ignore:mle_estimate. max_iter")
+def test_mle_reaches_boundary_optimum_of_haar_data():
+    # Seed 239 of the haar family above: BFGS ends at |x| = 137, beyond
+    # INTERIOR_X, near an optimum on the sphere, so the property test
+    # leaves it out.
+    recs = bures_records(haar_projectors, 239)
+    feasible, _ = bloch_ball_fit(recs, 1000.0)
+    data = LikelihoodData(tuple(recs), 1000.0)
+    assert log_likelihood(data, mle_estimate(data)) >= feasible - 1e-9
 
 
 class TestRegularizeFullRank:

@@ -98,6 +98,23 @@ class TestTransformMeasurement:
             assert linalg.numeric_rank(out.matrix, 1e-8) == 1
 
 
+    def test_transfer_is_scaled_lorentz_boost(self, rng):
+        # On four-vectors (Tr M, Tr sigma M) the symmetric map acts as
+        # gamma Lambda(r): the boost with velocity r of the regularized
+        # estimator, scaled by gamma = 1/sqrt(1 - r^2).
+        for _ in range(50):
+            op = rank_preserving_map(random_pure_haar(2, rng), 1e-4)
+            r = bloch(op.source_estimator.matrix)
+            gamma = 1.0 / np.sqrt(1.0 - r @ r)
+            boost = np.block([[np.array([[gamma]]), -gamma * r[None, :]],
+                              [-gamma * r[:, None],
+                               np.eye(3) + gamma ** 2 / (gamma + 1) * np.outer(r, r)]])
+            for e in MUB.elements:
+                got = quantum.to_stokes(transform_measurement(op, e).matrix)
+                want = gamma * boost @ quantum.to_stokes(e.matrix)
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 class TestUnitaryFreedom:
     def test_identity_unchanged(self):
         op = rank_preserving_map(DensityMatrix(np.diag([0.8, 0.2])), 1e-6)
@@ -324,6 +341,44 @@ class TestNextPlan:
         assert all(np.diff(totals) > 0)
         assert all(np.diff(max_overlaps) < 0)
         assert max_overlaps[-1] < 0.01
+
+
+def definition_plan(protocol, rho, v, delta=1e-4):
+    """(time_weight * projector list, groups) of a RankP plan, built from
+    the matrix definitions: L M L^dag with L = lmap^dag and
+    lmap = V rho_reg^-1/2 / sqrt(2) by eigh, each element's completion to
+    an orthonormal basis, and the minimal completion from eigh of the sum."""
+    w, u = np.linalg.eigh(regularize_full_rank(rho, delta).matrix)
+    lop = (v @ (u * w ** -0.5) @ u.conj().T / np.sqrt(2)).conj().T
+    elements = [lop @ e.matrix @ lop.conj().T for e in MUB.elements]
+    if protocol == "rankp-m":
+        lam, vecs = np.linalg.eigh(sum(elements))
+        elements = [e / lam[-1] for e in elements] + [
+            (1.0 - x / lam[-1]) * projector(col) for x, col in zip(lam, vecs.T)]
+    elements = [e for e in elements if np.trace(e).real > quantum.INERT_WEIGHT]
+    if protocol == "rankp-b":
+        pairs = [(e, np.trace(e).real * np.eye(2) - e) for e in elements]
+        return ([m for pair in pairs for m in pair],
+                tuple((2 * i, 2 * i + 1) for i in range(len(pairs))))
+    return elements, tuple((i,) for i in range(len(elements)))
+
+
+@pytest.mark.parametrize("random_v", [False, True], ids=["identity-v", "seeded-v"])
+@pytest.mark.parametrize("protocol", ["rankp-nc", "rankp-b", "rankp-m"])
+def test_rankp_plans_match_matrix_definition(protocol, random_v):
+    # Pure and Bures estimators: every timed projector of the plan equals
+    # the matrix construction, in the same order and the same groups.
+    rng = np.random.default_rng(31)
+    for k in range(200):
+        rho = (random_pure_haar if k % 2 else quantum.random_bures_mixed)(2, rng)
+        v = haar_unitary(2, np.random.default_rng(k)) if random_v else np.eye(2)
+        plan = next_plan(protocol, rho, MUB, np.random.default_rng(k), random_v=random_v)
+        want, groups = definition_plan(protocol, rho, v)
+        assert plan.groups == groups
+        assert len(plan.measurements) == len(want)
+        for t, m in zip(plan.measurements, want):
+            got = t.time_weight * t.projector.matrix
+            assert np.max(np.abs(got - m)) <= 1e-9 * np.max(np.abs(m))
 
 
 def sorted_diag(mats):
