@@ -9,15 +9,19 @@ significant digits so every file round-trips bit-exactly.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
+import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     ConvergenceCurve,
     average_curves,
@@ -108,9 +112,13 @@ class CampaignConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        for p in self.protocols:
+        if not self.protocols:
+            raise ValueError(f"no protocol given; expected a subset of {PROTOCOLS}")
+        for i, p in enumerate(self.protocols):
             if p not in PROTOCOLS:
                 raise ValueError(f"unknown protocol {p!r}; expected one of {PROTOCOLS}")
+            if p in self.protocols[:i]:
+                raise ValueError(f"protocol {p!r} given more than once")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if self.states not in ("pure", "bures") and not Path(self.states).exists():
@@ -163,7 +171,7 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
     config regardless of worker count.
     """
     jobs = [(p, r) for p in cfg.protocols for r in range(cfg.runs)]
-    workers = workers if workers is not None else (os.cpu_count() or 1)
+    workers = _worker_count(workers)
     results: dict[str, list[Trace]] = {p: [None] * cfg.runs for p in cfg.protocols}
 
     def finish(p: str, r: int, trace: Trace, records: list[GroupedRecord]) -> None:
@@ -180,6 +188,11 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
             for fut in as_completed(futures):
                 finish(*futures[fut], *fut.result())
     return results
+
+
+def _worker_count(workers: int | None) -> int:
+    """Worker processes a campaign uses: all CPUs unless given."""
+    return workers if workers is not None else (os.cpu_count() or 1)
 
 
 def _campaign_meta(cfg: CampaignConfig) -> dict[str, str]:
@@ -200,8 +213,12 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
 
     With ``records``, also write each run's record stream, whose header
     carries the detected rate I * eff the counts follow and eff, for
-    ``replay``.
+    ``replay``. Last, write manifest.json: the full config, the tomosim,
+    numpy and Python versions, the worker count and the wall time. It is
+    the one output that differs between runs of the same config, and it
+    is not a CSV.
     """
+    t0 = perf_counter()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -218,6 +235,14 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
             curve = average_curves(traces)
             meta = {"protocol": protocol, **_campaign_meta(cfg)}
             write_curve_file(out / f"curve_{protocol}.csv", curve, meta)
+    manifest = {
+        "config": asdict(cfg),
+        "versions": {"tomosim": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+        "workers": _worker_count(workers),
+        "wall_s": perf_counter() - t0,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, default=str) + "\n")
     return 0
 
 
@@ -372,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Every simulate default is the one its config dataclass states.
-    d = CampaignConfig(protocols=())
+    d = CampaignConfig(protocols=("rankp-nc",))
     sim = sub.add_parser("simulate", help="run tomography campaigns")
-    sim.add_argument("--protocol", default="rankp-nc",
+    sim.add_argument("--protocol", default=",".join(d.protocols),
                      help=f"comma-separated subset of {','.join(PROTOCOLS)}")
     sim.add_argument("--states", default=d.states,
                      help="pure | bures | path to an explicit state file")

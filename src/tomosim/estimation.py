@@ -11,6 +11,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +39,11 @@ _NEWTON_GAIN = 1 / 8
 _SPHERE_SHARE = 0.9
 _MAX_CUTS = 3
 
+_EPS = np.finfo(float).eps
+
 # Multiple of machine epsilon times the log-likelihood's magnitude below
 # which a change in the summed log-likelihood is taken as round-off.
-_ROUNDOFF = 4 * np.finfo(float).eps
+_ROUNDOFF = 4 * _EPS
 
 # Pauli matrices: a unit-trace qubit operator is (1 + m.sigma)/2, m_a = Tr(sigma_a M).
 _PAULI = STOKES[1:]
@@ -50,7 +53,7 @@ class NonIdentifiableDataError(ValueError):
     """Counts were registered outside the span of the measured operators."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """One likelihood atom: normalized element, exposition time, counts."""
 
@@ -73,9 +76,99 @@ class MeasurementRecord:
         object.__setattr__(self, "counts", int(self.counts))
 
 
+class _RecordArrays:
+    """The live records (t > 0) of a growing record stream as arrays: each
+    record's trace Tr M_k, Bloch vector m_k (M_k = (Tr M_k + m_k.sigma)/2),
+    time and counts. A full buffer grows to hold one more batch of the
+    size just appended: a run appends one plan's records per iteration,
+    so the slack stays below one plan. A prefix of the buffers is the
+    arrays of the data holding its first n live records.
+
+    The Bloch vectors are kept complex, as the einsum over the Paulis gives
+    them, and read through their real part: numpy's matmul sums a strided
+    operand in another order than a contiguous one, and the estimator's
+    sums keep the order they had when every call stacked its own arrays.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self._bloch = np.empty((0, 3), dtype=complex)
+        self._traces = np.empty(0)
+        self._times = np.empty(0)
+        self._counts = np.empty(0)
+        # (prefix length, smallest singular value) of the first prefix
+        # whose counted Bloch vectors were found to span three directions.
+        self._spanning = None
+
+    def extend(self, records) -> None:
+        live = [r for r in records if r.time > 0]
+        if not live:
+            return
+        start, stop = self.size, self.size + len(live)
+        if stop > self._times.size:
+            self._reserve(stop + len(live))
+        mats = np.array([r.element.matrix for r in live])
+        self._bloch[start:stop] = np.einsum("aji,kij->ka", _PAULI, mats)
+        self._traces[start:stop] = (mats[:, 0, 0] + mats[:, 1, 1]).real
+        self._times[start:stop] = [r.time for r in live]
+        self._counts[start:stop] = [r.counts for r in live]
+        self.size = stop
+
+    _BUFFERS = ("_bloch", "_traces", "_times", "_counts")
+
+    def _reserve(self, capacity: int) -> None:
+        n = self.size
+        for name in self._BUFFERS:
+            old = getattr(self, name)
+            new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
+    def prefix(self, n: int) -> "_RecordArrays":
+        """A copy holding the first n live records only."""
+        out = _RecordArrays()
+        for name in self._BUFFERS:
+            setattr(out, name, getattr(self, name)[:n].copy())
+        out.size = n
+        return out
+
+    def views(self, n: int):
+        """(traces, Bloch vectors, times, counts) of the first n live records."""
+        return (self._traces[:n], self._bloch[:n].real, self._times[:n], self._counts[:n])
+
+    def spans_three(self, n: int, bloch_pos: np.ndarray) -> bool:
+        """matrix_rank(bloch_pos) == 3 for the counted Bloch vectors of the
+        first n live records.
+
+        Appending rows never lowers a singular value, and rows of length
+        at most 1 (+1e-9) keep the largest one below sqrt(K) for K rows, so
+        matrix_rank's tolerance s_max K eps stays below 2 K^1.5 eps. Once a
+        prefix's smallest singular value is known, a longer prefix whose
+        K rows keep that bound below it spans three directions without
+        another SVD.
+        """
+        k = bloch_pos.shape[0]
+        known = self._spanning
+        if known is not None and known[0] <= n and known[1] > 2.0 * k ** 1.5 * _EPS:
+            return True
+        if k < 3:
+            return False
+        s = np.linalg.svdvals(bloch_pos)
+        if not s[2] > s[0] * k * _EPS:
+            return False
+        if known is None or n < known[0]:
+            self._spanning = (n, s[2])
+        return True
+
+
 @dataclass(frozen=True)
 class LikelihoodData:
-    """A record collection plus the source intensity I."""
+    """A record collection plus the source intensity I.
+
+    Its live records are also held as arrays (_RecordArrays), which
+    ``extended`` grows in place, so a run that appends each iteration's
+    records converts every record once.
+    """
 
     records: tuple[MeasurementRecord, ...]
     intensity: float
@@ -84,15 +177,44 @@ class LikelihoodData:
         if not 0 < self.intensity < math.inf:
             raise ValueError(f"intensity must be positive and finite, got {self.intensity!r}")
         object.__setattr__(self, "records", tuple(self.records))
+        arrays = _RecordArrays()
+        arrays.extend(self.records)
+        self._hold(arrays)
+
+    def _hold(self, arrays: _RecordArrays) -> None:
+        """Keep the first arrays.size live records of arrays as this data's."""
         # Poisson means I*t must stay normal floats, or G and log(I p t)
         # overflow or underflow deep inside the estimator.
-        live = [r.time for r in self.records if r.time > 0]
-        if live and not self.intensity * min(live) >= sys.float_info.min:
+        live = arrays.views(arrays.size)[2]
+        least = float(live.min()) if live.size else math.inf
+        if not self.intensity * least >= sys.float_info.min:
             raise ValueError("intensity * record time must be a normal float, "
-                             f"got {self.intensity!r} * {min(live)!r}")
-        if not math.isfinite(self.intensity * sum(live)):
+                             f"got {self.intensity!r} * {least!r}")
+        total = float(live.sum())
+        if not math.isfinite(self.intensity * total):
             raise ValueError("intensity * total record time must be finite, "
-                             f"got {self.intensity!r} * {sum(live)!r}")
+                             f"got {self.intensity!r} * {total!r}")
+        object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "_n_live", arrays.size)
+
+    def extended(self, records) -> "LikelihoodData":
+        """This data with records appended, sharing and growing its arrays
+        (or a copy of their prefix when a longer data already grew them)."""
+        new = tuple(records)
+        arrays = self._arrays
+        if arrays.size != self._n_live:
+            arrays = arrays.prefix(self._n_live)
+        arrays.extend(new)
+        out = object.__new__(LikelihoodData)
+        object.__setattr__(out, "records", self.records + new)
+        object.__setattr__(out, "intensity", self.intensity)
+        out._hold(arrays)
+        return out
+
+    def arrays(self):
+        """(traces, Bloch vectors, times, counts) of the live records,
+        views of the arrays this data shares."""
+        return self._arrays.views(self._n_live)
 
 
 @dataclass(frozen=True)
@@ -104,15 +226,9 @@ class MleOptions:
             raise ValueError("max_iter must be >= 1")
 
 
-def _stacked(data: LikelihoodData):
-    """Arrays (M, t, n) over records with t > 0; t=0 records carry nothing."""
-    live = [r for r in data.records if r.time > 0]
-    if not live:
-        raise ValueError("need at least one record with positive time")
-    mats = np.array([r.element.matrix for r in live])
-    times = np.array([r.time for r in live])
-    counts = np.array([r.counts for r in live], dtype=float)
-    return mats, times, counts
+def _live_matrices(data: LikelihoodData) -> np.ndarray:
+    """The operators of the records with t > 0, stacked (K, 2, 2)."""
+    return np.array([r.element.matrix for r in data.records if r.time > 0])
 
 
 def _probabilities(mats: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -137,11 +253,10 @@ def log_likelihood(data: LikelihoodData, rho: DensityMatrix) -> float:
     Conventions: records with t=0 contribute 0; records with n=0 contribute
     -I p t; records with n>0 and p <= PROB_CLAMP use the clamped p.
     """
-    try:
-        mats, times, counts = _stacked(data)
-    except ValueError:
+    _, _, times, counts = data.arrays()
+    if not times.size:
         return 0.0
-    p = _probabilities(mats, rho.matrix)
+    p = _probabilities(_live_matrices(data), rho.matrix)
     return _loglik(p, times, counts, data.intensity)
 
 
@@ -192,14 +307,16 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     end.
     """
     opts = opts or MleOptions()
-    mats, times, counts = _stacked(data)
+    _, _, times, counts = data.arrays()
+    if not times.size:
+        raise ValueError("need at least one record with positive time")
     if counts.sum() == 0:
-        rho0 = maximally_mixed(mats.shape[1])
+        rho0 = maximally_mixed(2)
         if logliks is not None:
-            logliks.append(_loglik(_probabilities(mats, rho0.matrix), times,
-                                   counts, data.intensity))
+            logliks.append(_loglik(_probabilities(_live_matrices(data), rho0.matrix),
+                                   times, counts, data.intensity))
         return rho0
-    lik = _Likelihood(mats, times, counts, data.intensity)
+    lik = _Likelihood(data)
     solved = _newton_solve(lik, opts.max_iter) if lik.full_rank else None
     if solved is not None:
         r, steps, capped = solved
@@ -217,37 +334,54 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
 
 
 class _Likelihood:
-    """The arrays of one estimator call: the live records' operators,
-    times and counts, their Bloch vectors m_k (M_k = (Tr M_k + m_k.sigma)/2)
-    and the count-independent part of the gradient in Bloch coordinates."""
+    """The arrays of one estimator call: the live records' traces, Bloch
+    vectors m_k (M_k = (Tr M_k + m_k.sigma)/2), times and counts, views of
+    the data's arrays, and the count-independent part of the gradient in
+    Bloch coordinates. The operators M_k themselves are stacked only for
+    the line search."""
 
-    def __init__(self, mats, times, counts, intensity):
-        self.mats, self.times, self.counts, self.intensity = mats, times, counts, intensity
-        self.pos = counts > 0
-        self.counts_pos = counts[self.pos]
-        self.times_pos = times[self.pos]
-        self.total_rate = intensity * times.sum()
-        self.bloch = np.einsum("aji,kij->ka", _PAULI, mats).real
+    def __init__(self, data: LikelihoodData):
+        self.data, self.intensity = data, data.intensity
+        self.traces, self.bloch, self.times, self.counts = data.arrays()
+        self.pos = self.counts > 0
+        self.counts_pos = self.counts[self.pos]
+        self.times_pos = self.times[self.pos]
+        self.total_rate = self.intensity * self.times.sum()
         self.bloch_pos = self.bloch[self.pos]
-        self.drift = intensity * times @ self.bloch
+        self.drift = self.intensity * self.times @ self.bloch
         # Counts on fewer than three independent directions leave H singular:
         # a Newton step along the rest would be set by round-off.
-        self.full_rank = np.linalg.matrix_rank(self.bloch_pos) == 3
+        self.full_rank = data._arrays.spans_three(self.times.size, self.bloch_pos)
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        return _live_matrices(self.data)
+
+    def counted(self, p: np.ndarray):
+        """The counted p_k, clamped at PROB_CLAMP, and their ln(I p_k t_k)."""
+        p_pos = np.maximum(p[self.pos], PROB_CLAMP)
+        return p_pos, np.log(self.intensity * p_pos * self.times_pos)
+
+    def terms(self, p: np.ndarray):
+        """(log-likelihood, and counted() at p): one log per counted record
+        serves both the value and the Newton step's round-off."""
+        p_pos, logs = self.counted(p)
+        out = -(self.intensity * p * self.times)
+        out[self.pos] = self.counts_pos * logs - self.intensity * p_pos * self.times_pos
+        return float(out.sum()), p_pos, logs
 
     def loglik(self, p: np.ndarray) -> float:
-        return _loglik(p, self.times, self.counts, self.intensity)
+        return self.terms(p)[0]
 
-    def newton(self, p: np.ndarray):
+    def newton(self, p_pos: np.ndarray, logs: np.ndarray):
         """(n_k/p_k over the counted records, the log-likelihood's round-off,
-        Newton step s, Newton decrement g.s) at probabilities p, where
-        s = H^-1 g on the Bloch vector with g = (1/2) sum (n_k/p_k - I t_k) m_k
-        and H = (1/4) sum n_k/p_k^2 m_k m_k^T; s and g.s are None when H is
-        singular. Counted p_k are clamped at PROB_CLAMP."""
-        p_pos = np.maximum(p[self.pos], PROB_CLAMP)
+        Newton step s, Newton decrement g.s) at the counted probabilities
+        p_pos and their logs from counted(), where s = H^-1 g on the Bloch
+        vector with g = (1/2) sum (n_k/p_k - I t_k) m_k and
+        H = (1/4) sum n_k/p_k^2 m_k m_k^T; s and g.s are None when H is
+        singular."""
         ratios = self.counts_pos / p_pos
-        noise = _ROUNDOFF * (
-            np.dot(self.counts_pos, np.abs(np.log(self.intensity * p_pos * self.times_pos)))
-            + self.total_rate)
+        noise = _ROUNDOFF * (np.dot(self.counts_pos, np.abs(logs)) + self.total_rate)
         if not self.full_rank:
             return ratios, noise, None, None
         hess = 0.25 * (self.bloch_pos.T * (ratios / p_pos)) @ self.bloch_pos
@@ -273,18 +407,18 @@ def _newton_solve(lik: _Likelihood, max_iter: int):
     Returns (r, log-likelihoods of the start and each step, whether
     max_iter ran out), or None to hand the call over to the line search.
     """
-    traces = (lik.mats[:, 0, 0] + lik.mats[:, 1, 1]).real
+    traces, bloch = lik.traces, lik.bloch
 
     def probabilities(r):
-        return np.clip(0.5 * (traces + lik.bloch @ r), 0.0, 1.0)
+        return np.minimum(np.maximum(0.5 * (traces + bloch @ r), 0.0), 1.0)
 
     r = np.zeros(3)
     p = probabilities(r)
-    ll = lik.loglik(p)
+    ll, p_pos, logs = lik.terms(p)
     lls = [ll]
     cuts = 0
     for _ in range(max_iter):
-        _, noise, step, decrement = lik.newton(p)
+        _, noise, step, decrement = lik.newton(p_pos, logs)
         if step is None:
             return None
         r_new = r + step
@@ -301,13 +435,13 @@ def _newton_solve(lik: _Likelihood, max_iter: int):
             t = _SPHERE_SHARE * (math.sqrt(b * b - a * c) - b) / a
         while True:
             p_new = probabilities(r + t * step)
-            ll_new = lik.loglik(p_new)
+            ll_new, pos_new, logs_new = lik.terms(p_new)
             if ll_new - ll >= _NEWTON_GAIN * t * decrement:
                 break
             t /= 2
             if t * decrement < noise:
                 return None    # no resolvable ascent along the step
-        r, p, ll = r + t * step, p_new, ll_new
+        r, p, ll, p_pos, logs = r + t * step, p_new, ll_new, pos_new, logs_new
         lls.append(ll)
     return r, lls, True
 
@@ -360,7 +494,7 @@ def _line_search(lik: _Likelihood, max_iter: int, logliks: list | None):
         # dropped when H is singular or r + s leaves the open unit ball. One
         # that gains at least _NEWTON_GAIN of the decrement is taken alone;
         # one that gains less seeds the line search below if it ascends.
-        ratios, noise, step_b, decrement = lik.newton(p)
+        ratios, noise, step_b, decrement = lik.newton(*lik.counted(p))
         if step_b is not None:
             r_new = np.einsum("aji,ij->a", _PAULI, rho).real + step_b
             if lik.converged(p, noise, r_new, decrement):

@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: Hermitian eigendecomposition, numeric rank,
-trace norm, on the 2x2 complex numpy arrays of a qubit-only package.
+"""Dense complex-matrix kernel: Hermitian eigendecomposition and trace
+norm, on the 2x2 complex numpy arrays of a qubit-only package.
 All functions return fresh arrays; nothing mutates its input.
 """
 
@@ -55,20 +55,6 @@ def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarr
         )
     w, v = np.linalg.eigh(m)
     return w, v
-
-
-def numeric_rank(a, tol: float) -> int:
-    """Number of singular values above tol * (largest singular value).
-
-    For Hermitian input this equals the count of eigenvalues whose
-    magnitude exceeds tol times the largest eigenvalue magnitude.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    s = np.linalg.svd(as_square_complex(a), compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def trace_norm(a) -> float:

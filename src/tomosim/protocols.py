@@ -32,6 +32,7 @@ from .quantum import (
     haar_unitary,
     maximally_mixed,
     projector,
+    qubit_spectrum,
     to_stokes,
 )
 
@@ -87,8 +88,7 @@ class TimedMeasurement:
         if abs(self.projector.weight - 1.0) > 1e-9:
             raise ValueError("projector must have unit trace")
         # Rank 1 is a null four-vector: the eigenvalues are (S_0 +- |s|)/2.
-        s0, *s = to_stokes(self.projector.matrix)
-        norm = math.hypot(*s)
+        s0, norm = qubit_spectrum(self.projector.matrix)
         if abs(s0 - norm) > _RANK_TOL * (s0 + norm):
             raise ValueError("projector must be rank 1")
         object.__setattr__(self, "time_weight", float(self.time_weight))
@@ -113,8 +113,9 @@ class MeasurementPlan:
             if len(g) > d:
                 raise ValueError(f"group {g} larger than dimension {d}")
             for a, b in combinations(g, 2):
-                overlap = abs(np.einsum("ij,ji->", measurements[a].projector.matrix,
-                                        measurements[b].projector.matrix))
+                # Tr(Ma Mb) is the Frobenius product <Ma, Mb> of Hermitian Ma.
+                overlap = abs(np.vdot(measurements[a].projector.matrix,
+                                      measurements[b].projector.matrix))
                 if overlap > _ORTHO_TOL:
                     raise ValueError(f"grouped projectors {a},{b} not orthogonal "
                                      f"(|Tr Ma Mb| = {overlap:.3e})")
@@ -158,7 +159,7 @@ def _minimal_completion(vecs: np.ndarray) -> np.ndarray:
     mu = (total[0] + norm) / 2
     if mu <= 0:
         raise ValueError("element sum has no positive eigenvalue")
-    return np.vstack([vecs, np.r_[norm, -total[1:]]]) / mu
+    return np.vstack([vecs, np.concatenate(([norm], -total[1:]))]) / mu
 
 
 def _timed(vecs: np.ndarray) -> tuple[TimedMeasurement, ...]:
@@ -192,7 +193,7 @@ def rank_preserving_map(rho_hat: DensityMatrix,
     r = s[1:] / s[0]
     gamma = 1.0 / math.sqrt(1.0 - r @ r)
     c = math.sqrt((gamma + 1.0) / 2.0)
-    lmap = math.sqrt(gamma) * from_stokes(np.r_[2.0 * c, -(gamma / c) * r])
+    lmap = math.sqrt(gamma) * from_stokes(np.concatenate(([2.0 * c], -(gamma / c) * r)))
     return TransformOperator(lmap, reg)
 
 

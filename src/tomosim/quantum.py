@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -20,17 +20,35 @@ TRACE_TOL = 1e-10
 INERT_WEIGHT = 1e-12
 
 
-def _hermitian_psd(a, what: str) -> np.ndarray:
-    """a as a read-only complex matrix, checked Hermitian and PSD."""
+def qubit_spectrum(m: np.ndarray) -> tuple[float, float]:
+    """(S_0, |s|) of a 2x2 Hermitian matrix (S_0 + s.sigma)/2, whose
+    eigenvalues are (S_0 -+ |s|)/2; read, as eigvalsh reads it, from the
+    real diagonal and the lower triangle."""
+    (a, _), (c, d) = m.tolist()
+    return a.real + d.real, math.hypot(a.real - d.real, 2.0 * abs(c))
+
+
+def _hermitian_psd(a, what: str) -> tuple[np.ndarray, float]:
+    """a as a read-only complex matrix, checked Hermitian and PSD, and its trace.
+
+    A qubit's smallest eigenvalue is the closed form (S_0 - |s|)/2; larger
+    matrices, which only tests build, go through eigvalsh.
+    """
     m = linalg.as_square_complex(a)
-    defect = linalg.hermiticity_defect(m)
+    if m.shape[0] == 2:
+        (a00, a01), (a10, a11) = m.tolist()
+        defect = max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
+        trace, norm = qubit_spectrum(m)
+        lowest = (trace - norm) / 2
+    else:
+        defect = linalg.hermiticity_defect(m)
+        trace, lowest = float(m.trace().real), np.linalg.eigvalsh(m)[0]
     if defect > linalg.HERMITICITY_TOL:
         raise linalg.NonHermitianError(f"{what} not Hermitian: defect {defect:.3e}")
-    w = np.linalg.eigvalsh(m)
-    if w[0] < -linalg.EIGENVALUE_CLAMP:
-        raise linalg.NotPositiveSemidefiniteError(f"{what} has eigenvalue {w[0]:.3e}")
+    if lowest < -linalg.EIGENVALUE_CLAMP:
+        raise linalg.NotPositiveSemidefiniteError(f"{what} has eigenvalue {lowest:.3e}")
     m.setflags(write=False)
-    return m
+    return m, trace
 
 
 @dataclass(frozen=True)
@@ -40,8 +58,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _hermitian_psd(self.matrix, "density matrix")
-        tr = m.trace().real
+        m, tr = _hermitian_psd(self.matrix, "density matrix")
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
         object.__setattr__(self, "matrix", m)
@@ -53,8 +70,16 @@ class DensityMatrix:
     def purity(self) -> float:
         return float((self.matrix @ self.matrix).trace().real)
 
+    @cached_property
+    def det(self) -> float:
+        """det of a qubit state, rounded once from its exact value; computed
+        on first use and kept, so a reference state scored against every
+        estimate of a run is computed once."""
+        require_qubit(self.dim, "det")
+        return _qubit_det(self.matrix)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PovmElement:
     """Hermitian PSD measurement operator; weight is its trace."""
 
@@ -62,9 +87,9 @@ class PovmElement:
     weight: float = field(init=False)  # derived: Tr(matrix)
 
     def __post_init__(self):
-        m = _hermitian_psd(self.matrix, "POVM element")
+        m, weight = _hermitian_psd(self.matrix, "POVM element")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "weight", float(m.trace().real))
+        object.__setattr__(self, "weight", weight)
 
     @property
     def dim(self) -> int:
@@ -146,12 +171,17 @@ def _qubit_det(m: np.ndarray) -> float:
     """det of a 2x2 Hermitian matrix, rounded once from its exact value.
 
     For a near-pure state a*d - |b|^2 cancels down to round-off, which the
-    square root in fidelity would magnify to ~1e-9; exact rationals avoid it.
+    square root in fidelity would magnify to ~1e-9; exact rationals avoid
+    it. Each float is an integer over a power of two, so the exact
+    determinant is one integer fraction, and int / int rounds it once.
     """
-    b = m[0, 1]
-    exact = (Fraction(m[0, 0].real) * Fraction(m[1, 1].real)
-             - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2)
-    return float(exact)
+    (a, b), (_, d) = m.tolist()
+    (an, ad), (dn, dd), (xn, xd), (yn, yd) = (
+        a.real.as_integer_ratio(), d.real.as_integer_ratio(),
+        b.real.as_integer_ratio(), b.imag.as_integer_ratio())
+    x2d, y2d = xd * xd, yd * yd
+    return (an * dn * x2d * y2d - (xn * xn * y2d + yn * yn * x2d) * ad * dd) \
+        / (ad * dd * x2d * y2d)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -166,7 +196,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if np.array_equal(rho.matrix, sigma.matrix):
         return 1.0
     overlap = float(np.einsum("ij,ji->", rho.matrix, sigma.matrix).real)
-    dets = _qubit_det(rho.matrix) * _qubit_det(sigma.matrix)
+    dets = rho.det * sigma.det
     f = overlap + 2.0 * math.sqrt(max(dets, 0.0))
     return min(max(f, 0.0), 1.0)
 

@@ -20,14 +20,12 @@ from .estimation import LikelihoodData, MeasurementRecord, mle_estimate
 from .protocols import (
     DEFAULT_DELTA,
     MeasurementPlan,
-    TimedMeasurement,
     initial_plan,
     next_plan,
 )
 from .quantum import (
     DensityMatrix,
     PovmElement,
-    born_probability,
     fidelity,
     maximally_mixed,
     mub_qubit,
@@ -119,19 +117,31 @@ def _trace(protocol: str, rows) -> Trace:
                                     for (c, t), col in zip(_ROW_TYPES.items(), zip(*rows))})
 
 
-def sample_counts(m: TimedMeasurement, rho_true: DensityMatrix, src: SourceModel,
-                  base_time: float, rng: np.random.Generator) -> int:
-    """Poisson draw with mean I * eff * p * (time_weight * base_time).
+def sample_counts(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceModel,
+                  base_time: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson counts of every measurement of a plan, indexed as its
+    measurements: measurement i draws with mean I * eff * p_i *
+    (time_weight_i * base_time), p_i = Tr(M_i rho) clamped to [0, Tr M_i].
 
-    Members of a simultaneity group are sampled by one such draw each from
-    the shared exposure; independent Poisson outcomes are the thinning of
-    the group total.
+    The draws are taken in the order the plan's groups list their members,
+    all by one rng.poisson call, which draws as one call per measurement
+    would. Members of a simultaneity group are sampled by one such draw
+    each from the shared exposure; independent Poisson outcomes are the
+    thinning of the group total.
     """
     if base_time <= 0:
         raise ValueError("base_time must be positive")
-    p = born_probability(m.projector, rho_true)
-    mean = src.intensity * src.efficiency * p * m.time_weight * base_time
-    return int(rng.poisson(mean))
+    require_qubit(rho_true.dim, "true state")
+    order = [i for g in plan.groups for i in g]
+    ms = [plan.measurements[i] for i in order]
+    # Born rule as born_probability computes it, Re Tr(M rho) of the product.
+    prods = np.array([m.projector.matrix for m in ms]) @ rho_true.matrix
+    p = (prods[:, 0, 0] + prods[:, 1, 1]).real
+    p = np.minimum(np.maximum(p, 0.0), [m.projector.weight for m in ms])
+    means = src.intensity * src.efficiency * p * [m.time_weight for m in ms] * base_time
+    counts = np.empty(len(order), dtype=np.int64)
+    counts[order] = rng.poisson(means)
+    return counts
 
 
 def emitted_copies(total_time: float, src: SourceModel) -> float:
@@ -150,18 +160,16 @@ def _measure_plan(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceMod
                   base_time: float, rng: np.random.Generator,
                   next_group_id: int) -> tuple[list[GroupedRecord], int, int]:
     """Sample every group of a plan; returns (records, detected, next free id)."""
+    counts = sample_counts(plan, rho_true, src, base_time, rng)
     out: list[GroupedRecord] = []
-    detected = 0
     gid = next_group_id
     for group in plan.groups:
         for idx in group:
             m = plan.measurements[idx]
-            n = sample_counts(m, rho_true, src, base_time, rng)
-            rec = MeasurementRecord(m.projector, m.time_weight * base_time, n)
+            rec = MeasurementRecord(m.projector, m.time_weight * base_time, int(counts[idx]))
             out.append(GroupedRecord(gid, rec))
-            detected += n
         gid += 1
-    return out, detected, gid
+    return out, int(counts.sum()), gid
 
 
 def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
@@ -181,6 +189,7 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     dim = rho_true.dim
 
     records: list[GroupedRecord] = []
+    data = None
     rows = []
     rho_hat = maximally_mixed(dim)
     n_emit = 0.0
@@ -204,8 +213,10 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
         n_emit += emitted_copies(base_time * exposure, src)
 
         # Counts arrive at the detected rate I * eff; N_emit stays on I.
-        data = LikelihoodData(tuple(r.record for r in records),
-                              src.intensity * src.efficiency)
+        # Each iteration's data extends the last one's arrays.
+        batch = tuple(r.record for r in new_records)
+        data = (LikelihoodData(batch, src.intensity * src.efficiency)
+                if data is None else data.extended(batch))
         rho_hat, loglik = _estimate(data)
         rows.append(_row(iteration, n_emit, n_det, rho_true, rho_hat, loglik))
         if n_emit >= sched.n_max:

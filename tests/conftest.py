@@ -2,10 +2,26 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from tomosim.linalg import as_square_complex
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def numeric_rank(a, tol: float) -> int:
+    """Number of singular values above tol * (largest singular value).
+
+    For Hermitian input this equals the count of eigenvalues whose
+    magnitude exceeds tol times the largest eigenvalue magnitude.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    s = np.linalg.svd(as_square_complex(a), compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def random_hermitian(rng, dim):

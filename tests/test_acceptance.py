@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from tomosim import linalg, quantum
+from tomosim import quantum
 from tomosim.analysis import average_curves, efficiency_ratio, fit_power_law
 from tomosim.cli import CampaignConfig, main, run_campaign
 from tomosim.estimation import (
@@ -38,6 +38,7 @@ from tomosim.quantum import (
     random_pure_haar,
 )
 from tomosim.simulator import Schedule, SourceModel
+from conftest import numeric_rank
 
 RUNS = 50
 N_MAX = 10 ** 6
@@ -147,7 +148,7 @@ def test_criterion_4_transformation_exactness():
             p = float(np.einsum("ij,ji->", out.matrix,
                                 op.source_estimator.matrix).real)
             worst_prob = max(worst_prob, abs(p - e.weight / 2))
-            ranks_ok = ranks_ok and linalg.numeric_rank(out.matrix, 1e-8) == 1
+            ranks_ok = ranks_ok and numeric_rank(out.matrix, 1e-8) == 1
     ok = worst_map <= 1e-9 and worst_prob <= 1e-9 and ranks_ok
     report(4, ok,
            f"1000 estimators: max|L rho L - 1/D|={worst_map:.2e} (<=1e-9), "

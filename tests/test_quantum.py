@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -20,8 +22,10 @@ from tomosim.quantum import (
     random_bures_mixed,
     random_pure_haar,
 )
+from conftest import numeric_rank
 
 RHO_H = pure_state(quantum.KET_H)
+EPS = np.finfo(float).eps
 RHO_V = pure_state(quantum.KET_V)
 
 
@@ -113,6 +117,16 @@ class TestFidelityAndBures:
         with pytest.raises(ValueError, match="only qubits"):
             fidelity(maximally_mixed(3), maximally_mixed(3))
 
+    def test_det_is_the_exact_determinant_rounded_once(self, rng):
+        # The reference: a*d - |b|^2 in Fractions, rounded once.
+        for i in range(300):
+            rho = (random_bures_mixed if i % 2 else random_pure_haar)(2, rng)
+            (a, b), (_, d) = (rho.matrix * (1e-150 if i % 7 == 0 else 1.0)).tolist()
+            exact = (Fraction(a.real) * Fraction(d.real)
+                     - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2)
+            assert quantum._qubit_det(np.array([[a, b], [b.conjugate(), d]])) == float(exact)
+            assert rho.det == quantum._qubit_det(rho.matrix)
+
     def test_matches_high_precision_reference(self, rng):
         # Uhlmann's Tr^2 sqrt(sqrt(rho) sigma sqrt(rho)) at 60 digits on the
         # exact stored entries; near-pure factors are where double-precision
@@ -177,7 +191,7 @@ class TestHaarSampler:
     def test_sample_is_rank_one_unit_trace(self, rng):
         rho = random_pure_haar(2, rng)
         assert rho.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
-        assert linalg.numeric_rank(rho.matrix, 1e-8) == 1
+        assert numeric_rank(rho.matrix, 1e-8) == 1
 
     def test_mean_overlap_is_half(self, rng):
         vals = [random_pure_haar(2, rng).matrix[0, 0].real for _ in range(10 ** 4)]
@@ -274,3 +288,34 @@ def test_fidelity_bounds_property(seed):
     f = fidelity(a, b)
     assert 0.0 <= f <= 1.0
     assert 0.0 <= bures_sq(a, b) <= 2.0
+
+
+def _qubit(low, high, theta, phi):
+    """Hermitian 2x2 matrix with eigenvalues (low, high), up to round-off."""
+    u = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
+                  [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
+    return linalg.hermitize((u * [low, high]) @ u.conj().T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-4e-10, 2e-10), st.floats(0.0, 3.0), st.floats(0.0, np.pi),
+       st.floats(0.0, 2 * np.pi), st.floats(-1e-8, 1e-8))
+def test_qubit_psd_check_agrees_with_eigvalsh(low, high, theta, phi, skew):
+    # The closed form (S_0 - |s|)/2 rejects exactly the matrices whose
+    # eigvalsh minimum is below -EIGENVALUE_CLAMP, away from the round-off
+    # of that threshold; the Hermiticity check likewise.
+    m = _qubit(low, high, theta, phi)
+    m[0, 1] += skew * (1 + 1j) * 1e-4    # up to 1.4e-12 away from Hermitian
+    herm = linalg.hermiticity_defect(m) <= linalg.HERMITICITY_TOL
+    assume(abs(linalg.hermiticity_defect(m) - linalg.HERMITICITY_TOL) > 1e-15)
+    lowest = np.linalg.eigvalsh(m)[0]
+    assume(abs(lowest + linalg.EIGENVALUE_CLAMP) > 16 * EPS * max(high, 1.0))
+    if not herm:
+        with pytest.raises(linalg.NonHermitianError):
+            PovmElement(m)
+    elif lowest < -linalg.EIGENVALUE_CLAMP:
+        with pytest.raises(linalg.NotPositiveSemidefiniteError, match="eigenvalue"):
+            PovmElement(m)
+    else:
+        e = PovmElement(m)
+        assert e.weight == float(m.trace().real)

@@ -1,10 +1,20 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tomosim.protocols import TimedMeasurement, initial_plan
+from tomosim.protocols import (
+    PROTOCOLS,
+    MeasurementPlan,
+    TimedMeasurement,
+    initial_plan,
+    next_plan,
+)
 from tomosim.quantum import (
     DensityMatrix,
     PovmElement,
+    born_probability,
     maximally_mixed,
     mub_qubit,
     projector,
@@ -32,37 +42,66 @@ def h_measurement(weight=1.0):
     return TimedMeasurement(PovmElement(projector(quantum.KET_H)), weight)
 
 
+def h_plan(weight=1.0):
+    return MeasurementPlan((h_measurement(weight),), ((0,),))
+
+
 class TestSampleCounts:
     def test_zero_probability_never_counts(self, rng):
-        m = h_measurement()
+        plan = h_plan()
         rho = pure_state(quantum.KET_V)
-        assert all(sample_counts(m, rho, SRC, 0.01, rng) == 0 for _ in range(200))
+        assert all(sample_counts(plan, rho, SRC, 0.01, rng)[0] == 0 for _ in range(200))
 
     def test_poisson_moments(self, rng):
         # I * p * t = 100
-        m = h_measurement()
+        plan = h_plan()
         rho = maximally_mixed(2)
-        draws = np.array([sample_counts(m, rho, SRC, 0.2, rng) for _ in range(10 ** 4)])
+        draws = np.array([sample_counts(plan, rho, SRC, 0.2, rng)[0] for _ in range(10 ** 4)])
         assert 97 <= draws.mean() <= 103
         assert 90 <= draws.var() <= 110
 
     def test_group_total_is_poisson_sum(self, rng):
         # basis pair on the mixed state: the exposure total has mean I*t
         rho = maximally_mixed(2)
-        ms = [h_measurement(), TimedMeasurement(PovmElement(projector(quantum.KET_V)), 1.0)]
-        totals = [
-            sum(sample_counts(m, rho, SRC, 1.0, rng) for m in ms)
-            for _ in range(2000)
-        ]
+        plan = MeasurementPlan(
+            (h_measurement(), TimedMeasurement(PovmElement(projector(quantum.KET_V)), 1.0)),
+            ((0, 1),))
+        totals = [sample_counts(plan, rho, SRC, 1.0, rng).sum() for _ in range(2000)]
         mean = np.mean(totals)
         assert abs(mean - 1000.0) <= 3 * np.sqrt(1000.0 / 2000) * 2
 
     def test_detection_efficiency_thins(self, rng):
         src = SourceModel(1000.0, efficiency=0.5)
-        m = h_measurement()
+        plan = h_plan()
         rho = pure_state(quantum.KET_H)
-        draws = [sample_counts(m, rho, src, 1.0, rng) for _ in range(2000)]
+        draws = [sample_counts(plan, rho, src, 1.0, rng)[0] for _ in range(2000)]
         assert abs(np.mean(draws) - 500.0) <= 5 * np.sqrt(500 / 2000) * 3
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_plan_draw_matches_per_measurement_draws(self, protocol):
+        # One rng.poisson call over the plan draws what one call per
+        # measurement, in group order, drew, and leaves the same state.
+        src = SourceModel(1000.0, efficiency=0.8)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rho = random_bures_mixed(2, rng)
+            plan = next_plan(protocol, random_bures_mixed(2, rng), mub_qubit(), rng,
+                             random_v=seed % 2 == 1)
+            if seed % 3 == 0:  # groups listing their members out of index order
+                plan = MeasurementPlan(plan.measurements, tuple(g[::-1] for g in plan.groups[::-1]))
+            base_time = 0.01 * (seed + 1)
+            mine, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            counts = sample_counts(plan, rho, src, base_time, mine)
+            for i in (i for g in plan.groups for i in g):
+                m = plan.measurements[i]
+                mean = (src.intensity * src.efficiency * born_probability(m.projector, rho)
+                        * m.time_weight * base_time)
+                assert counts[i] == int(loop.poisson(mean))
+            assert mine.bit_generator.state == loop.bit_generator.state
+
+    def test_rejects_non_positive_base_time(self, rng):
+        with pytest.raises(ValueError, match="base_time"):
+            sample_counts(h_plan(), maximally_mixed(2), SRC, 0.0, rng)
 
 
 class TestEmittedCopies:
@@ -163,6 +202,90 @@ class TestRunTomography:
     def test_rejects_non_qubit_state(self):
         with pytest.raises(ValueError, match="only qubits"):
             run_tomography("eigen", maximally_mixed(3), SRC, Schedule(50, 1.3, 2000), 1)
+
+
+class TestRunArrays:
+    """Each iteration's LikelihoodData holds views of arrays the run grows."""
+
+    @staticmethod
+    def run_datas(monkeypatch, protocol, seed=3):
+        from tomosim import simulator
+        datas = []
+
+        def keep(data, opts=None, logliks=None):
+            datas.append(data)
+            return mle_estimate(data, opts, logliks)
+
+        mle_estimate = simulator.mle_estimate
+        monkeypatch.setattr(simulator, "mle_estimate", keep)
+        rho = random_bures_mixed(2, np.random.default_rng(seed))
+        run_tomography(protocol, rho, SRC, Schedule(100, 1.25, 2 * 10 ** 4), seed)
+        return datas
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_arrays_equal_restacked_records_and_share_the_buffer(self, monkeypatch, protocol):
+        datas = self.run_datas(monkeypatch, protocol)
+        final = datas[-1].arrays()
+        for data in datas:
+            traces, bloch, times, counts = data.arrays()
+            live = [r for r in data.records if r.time > 0]
+            mats = np.array([r.element.matrix for r in live])
+            restacked = np.einsum("aji,kij->ka", quantum.STOKES[1:], mats).real
+            assert np.array_equal(traces, (mats[:, 0, 0] + mats[:, 1, 1]).real)
+            assert np.array_equal(bloch, restacked)
+            assert np.array_equal(times, [r.time for r in live])
+            assert np.array_equal(counts, [r.counts for r in live])
+            # The estimator's sums over them run in the order they ran over
+            # arrays stacked per call, so its estimates keep every bit.
+            r = np.array([0.3, -0.2, 0.1])
+            assert np.array_equal(bloch @ r, restacked @ r)
+            assert np.array_equal(times @ bloch, np.array(times) @ restacked)
+            for mine, run in zip((traces, bloch, times, counts), final):
+                assert np.shares_memory(mine, run)
+
+    def test_records_of_every_iteration_kept(self, monkeypatch):
+        datas = self.run_datas(monkeypatch, "rankp-b")
+        for prev, data in zip(datas, datas[1:]):
+            assert data.records[:len(prev.records)] == prev.records
+            assert len(data.records) > len(prev.records)
+            assert data.records[0].element.matrix.shape == (2, 2)
+
+    def test_extending_an_older_data_leaves_the_newer_one(self):
+        from tomosim.estimation import LikelihoodData, MeasurementRecord
+        h, v = PovmElement(projector(quantum.KET_H)), PovmElement(projector(quantum.KET_V))
+        first = LikelihoodData((MeasurementRecord(h, 1.0, 3),), 100.0)
+        newer = first.extended((MeasurementRecord(v, 2.0, 5),))
+        branch = first.extended((MeasurementRecord(v, 0.5, 7), MeasurementRecord(h, 0.0, 0)))
+        assert list(newer.arrays()[2]) == [1.0, 2.0]
+        assert list(newer.arrays()[3]) == [3.0, 5.0]
+        assert list(branch.arrays()[2]) == [1.0, 0.5]    # t = 0 records carry nothing
+        assert list(first.arrays()[3]) == [3.0]
+        assert len(branch.records) == 3
+        assert not np.shares_memory(newer.arrays()[2], branch.arrays()[2])
+        with pytest.raises(ValueError, match="normal float"):
+            first.extended((MeasurementRecord(v, 1e-320, 0),))
+
+    @pytest.mark.filterwarnings("ignore:mle_estimate. max_iter")
+    def test_n_det_matches_the_golden_campaigns(self, tmp_path):
+        # Every trace row's n_det of two five-protocol campaigns, as written
+        # before the run loop grew its arrays: the same plans and draws.
+        from tomosim.cli import main
+        golden = Path(__file__).parent / "data" / "ndet_golden.csv"
+        with open(golden) as fh:
+            expected = [row for row in csv.DictReader(ln for ln in fh if not ln.startswith("#"))]
+        got = []
+        for states in ("pure", "bures"):
+            out = tmp_path / states
+            assert main(["simulate", "--protocol", "random,eigen,rankp-nc,rankp-b,rankp-m",
+                         "--states", states, "--runs", "2", "--n-max", "1e4", "--seed", "7",
+                         "--workers", "1", "--out", str(out)]) == 0
+            for protocol in PROTOCOLS:
+                for run in range(2):
+                    with open(out / f"trace_{protocol}_{run:03d}.csv") as fh:
+                        got += [{"states": states, "protocol": protocol, "run_id": r["run_id"],
+                                 "iteration": r["iteration"], "n_det": r["n_det"]}
+                                for r in csv.DictReader(fh)]
+        assert got == expected
 
 
 def regularized_pure(rng):
