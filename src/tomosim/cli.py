@@ -112,6 +112,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.protocols:
             raise ValueError(f"no protocol given; expected a subset of {PROTOCOLS}")
         for i, p in enumerate(self.protocols):
@@ -144,8 +146,8 @@ def _true_state(cfg: CampaignConfig, run_idx: int) -> DensityMatrix:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, run_idx)))
         if cfg.states == "pure":
-            return random_pure_haar(2, rng)
-        return random_bures_mixed(2, rng)
+            return random_pure_haar(rng)
+        return random_bures_mixed(rng)
     return read_state_file(cfg.states)
 
 

@@ -15,8 +15,16 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
-from .quantum import STOKES, DensityMatrix, PovmElement, maximally_mixed
+from .quantum import (
+    EIGENVALUE_CLAMP,
+    STOKES,
+    DensityMatrix,
+    NotPositiveSemidefiniteError,
+    PovmElement,
+    hermitize,
+    maximally_mixed,
+    trace_norm,
+)
 
 # Modeled probabilities below this are clamped when they divide or sit
 # inside a log; keeps the fixed point finite when counts land on outcomes
@@ -262,7 +270,7 @@ def log_likelihood(data: LikelihoodData, rho: DensityMatrix) -> float:
 
 def _support_isqrt(g: np.ndarray):
     """Inverse square root of G on its support; returns (G^-1/2, support mask, U)."""
-    w, v = linalg.hermitian_eig(linalg.hermitize(g), tol=1e-8)
+    w, v = np.linalg.eigh(hermitize(g))
     support = w > _SUPPORT_RTOL * w[-1]
     s = np.zeros_like(w)
     s[support] = w[support] ** -0.5
@@ -311,7 +319,7 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     if not times.size:
         raise ValueError("need at least one record with positive time")
     if counts.sum() == 0:
-        rho0 = maximally_mixed(2)
+        rho0 = maximally_mixed()
         if logliks is not None:
             logliks.append(_loglik(_probabilities(_live_matrices(data), rho0.matrix),
                                    times, counts, data.intensity))
@@ -450,19 +458,16 @@ def _line_search(lik: _Likelihood, max_iter: int, logliks: list | None):
     """The Newton, fixed-point and gradient line search from the fully
     mixed state; returns (the last iterate, whether max_iter ran out)."""
     mats, times, counts = lik.mats, lik.times, lik.counts
-    dim = mats.shape[1]
-    g = linalg.hermitize(
-        lik.intensity * np.einsum("k,kij->ij", times, mats)
-    )
+    g = hermitize(lik.intensity * np.einsum("k,kij->ij", times, mats))
     g_isqrt, support, basis = _support_isqrt(g)
     if not support.all():
         _check_counts_on_support(mats, counts, basis, support)
 
     mats_pos = mats[lik.pos]
-    eye = np.eye(dim)
+    eye = np.eye(2)
 
     def evaluate(cand: np.ndarray, floor: float):
-        cand = linalg.hermitize(cand)
+        cand = hermitize(cand)
         # Clip to a strictly positive floor, not to zero: an exactly
         # rank-deficient iterate can never regain rank under the
         # congruence-style steps and would freeze on the boundary face.
@@ -478,7 +483,7 @@ def _line_search(lik: _Likelihood, max_iter: int, logliks: list | None):
         p_cand = _probabilities(mats, cand)
         return cand, p_cand, lik.loglik(p_cand)
 
-    rho = maximally_mixed(dim).matrix.copy()
+    rho = maximally_mixed().matrix.copy()
     p = _probabilities(mats, rho)
     ll = lik.loglik(p)
     if logliks is not None:
@@ -516,8 +521,8 @@ def _line_search(lik: _Likelihood, max_iter: int, logliks: list | None):
                 best = newton
 
         r_op = np.einsum("k,kij->ij", ratios, mats_pos)
-        a_op = linalg.hermitize(g_isqrt @ r_op @ g_isqrt)
-        grad = linalg.hermitize(r_op - g)
+        a_op = hermitize(g_isqrt @ r_op @ g_isqrt)
+        grad = hermitize(r_op - g)
         k_op = grad - np.einsum("ij,ji->", grad, rho).real * eye
         k_scale = float(np.max(np.abs(np.linalg.eigvalsh(k_op))))
         x_op = a_op @ rho @ a_op
@@ -558,7 +563,7 @@ def _line_search(lik: _Likelihood, max_iter: int, logliks: list | None):
             eps_start = max(eps, _DILUTION / 2 ** 10)
         cand, p, ll_new = accepted
         delta = cand - rho
-        change = linalg.trace_norm(delta)
+        change = trace_norm(delta)
 
         # Aitken-style extrapolation along the dominant slow mode: the
         # fixed-point map contracts linearly, so when successive steps
@@ -595,16 +600,16 @@ def _eigen_floor(rho: np.ndarray) -> float:
 
 def _clip_spectrum(rho: np.ndarray) -> np.ndarray:
     """Zero out round-off-negative eigenvalues and renormalize the trace."""
-    w, v = np.linalg.eigh(linalg.hermitize(rho))
+    w, v = np.linalg.eigh(hermitize(rho))
     if w[0] >= 0:
-        return linalg.hermitize(rho)
-    if w[0] < -linalg.EIGENVALUE_CLAMP:
-        raise linalg.NotPositiveSemidefiniteError(
+        return hermitize(rho)
+    if w[0] < -EIGENVALUE_CLAMP:
+        raise NotPositiveSemidefiniteError(
             f"MLE iterate has eigenvalue {w[0]:.3e}"
         )
     w = np.clip(w, 0.0, None)
     m = (v * w) @ v.conj().T
-    return linalg.hermitize(m / m.trace().real)
+    return hermitize(m / m.trace().real)
 
 
 def _check_counts_on_support(mats, counts, basis, support):
@@ -622,12 +627,11 @@ def _check_counts_on_support(mats, counts, basis, support):
 
 
 def regularize_full_rank(rho: DensityMatrix, delta: float) -> DensityMatrix:
-    """Mix with the fully mixed state: (1-delta) rho + delta eye/D.
+    """Mix with the fully mixed state: (1-delta) rho + delta eye/2.
 
-    Guarantees every eigenvalue is >= delta/D, which the rank-preserving
+    Guarantees every eigenvalue is >= delta/2, which the rank-preserving
     transformation needs before inverting the spectrum.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    d = rho.dim
-    return DensityMatrix((1.0 - delta) * rho.matrix + delta * np.eye(d) / d)
+    return DensityMatrix((1.0 - delta) * rho.matrix + delta * np.eye(2) / 2)

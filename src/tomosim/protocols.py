@@ -20,7 +20,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import linalg
 from .estimation import regularize_full_rank
 from .quantum import (
     INERT_WEIGHT,
@@ -28,11 +27,13 @@ from .quantum import (
     DensityMatrix,
     Povm,
     PovmElement,
+    as_square_complex,
     from_stokes,
     haar_unitary,
     maximally_mixed,
     projector,
     qubit_spectrum,
+    require_qubit,
     to_stokes,
 )
 
@@ -49,25 +50,25 @@ _ORTHO_TOL = 1e-8
 
 @dataclass(frozen=True)
 class TransformOperator:
-    """Operator lmap with lmap rho lmap^dag = eye/D for its source estimator
-    (which implies that lmap has full rank)."""
+    """Qubit operator lmap with lmap rho lmap^dag = eye/2 for its source
+    estimator (which implies that lmap has full rank). Unpickling rebuilds
+    it through the constructor, which checks and freezes lmap again."""
 
     lmap: np.ndarray
     source_estimator: DensityMatrix  # already regularized to full rank
 
     def __post_init__(self):
-        lm = linalg.as_square_complex(self.lmap)
-        d = lm.shape[0]
+        lm = as_square_complex(self.lmap)
+        require_qubit(lm.shape[0], "transform")
         mapped = lm @ self.source_estimator.matrix @ lm.conj().T
-        defect = np.max(np.abs(mapped - np.eye(d) / d))
+        defect = np.max(np.abs(mapped - np.eye(2) / 2))
         if defect > _MAP_TOL:
             raise ValueError(f"transform does not map estimator to eye/D: defect {defect:.3e}")
         lm.setflags(write=False)
         object.__setattr__(self, "lmap", lm)
 
-    @property
-    def dim(self) -> int:
-        return self.lmap.shape[0]
+    def __reduce__(self):
+        return TransformOperator, (self.lmap, self.source_estimator)
 
     @property
     def adjoint(self) -> np.ndarray:
@@ -108,10 +109,7 @@ class MeasurementPlan:
         seen = [i for g in groups for i in g]
         if sorted(seen) != list(range(len(measurements))):
             raise ValueError("groups must partition the measurement indices")
-        d = measurements[0].projector.dim if measurements else 0
         for g in groups:
-            if len(g) > d:
-                raise ValueError(f"group {g} larger than dimension {d}")
             for a, b in combinations(g, 2):
                 # Tr(Ma Mb) is the Frobenius product <Ma, Mb> of Hermitian Ma.
                 overlap = abs(np.vdot(measurements[a].projector.matrix,
@@ -121,10 +119,6 @@ class MeasurementPlan:
                                      f"(|Tr Ma Mb| = {overlap:.3e})")
         object.__setattr__(self, "measurements", measurements)
         object.__setattr__(self, "groups", groups)
-
-    @property
-    def dim(self) -> int:
-        return self.measurements[0].projector.dim
 
     def exposure_weight(self) -> float:
         """Total exposure per unit base time: one max-weight slot per group."""
@@ -184,7 +178,7 @@ def rank_preserving_map(rho_hat: DensityMatrix,
     The symmetric representative lmap = rho_reg^-1/2 / sqrt(2) of the family
     V rho_reg^-1/2 / sqrt(2) carries no net rotation, so every base element's
     image localizes toward the subspace orthogonal to the estimator as it
-    purifies. rho_hat is first mixed with eye/D (weight delta). For
+    purifies. rho_hat is first mixed with eye/2 (weight delta). For
     rho_reg = (1 + r.sigma)/2 it is sqrt(gamma) [c - (gamma / 2c) r.sigma],
     c = sqrt((gamma + 1)/2): the boost by minus half the rapidity of r.
     """
@@ -199,13 +193,13 @@ def rank_preserving_map(rho_hat: DensityMatrix,
 
 def transform_measurement(op: TransformOperator, element: PovmElement) -> PovmElement:
     """Conjugated element L M L^dag with L = lmap^dag: same rank, and
-    Tr(M_new rho_hat) = Tr(M)/D for the operator's source estimator."""
+    Tr(M_new rho_hat) = Tr(M)/2 for the operator's source estimator."""
     return PovmElement(from_stokes(_transfer(op.adjoint) @ to_stokes(element.matrix)))
 
 
 def apply_unitary_freedom(op: TransformOperator, v: np.ndarray) -> TransformOperator:
-    """Left-multiply the map by a unitary; eye/D is invariant under it."""
-    vm = linalg.as_square_complex(v)
+    """Left-multiply the map by a unitary; eye/2 is invariant under it."""
+    vm = as_square_complex(v)
     if np.max(np.abs(vm.conj().T @ vm - np.eye(vm.shape[0]))) > 1e-10:
         raise ValueError("V is not unitary within 1e-10")
     return TransformOperator(vm @ op.lmap, op.source_estimator)
@@ -253,7 +247,7 @@ def _eigen_frame(rho_hat: DensityMatrix) -> list[np.ndarray]:
     pins down the spectrum. A degenerate spectrum falls back to the
     computational basis.
     """
-    w, v = linalg.hermitian_eig(rho_hat.matrix)
+    w, v = np.linalg.eigh(rho_hat.matrix)
     if w[-1] - w[0] < 1e-12:
         u1, u2 = np.eye(2, dtype=complex)
     else:
@@ -277,14 +271,14 @@ def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
     rankp-m  -- minimally complemented set, singleton groups throughout.
     """
     if protocol == "random":
-        return _ket_plan(haar_unitary(2, rng).T, ((0, 1),))
+        return _ket_plan(haar_unitary(rng).T, ((0, 1),))
     if protocol == "eigen":
         return _ket_plan(_eigen_frame(rho_hat), ((0, 1), (2, 3), (4, 5)))
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     op = rank_preserving_map(rho_hat, delta)
     if random_v:
-        op = apply_unitary_freedom(op, haar_unitary(2, rng))
+        op = apply_unitary_freedom(op, haar_unitary(rng))
     vecs = _vectors(base.elements) @ _transfer(op.adjoint).T
     if protocol == "rankp-m":
         vecs = _minimal_completion(vecs)
@@ -295,20 +289,19 @@ def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
     return MeasurementPlan(_timed(vecs), tuple((i,) for i in range(len(vecs))))
 
 
-def initial_plan(protocol: str, base: Povm, dim: int,
+def initial_plan(protocol: str, base: Povm,
                  rng: np.random.Generator) -> MeasurementPlan:
     """Iteration-0 plan: the untransformed base set.
 
     RankP variants measure the base set with unit weights, grouping each
-    constituent orthonormal basis (consecutive runs of D elements) into
+    constituent orthonormal basis (consecutive pairs of elements) into
     one exposure. Eigen and Random start from their ordinary first basis.
     """
     if protocol in ("eigen", "random"):
-        return next_plan(protocol, maximally_mixed(dim), base, rng)
+        return next_plan(protocol, maximally_mixed(), base, rng)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     timed = _timed(_vectors(base.elements))
-    if len(timed) % dim != 0:
+    if len(timed) % 2 != 0:
         raise ValueError("base set must concatenate complete bases")
-    return MeasurementPlan(timed, tuple(tuple(range(i, i + dim))
-                                        for i in range(0, len(timed), dim)))
+    return MeasurementPlan(timed, tuple((i, i + 1) for i in range(0, len(timed), 2)))

@@ -1,8 +1,9 @@
-"""Quantum domain objects and primitives.
+"""Quantum domain objects and primitives of a qubit-only package.
 
 States, POVM elements/sets, the Born rule, fidelity and Bures metrics,
-the qubit mutually-unbiased-basis projector set, and random-state
-sampling (Haar-uniform pure states, Bures-ensemble mixed states).
+the qubit mutually-unbiased-basis projector set, random-state sampling
+(Haar-uniform pure states, Bures-ensemble mixed states), and the checks
+and tolerances of the 2x2 complex matrices they are built on.
 """
 
 from __future__ import annotations
@@ -13,11 +14,47 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
-
 TRACE_TOL = 1e-10
 # Elements with Tr M below this are treated as inert (unmeasurable).
 INERT_WEIGHT = 1e-12
+# Elementwise |A - A^dag| above this is treated as genuinely non-Hermitian.
+HERMITICITY_TOL = 1e-12
+# Eigenvalues in [-EIGENVALUE_CLAMP, 0] are round-off and get clamped to 0;
+# anything more negative is an error.
+EIGENVALUE_CLAMP = 1e-10
+
+
+class NonHermitianError(ValueError):
+    """Matrix fails the Hermiticity check beyond tolerance."""
+
+
+class NotPositiveSemidefiniteError(ValueError):
+    """Matrix has an eigenvalue below the round-off clamp."""
+
+
+def as_square_complex(a) -> np.ndarray:
+    """Coerce to a square complex128 array (copying if needed)."""
+    m = np.array(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def hermitize(a: np.ndarray) -> np.ndarray:
+    """Hermitian part (A + A^dag)/2; exact for already-Hermitian input."""
+    return (a + a.conj().T) / 2
+
+
+def trace_norm(a) -> float:
+    """Sum of singular values (= sum |eigenvalues| for Hermitian input)."""
+    s = np.linalg.svd(as_square_complex(a), compute_uv=False)
+    return float(s.sum())
+
+
+def require_qubit(dim: int, source) -> None:
+    """Reject a matrix, state or record stream that is not a qubit (D = 2)."""
+    if dim != 2:
+        raise ValueError(f"{source}: only qubits (D = 2) are supported, got D = {dim}")
 
 
 def qubit_spectrum(m: np.ndarray) -> tuple[float, float]:
@@ -29,31 +66,27 @@ def qubit_spectrum(m: np.ndarray) -> tuple[float, float]:
 
 
 def _hermitian_psd(a, what: str) -> tuple[np.ndarray, float]:
-    """a as a read-only complex matrix, checked Hermitian and PSD, and its trace.
-
-    A qubit's smallest eigenvalue is the closed form (S_0 - |s|)/2; larger
-    matrices, which only tests build, go through eigvalsh.
-    """
-    m = linalg.as_square_complex(a)
-    if m.shape[0] == 2:
-        (a00, a01), (a10, a11) = m.tolist()
-        defect = max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
-        trace, norm = qubit_spectrum(m)
-        lowest = (trace - norm) / 2
-    else:
-        defect = linalg.hermiticity_defect(m)
-        trace, lowest = float(m.trace().real), np.linalg.eigvalsh(m)[0]
-    if defect > linalg.HERMITICITY_TOL:
-        raise linalg.NonHermitianError(f"{what} not Hermitian: defect {defect:.3e}")
-    if lowest < -linalg.EIGENVALUE_CLAMP:
-        raise linalg.NotPositiveSemidefiniteError(f"{what} has eigenvalue {lowest:.3e}")
+    """a as a read-only 2x2 complex matrix, checked Hermitian and PSD, and
+    its trace; the smallest eigenvalue is the closed form (S_0 - |s|)/2."""
+    m = as_square_complex(a)
+    require_qubit(m.shape[0], what)
+    (a00, a01), (a10, a11) = m.tolist()
+    defect = max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
+    trace, norm = qubit_spectrum(m)
+    lowest = (trace - norm) / 2
+    if defect > HERMITICITY_TOL:
+        raise NonHermitianError(f"{what} not Hermitian: defect {defect:.3e}")
+    if lowest < -EIGENVALUE_CLAMP:
+        raise NotPositiveSemidefiniteError(f"{what} has eigenvalue {lowest:.3e}")
     m.setflags(write=False)
     return m, trace
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD operator. Immutable after construction."""
+    """Hermitian, unit-trace, PSD qubit operator. Immutable after
+    construction; unpickling rebuilds it through the constructor, which
+    checks and freezes the matrix again."""
 
     matrix: np.ndarray
 
@@ -62,6 +95,9 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
         object.__setattr__(self, "matrix", m)
+
+    def __reduce__(self):
+        return DensityMatrix, (self.matrix,)
 
     @property
     def dim(self) -> int:
@@ -75,13 +111,13 @@ class DensityMatrix:
         """det of a qubit state, rounded once from its exact value; computed
         on first use and kept, so a reference state scored against every
         estimate of a run is computed once."""
-        require_qubit(self.dim, "det")
         return _qubit_det(self.matrix)
 
 
 @dataclass(frozen=True, slots=True)
 class PovmElement:
-    """Hermitian PSD measurement operator; weight is its trace."""
+    """Hermitian PSD qubit measurement operator; weight is its trace.
+    Unpickling rebuilds it through the constructor, as DensityMatrix."""
 
     matrix: np.ndarray
     weight: float = field(init=False)  # derived: Tr(matrix)
@@ -90,6 +126,9 @@ class PovmElement:
         m, weight = _hermitian_psd(self.matrix, "POVM element")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "weight", weight)
+
+    def __reduce__(self):
+        return PovmElement, (self.matrix,)
 
     @property
     def dim(self) -> int:
@@ -102,7 +141,7 @@ class PovmElement:
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered set of measurement operators of one dimension."""
+    """Ordered set of qubit measurement operators."""
 
     elements: tuple[PovmElement, ...]
 
@@ -110,14 +149,7 @@ class Povm:
         elements = tuple(self.elements)
         if not elements:
             raise ValueError("POVM needs at least one element")
-        d = elements[0].dim
-        if any(e.dim != d for e in elements):
-            raise ValueError("POVM elements have mismatched dimensions")
         object.__setattr__(self, "elements", elements)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].dim
 
 
 def projector(vec) -> np.ndarray:
@@ -132,23 +164,13 @@ def pure_state(vec) -> DensityMatrix:
     v = v / np.linalg.norm(v)
     # The outer product leaves ~1e-18 imaginary parts on the diagonal and
     # off-diagonals that are not exact conjugates.
-    return DensityMatrix(linalg.hermitize(projector(v)))
+    return DensityMatrix(hermitize(projector(v)))
 
 
 def born_probability(element: PovmElement, rho: DensityMatrix) -> float:
     """Outcome probability Tr(M rho), clamped to [0, Tr M]."""
-    if element.dim != rho.dim:
-        raise ValueError(
-            f"dimension mismatch: element {element.dim}, state {rho.dim}"
-        )
     p = float((element.matrix @ rho.matrix).trace().real)
     return min(max(p, 0.0), element.weight)
-
-
-def require_qubit(dim: int, source) -> None:
-    """Reject a state or record stream that is not a qubit (D = 2)."""
-    if dim != 2:
-        raise ValueError(f"{source}: only qubits (D = 2) are supported, got D = {dim}")
 
 
 # Stokes basis (1, sigma_x, sigma_y, sigma_z): a qubit operator is
@@ -191,8 +213,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     to Tr^2 sqrt(sqrt(rho) sigma sqrt(rho)) for 2x2 PSD matrices. Equal
     states give exactly 1.
     """
-    require_qubit(rho.dim, "fidelity")
-    require_qubit(sigma.dim, "fidelity")
     if np.array_equal(rho.matrix, sigma.matrix):
         return 1.0
     overlap = float(np.einsum("ij,ji->", rho.matrix, sigma.matrix).real)
@@ -234,37 +254,30 @@ def _complex_gaussians(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * _SQ2
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
-    q, r = np.linalg.qr(_complex_gaussians(rng, (dim, dim)))
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed 2x2 unitary via QR of a Ginibre matrix with phase fix."""
+    q, r = np.linalg.qr(_complex_gaussians(rng, (2, 2)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
-def random_pure_haar(dim: int, rng: np.random.Generator) -> DensityMatrix:
+def random_pure_haar(rng: np.random.Generator) -> DensityMatrix:
     """Rank-1 state |psi><psi| with psi uniform under the Haar measure."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    v = _complex_gaussians(rng, dim)
-    return pure_state(v)
+    return pure_state(_complex_gaussians(rng, 2))
 
 
-def random_bures_mixed(dim: int, rng: np.random.Generator) -> DensityMatrix:
+def random_bures_mixed(rng: np.random.Generator) -> DensityMatrix:
     """Mixed state drawn from the Bures ensemble.
 
     Uses the standard construction rho = (1+W) G G^dag (1+W)^dag / norm
     with G a square Ginibre matrix and W Haar-unitary.
     """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    g = _complex_gaussians(rng, (dim, dim))
-    a = (np.eye(dim) + haar_unitary(dim, rng)) @ g
-    m = linalg.hermitize(a @ a.conj().T)
+    g = _complex_gaussians(rng, (2, 2))
+    a = (np.eye(2) + haar_unitary(rng)) @ g
+    m = hermitize(a @ a.conj().T)
     return DensityMatrix(m / m.trace().real)
 
 
-def maximally_mixed(dim: int) -> DensityMatrix:
-    """The fully mixed state eye(D)/D."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
+def maximally_mixed() -> DensityMatrix:
+    """The fully mixed state eye(2)/2."""
+    return DensityMatrix(np.eye(2, dtype=complex) / 2)

@@ -131,7 +131,6 @@ def sample_counts(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceMod
     """
     if base_time <= 0:
         raise ValueError("base_time must be positive")
-    require_qubit(rho_true.dim, "true state")
     order = [i for g in plan.groups for i in g]
     ms = [plan.measurements[i] for i in order]
     # Born rule as born_probability computes it, Re Tr(M rho) of the product.
@@ -183,15 +182,13 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     sampled records and re-estimates. Stops once cumulative N_emit
     reaches the schedule's n_max. Fully deterministic for a fixed seed.
     """
-    require_qubit(rho_true.dim, "true state")
     rng = np.random.default_rng(seed)
     base = mub_qubit()
-    dim = rho_true.dim
 
     records: list[GroupedRecord] = []
     data = None
     rows = []
-    rho_hat = maximally_mixed(dim)
+    rho_hat = maximally_mixed()
     n_emit = 0.0
     n_det = 0
     budget = float(sched.initial_budget)
@@ -200,7 +197,7 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
 
     while True:
         if iteration == 0:
-            plan = initial_plan(protocol, base, dim, rng)
+            plan = initial_plan(protocol, base, rng)
         else:
             plan = next_plan(protocol, rho_hat, base, rng,
                              delta=delta, random_v=random_v)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from tomosim.linalg import as_square_complex
+from tomosim.quantum import as_square_complex
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ def main(out: Path) -> None:
     for k, name in enumerate(stream_names()):
         _, protocol, family = Path(name).stem.split("_")
         rng = np.random.default_rng(1000 + k)
-        rho = FAMILIES[family](2, rng)
+        rho = FAMILIES[family](rng)
         _, records = run_tomography(protocol, rho, SourceModel(INTENSITY),
                                     SCHEDULE, 2000 + k)
         write_records(out / name, records, INTENSITY)

@@ -138,8 +138,8 @@ def test_criterion_4_transformation_exactness():
     worst_prob = 0.0
     ranks_ok = True
     for _ in range(1000):
-        rho = random_pure_haar(2, rng) if rng.uniform() < 0.5 \
-            else random_bures_mixed(2, rng)
+        rho = random_pure_haar(rng) if rng.uniform() < 0.5 \
+            else random_bures_mixed(rng)
         op = rank_preserving_map(rho, 1e-4)
         mapped = op.lmap @ op.source_estimator.matrix @ op.lmap.conj().T
         worst_map = max(worst_map, float(np.max(np.abs(mapped - np.eye(2) / 2))))
@@ -161,8 +161,8 @@ def test_criterion_5_completion_exactness():
     worst_m = 0.0
     worst_b = 0.0
     for _ in range(1000):
-        rho = random_pure_haar(2, rng) if rng.uniform() < 0.5 \
-            else random_bures_mixed(2, rng)
+        rho = random_pure_haar(rng) if rng.uniform() < 0.5 \
+            else random_bures_mixed(rng)
         op = rank_preserving_map(rho, 1e-4)
         transformed = [transform_measurement(op, e) for e in mub.elements]
         scaled, extra = complement_minimal(transformed)
@@ -184,7 +184,7 @@ def test_criterion_6_mle_suite():
 
     monotone_ok = True
     for _ in range(100):
-        rho = random_bures_mixed(2, rng)
+        rho = random_bures_mixed(rng)
         recs = [MeasurementRecord(e, 1.0, int(rng.poisson(
             1500.0 * born_probability(e, rho)))) for e in mub.elements]
         lls = []
@@ -193,7 +193,7 @@ def test_criterion_6_mle_suite():
 
     worst_fid = 1.0
     for _ in range(100):
-        rho = regularize_full_rank(random_bures_mixed(2, rng), 0.02)
+        rho = regularize_full_rank(random_bures_mixed(rng), 0.02)
         recs = [MeasurementRecord(e, 1.0, int(round(
             10 ** 7 * born_probability(e, rho)))) for e in mub.elements]
         est = mle_estimate(LikelihoodData(tuple(recs), 10 ** 7.0))

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomosim.cli import (
+    CampaignConfig,
     main,
     read_curve_file,
     read_state_file,
     read_trace_file,
+    run_campaign,
     write_curve_file,
     write_state_file,
     write_trace_file,
@@ -157,6 +159,23 @@ class TestSimulateCommand:
             main(simulate_args(tmp_path, n_max="inf"))
         assert exc.value.code == 2
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        rc = main(simulate_args(tmp_path / "sim", seed=-1))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tomosim: ") and "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "sim").exists()
+
+    def test_worker_records_come_back_frozen(self, tmp_path):
+        # Records a worker process returns arrive pickled.
+        cfg = CampaignConfig(protocols=("eigen",), states="bures", runs=2, seed=3,
+                             schedule=Schedule(50, 1.3, 500), out_dir=tmp_path)
+        streams = []
+        run_campaign(cfg, workers=2, on_run=lambda p, trace, recs: streams.append(recs))
+        assert len(streams) == 2
+        rec = streams[0][0].record
+        assert not rec.element.matrix.flags.writeable
+
     def test_missing_state_file_fails(self, tmp_path, capsys):
         rc = main(["simulate", "--states", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path)])
@@ -166,8 +185,8 @@ class TestSimulateCommand:
 
 class TestQubitsOnly:
     def test_qutrit_state_and_record_files_fail(self, tmp_path, capsys):
-        state = tmp_path / "qutrit.txt"
-        write_state_file(state, maximally_mixed(3))
+        state = tmp_path / "qutrit.txt"  # eye(3)/3: a line 3, then 18 reals
+        state.write_text("3\n" + ",".join(f"{x:.17g},0" for x in np.eye(3).ravel() / 3) + "\n")
         records = tmp_path / "qutrit.csv"  # one record: projector |0><0|, 5 counts
         records.write_text("3,1000\n0,1," + ",".join(["0"] * 17) + ",1,5\n")
         for argv in (["simulate", "--protocol", "eigen", "--states", str(state),
@@ -181,7 +200,7 @@ class TestQubitsOnly:
 
 class TestTraceFileRoundTrip:
     def test_round_trip_identity(self, tmp_path):
-        tr, _ = run_tomography("rankp-b", maximally_mixed(2), SourceModel(500.0),
+        tr, _ = run_tomography("rankp-b", maximally_mixed(), SourceModel(500.0),
                                Schedule(80, 1.4, 2000), 9)
         tf = replace(tr, run_id=3, seed=42)
         p = tmp_path / "t.csv"
@@ -230,7 +249,7 @@ class TestCurveFileRoundTrip:
 
 class TestStateFileRoundTrip:
     def test_round_trip(self, tmp_path):
-        rho = random_bures_mixed(2, np.random.default_rng(8))
+        rho = random_bures_mixed(np.random.default_rng(8))
         p = tmp_path / "s.txt"
         write_state_file(p, rho)
         back = read_state_file(p)
@@ -284,7 +303,7 @@ class TestAnalyzeCommand:
 class TestReplayCommand:
     def make_records(self, tmp_path, n_runs=1, n_max=3 * 10 ** 4):
         paths = []
-        rho = random_bures_mixed(2, np.random.default_rng(14))
+        rho = random_bures_mixed(np.random.default_rng(14))
         for i in range(n_runs):
             _, records = run_tomography("eigen", rho, SourceModel(1000.0),
                                         Schedule(100, 1.25, n_max), 100 + i)

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tomosim import linalg, quantum
+from tomosim import quantum
 from tomosim.estimation import (
     LikelihoodData,
     MeasurementRecord,
@@ -61,6 +62,12 @@ class TestRecordTypes:
         with pytest.raises(ValueError):
             LikelihoodData((MeasurementRecord(H_PROJ, 1.0, 1),), 0.0)
 
+    def test_pickle_rebuilds_frozen_element(self):
+        rec = pickle.loads(pickle.dumps(MeasurementRecord(H_PROJ, 1.5, 3)))
+        assert (rec.time, rec.counts) == (1.5, 3)
+        assert np.array_equal(rec.element.matrix, H_PROJ.matrix)
+        assert not rec.element.matrix.flags.writeable
+
 
 class TestLogLikelihood:
     def test_zero_probability_zero_counts(self):
@@ -70,11 +77,11 @@ class TestLogLikelihood:
     def test_single_record_value(self):
         # 5*ln(10 * 0.5 * 1) - 10*0.5*1 = 5 ln 5 - 5, frozen by direct arithmetic
         data = LikelihoodData((MeasurementRecord(H_PROJ, 1.0, 5),), 10.0)
-        assert log_likelihood(data, maximally_mixed(2)) == pytest.approx(
+        assert log_likelihood(data, maximally_mixed()) == pytest.approx(
             3.0471895621705016, abs=1e-12)
 
     def test_duplicate_records_double_the_sum(self, rng):
-        rho = random_bures_mixed(2, rng)
+        rho = random_bures_mixed(rng)
         recs = []
         for i, e in enumerate(mub_qubit().elements):
             recs.append(MeasurementRecord(e, 0.5 + 0.25 * i, 3 + 2 * i))
@@ -104,7 +111,7 @@ class TestLogLikelihood:
         padded = LikelihoodData(
             (MeasurementRecord(H_PROJ, 1.0, 5), MeasurementRecord(V_PROJ, 0.0, 0)),
             10.0)
-        rho = maximally_mixed(2)
+        rho = maximally_mixed()
         assert log_likelihood(padded, rho) == log_likelihood(base, rho)
 
 
@@ -121,7 +128,7 @@ class TestMleEstimate:
         assert abs(est.matrix[0, 1]) <= 1e-6
 
     def test_noiseless_mixed_state_is_fixed_point(self):
-        est = mle_estimate(mub_records(maximally_mixed(2), 1000.0))
+        est = mle_estimate(mub_records(maximally_mixed(), 1000.0))
         assert np.max(np.abs(est.matrix - np.eye(2) / 2)) <= 1e-4
 
     def test_noiseless_pure_state_consistency(self):
@@ -137,7 +144,7 @@ class TestMleEstimate:
 
     def test_monotone_ascent(self, rng):
         for _ in range(100):
-            rho = random_bures_mixed(2, rng)
+            rho = random_bures_mixed(rng)
             recs = []
             for e in mub_qubit().elements:
                 mean = 2000.0 * born_probability(e, rho)
@@ -149,7 +156,7 @@ class TestMleEstimate:
             assert np.all(diffs >= -1e-9)
 
     def test_estimate_validity(self, rng):
-        rho = random_bures_mixed(2, rng)
+        rho = random_bures_mixed(rng)
         recs = []
         for e in mub_qubit().elements:
             recs.append(MeasurementRecord(
@@ -161,13 +168,13 @@ class TestMleEstimate:
     def test_noiseless_consistency_sweep(self, rng):
         # full-rank true states, exact expected counts, large sample
         for _ in range(100):
-            rho = regularize_full_rank(random_bures_mixed(2, rng), 0.05)
+            rho = regularize_full_rank(random_bures_mixed(rng), 0.05)
             est = mle_estimate(mub_records(rho, 10 ** 7))
             assert fidelity(est, rho) >= 1 - 1e-6
 
     def test_beats_truth_on_sampled_data(self, rng):
         for _ in range(100):
-            rho = random_bures_mixed(2, rng)
+            rho = random_bures_mixed(rng)
             recs = []
             for e in mub_qubit().elements:
                 mean = 300.0 * born_probability(e, rho)
@@ -204,7 +211,7 @@ class TestMleEstimate:
     def sampled_mub_data():
         """MUB counts of a Bures state at t = 1, I = 1000, and their optimum."""
         rng = np.random.default_rng(2)
-        rho = random_bures_mixed(2, rng)
+        rho = random_bures_mixed(rng)
         elements = mub_qubit().elements
         counts = [int(rng.poisson(1000.0 * born_probability(e, rho))) for e in elements]
         data = LikelihoodData(tuple(
@@ -288,7 +295,7 @@ def datasets(draw):
     """Poisson counts of a pure or Bures-mixed qubit on the MUB set, with
     the generator that made them."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rho = (random_pure_haar if draw(st.booleans()) else random_bures_mixed)(2, rng)
+    rho = (random_pure_haar if draw(st.booleans()) else random_bures_mixed)(rng)
     t = 10.0 ** rng.uniform(-1, 1)
     recs = tuple(MeasurementRecord(e, t, int(rng.poisson(1000.0 * born_probability(e, rho) * t)))
                  for e in mub_qubit().elements)
@@ -303,12 +310,12 @@ def assert_same_optimum(data, est):
 @given(datasets())
 def test_mle_unitarily_covariant(case):
     data, rng = case
-    u = haar_unitary(2, rng)
+    u = haar_unitary(rng)
     rotated = LikelihoodData(tuple(
-        MeasurementRecord(PovmElement(linalg.hermitize(u @ r.element.matrix @ u.conj().T)),
+        MeasurementRecord(PovmElement(quantum.hermitize(u @ r.element.matrix @ u.conj().T)),
                           r.time, r.counts) for r in data.records), data.intensity)
     est = mle_estimate(rotated).matrix
-    assert_same_optimum(data, DensityMatrix(linalg.hermitize(u.conj().T @ est @ u)))
+    assert_same_optimum(data, DensityMatrix(quantum.hermitize(u.conj().T @ est @ u)))
 
 
 @PROPERTY_SETTINGS
@@ -334,14 +341,14 @@ def test_mle_invariant_under_record_split(case, share):
 
 def haar_projectors(rng):
     """3 to 8 projectors onto Haar-random pure states."""
-    return [PovmElement(random_pure_haar(2, rng).matrix) for _ in range(rng.integers(3, 9))]
+    return [PovmElement(random_pure_haar(rng).matrix) for _ in range(rng.integers(3, 9))]
 
 
 def bures_records(elements, seed):
     """Poisson counts of a Bures-mixed state at I = 1000 on elements(rng),
     each record held for its own time, all drawn from default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    rho = random_bures_mixed(2, rng)
+    rho = random_bures_mixed(rng)
     recs = []
     for e in elements(rng):
         t = 10.0 ** rng.uniform(-1, 1)
@@ -381,7 +388,7 @@ def test_mle_reaches_boundary_optimum_of_haar_data():
 
 class TestRegularizeFullRank:
     def test_mixed_state_unchanged(self):
-        rho = maximally_mixed(2)
+        rho = maximally_mixed()
         assert np.allclose(regularize_full_rank(rho, 0.01).matrix, rho.matrix)
 
     def test_pure_state_arithmetic(self):
@@ -390,12 +397,12 @@ class TestRegularizeFullRank:
 
     def test_eigenvalue_floor(self, rng):
         for _ in range(50):
-            rho = quantum.random_pure_haar(2, rng)
+            rho = quantum.random_pure_haar(rng)
             reg = regularize_full_rank(rho, 1e-4)
             assert np.linalg.eigvalsh(reg.matrix)[0] >= 5e-5 - 1e-15
 
     def test_delta_range_checked(self):
         with pytest.raises(ValueError):
-            regularize_full_rank(maximally_mixed(2), 0.0)
+            regularize_full_rank(maximally_mixed(), 0.0)
         with pytest.raises(ValueError):
-            regularize_full_rank(maximally_mixed(2), 1.0)
+            regularize_full_rank(maximally_mixed(), 1.0)

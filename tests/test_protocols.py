@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ def bloch(mat):
 
 class TestRankPreservingMap:
     def test_mixed_estimator_gives_identity(self):
-        op = rank_preserving_map(maximally_mixed(2), 1e-4)
+        op = rank_preserving_map(maximally_mixed(), 1e-4)
         assert np.max(np.abs(op.lmap - np.eye(2))) <= 1e-9
 
     def test_diagonal_estimator(self):
@@ -54,7 +56,7 @@ class TestRankPreservingMap:
         assert np.max(np.abs(op.lmap - expected)) <= 1e-5
 
     def test_rotated_estimator(self, rng):
-        w = haar_unitary(2, rng)
+        w = haar_unitary(rng)
         rho = DensityMatrix(w @ np.diag([0.7, 0.3]) @ w.conj().T)
         op = rank_preserving_map(rho, 1e-12)
         mapped = op.lmap @ op.source_estimator.matrix @ op.lmap.conj().T
@@ -62,7 +64,7 @@ class TestRankPreservingMap:
 
     def test_invariant_sweep(self, rng):
         for _ in range(200):
-            rho = regularize_full_rank(random_pure_haar(2, rng), 1e-4)
+            rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
             op = rank_preserving_map(rho, 1e-4)
             mapped = op.lmap @ op.source_estimator.matrix @ op.lmap.conj().T
             assert np.max(np.abs(mapped - np.eye(2) / 2)) <= 1e-9
@@ -71,7 +73,7 @@ class TestRankPreservingMap:
 
 class TestTransformMeasurement:
     def test_identity_op_keeps_element(self):
-        op = rank_preserving_map(maximally_mixed(2), 1e-4)
+        op = rank_preserving_map(maximally_mixed(), 1e-4)
         m = MUB.elements[2]
         out = transform_measurement(op, m)
         assert np.max(np.abs(out.matrix - m.matrix)) <= 1e-8
@@ -90,9 +92,9 @@ class TestTransformMeasurement:
 
     def test_trace_rule_and_rank_sweep(self, rng):
         for _ in range(100):
-            rho = regularize_full_rank(random_pure_haar(2, rng), 1e-4)
+            rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
             op = rank_preserving_map(rho, 1e-4)
-            m = PovmElement(projector(haar_unitary(2, rng)[:, 0]))
+            m = PovmElement(projector(haar_unitary(rng)[:, 0]))
             out = transform_measurement(op, m)
             got = np.trace(out.matrix @ op.source_estimator.matrix).real
             assert got == pytest.approx(m.weight / 2, abs=1e-9)
@@ -104,7 +106,7 @@ class TestTransformMeasurement:
         # gamma Lambda(r): the boost with velocity r of the regularized
         # estimator, scaled by gamma = 1/sqrt(1 - r^2).
         for _ in range(50):
-            op = rank_preserving_map(random_pure_haar(2, rng), 1e-4)
+            op = rank_preserving_map(random_pure_haar(rng), 1e-4)
             r = bloch(op.source_estimator.matrix)
             gamma = 1.0 / np.sqrt(1.0 - r @ r)
             boost = np.block([[np.array([[gamma]]), -gamma * r[None, :]],
@@ -126,24 +128,24 @@ class TestUnitaryFreedom:
         rho = DensityMatrix(np.diag([0.8, 0.2]))
         op = rank_preserving_map(rho, 1e-6)
         for _ in range(20):
-            out = apply_unitary_freedom(op, haar_unitary(2, rng))
+            out = apply_unitary_freedom(op, haar_unitary(rng))
             mapped = out.lmap @ out.source_estimator.matrix @ out.lmap.conj().T
             assert np.max(np.abs(mapped - np.eye(2) / 2)) <= 1e-9
 
     def test_probabilities_on_estimator_invariant(self, rng):
-        rho = regularize_full_rank(random_pure_haar(2, rng), 1e-4)
+        rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         op = rank_preserving_map(rho, 1e-4)
         for m in MUB.elements:
             base = transform_measurement(op, m)
             rotated = transform_measurement(
-                apply_unitary_freedom(op, haar_unitary(2, rng)), m)
+                apply_unitary_freedom(op, haar_unitary(rng)), m)
             p0 = np.trace(base.matrix @ op.source_estimator.matrix).real
             p1 = np.trace(rotated.matrix @ op.source_estimator.matrix).real
             assert p1 == pytest.approx(p0, abs=1e-9)
             assert p1 == pytest.approx(m.weight / 2, abs=1e-9)
 
     def test_rejects_non_unitary(self):
-        op = rank_preserving_map(maximally_mixed(2), 1e-4)
+        op = rank_preserving_map(maximally_mixed(), 1e-4)
         with pytest.raises(ValueError, match="unitary"):
             apply_unitary_freedom(op, np.diag([1.0, 2.0]))
 
@@ -181,7 +183,7 @@ class TestComplementToBasis:
 
     def test_orthonormal_completion_sweep(self, rng):
         for _ in range(100):
-            v = haar_unitary(2, rng)[:, 0]
+            v = haar_unitary(rng)[:, 0]
             m = TimedMeasurement(PovmElement(projector(v)), 1.0)
             plan = complement_to_basis(m)
             total = sum(t.projector.matrix for t in plan.measurements)
@@ -214,7 +216,7 @@ class TestComplementMinimal:
 
     def test_transformed_set_completeness_sweep(self, rng):
         for _ in range(100):
-            rho = regularize_full_rank(random_pure_haar(2, rng), 1e-3)
+            rho = regularize_full_rank(random_pure_haar(rng), 1e-3)
             op = rank_preserving_map(rho, 1e-3)
             transformed = [transform_measurement(op, e) for e in MUB.elements]
             scaled, extra = complement_minimal(transformed)
@@ -231,7 +233,7 @@ class TestNextPlan:
         assert np.max(np.abs(sorted_diag(first) - np.eye(2))) <= 1e-12
 
     def test_eigen_frame_is_estimator_aligned_mub(self, rng):
-        rho = regularize_full_rank(random_pure_haar(2, rng), 1e-2)
+        rho = regularize_full_rank(random_pure_haar(rng), 1e-2)
         plan = next_plan("eigen", rho, MUB, rng)
         assert len(plan.groups) == 3
         for g in plan.groups:
@@ -244,8 +246,8 @@ class TestNextPlan:
         assert np.allclose(probs, np.linalg.eigvalsh(rho.matrix), atol=1e-9)
 
     def test_random_plan_is_fresh_basis(self, rng):
-        p1 = next_plan("random", maximally_mixed(2), MUB, rng)
-        p2 = next_plan("random", maximally_mixed(2), MUB, rng)
+        p1 = next_plan("random", maximally_mixed(), MUB, rng)
+        p2 = next_plan("random", maximally_mixed(), MUB, rng)
         assert len(p1.groups) == 1
         total = sum(t.projector.matrix for t in p1.measurements)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-9
@@ -253,7 +255,7 @@ class TestNextPlan:
                              - p2.measurements[0].projector.matrix)) > 1e-3
 
     def test_rankp_nc_mixed_estimator_recovers_mub(self, rng):
-        plan = next_plan("rankp-nc", maximally_mixed(2), MUB, rng, delta=1e-4)
+        plan = next_plan("rankp-nc", maximally_mixed(), MUB, rng, delta=1e-4)
         assert len(plan.measurements) == 6
         assert plan.groups == tuple((i,) for i in range(6))
         for timed, base in zip(plan.measurements, MUB.elements):
@@ -263,7 +265,7 @@ class TestNextPlan:
     def test_rankp_time_weight_probability_rule(self, rng):
         # Tr(projector rho_reg) * time_weight = 1/D for every transformed
         # element; in a rankp-b plan that is the first member of each group
-        rho = regularize_full_rank(random_pure_haar(2, rng), 1e-4)
+        rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         reg = regularize_full_rank(rho, 1e-4)
 
         plan_nc = next_plan("rankp-nc", rho, MUB, rng, delta=1e-4)
@@ -280,7 +282,7 @@ class TestNextPlan:
             assert p * t.time_weight == pytest.approx(0.5, abs=1e-9)
 
     def test_rankp_b_groups_sum_to_identity(self, rng):
-        rho = regularize_full_rank(random_pure_haar(2, rng), 1e-4)
+        rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         plan = next_plan("rankp-b", rho, MUB, rng)
         assert len(plan.groups) == 6
         for g in plan.groups:
@@ -292,7 +294,7 @@ class TestNextPlan:
 
     def test_rankp_m_global_decomposition(self, rng):
         for _ in range(50):
-            rho = regularize_full_rank(random_pure_haar(2, rng), 1e-3)
+            rho = regularize_full_rank(random_pure_haar(rng), 1e-3)
             plan = next_plan("rankp-m", rho, MUB, rng)
             total = sum(t.projector.matrix * t.time_weight
                         for t in plan.measurements)
@@ -303,7 +305,7 @@ class TestNextPlan:
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
 
     def test_transformed_projectors_rank_one(self, rng):
-        rho = regularize_full_rank(random_pure_haar(2, rng), 1e-4)
+        rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         for proto in ("rankp-nc", "rankp-b", "rankp-m"):
             plan = next_plan(proto, rho, MUB, rng)
             for t in plan.measurements:
@@ -311,7 +313,7 @@ class TestNextPlan:
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
-            next_plan("bogus", maximally_mixed(2), MUB, np.random.default_rng(0))
+            next_plan("bogus", maximally_mixed(), MUB, np.random.default_rng(0))
 
     def test_rankp_nc_localization_on_purifying_trace(self, rng):
         # as the estimator purity grows toward a fixed pure state, the total
@@ -319,7 +321,7 @@ class TestNextPlan:
         # drifts toward the state orthogonal to the estimator (overlap
         # Tr(M rho_hat) -> 0; in Bloch terms the signed projection onto the
         # estimator axis sinks toward -1)
-        psi = random_pure_haar(2, rng)
+        psi = random_pure_haar(rng)
         max_overlaps = []
         totals = []
         for mix in (0.5, 0.2, 0.05, 0.01, 1e-3):
@@ -371,8 +373,8 @@ def test_rankp_plans_match_matrix_definition(protocol, random_v):
     # the matrix construction, in the same order and the same groups.
     rng = np.random.default_rng(31)
     for k in range(200):
-        rho = (random_pure_haar if k % 2 else quantum.random_bures_mixed)(2, rng)
-        v = haar_unitary(2, np.random.default_rng(k)) if random_v else np.eye(2)
+        rho = (random_pure_haar if k % 2 else quantum.random_bures_mixed)(rng)
+        v = haar_unitary(np.random.default_rng(k)) if random_v else np.eye(2)
         plan = next_plan(protocol, rho, MUB, np.random.default_rng(k), random_v=random_v)
         want, groups = definition_plan(protocol, rho, v)
         assert plan.groups == groups
@@ -391,20 +393,20 @@ def sorted_diag(mats):
 class TestInitialPlan:
     def test_rankp_initial_is_pair_grouped_mub(self, rng):
         for proto in ("rankp-nc", "rankp-b", "rankp-m"):
-            plan = initial_plan(proto, MUB, 2, rng)
+            plan = initial_plan(proto, MUB, rng)
             assert len(plan.measurements) == 6
             assert plan.groups == ((0, 1), (2, 3), (4, 5))
             assert all(t.time_weight == pytest.approx(1.0) for t in plan.measurements)
 
     def test_eigen_initial_is_computational_frame(self, rng):
-        plan = initial_plan("eigen", MUB, 2, rng)
+        plan = initial_plan("eigen", MUB, rng)
         first = plan.measurements[plan.groups[0][0]].projector.matrix
         assert np.max(np.abs(first - np.diag([1.0, 0.0]))) <= 1e-12
 
     def test_plan_exposure_weight(self, rng):
-        plan = initial_plan("rankp-nc", MUB, 2, rng)
+        plan = initial_plan("rankp-nc", MUB, rng)
         assert plan.exposure_weight() == pytest.approx(3.0)
-        plan_nc = next_plan("rankp-nc", maximally_mixed(2), MUB, rng)
+        plan_nc = next_plan("rankp-nc", maximally_mixed(), MUB, rng)
         assert plan_nc.exposure_weight() == pytest.approx(6.0, abs=1e-4)
 
 
@@ -423,3 +425,10 @@ class TestPlanValidation:
     def test_transform_operator_validates_mapping(self):
         with pytest.raises(ValueError, match="eye/D"):
             TransformOperator(np.eye(2), DensityMatrix(np.diag([0.9, 0.1])))
+
+    def test_pickle_rebuilds_frozen_transform(self):
+        op = rank_preserving_map(DensityMatrix(np.diag([0.8, 0.2])), 1e-4)
+        back = pickle.loads(pickle.dumps(op))
+        assert np.array_equal(back.lmap, op.lmap)
+        assert not back.lmap.flags.writeable
+        assert not back.source_estimator.matrix.flags.writeable

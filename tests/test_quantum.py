@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tomosim import linalg, quantum
+from tomosim import quantum
+from tomosim.protocols import TransformOperator
 from tomosim.quantum import (
     DensityMatrix,
     PovmElement,
@@ -22,7 +24,7 @@ from tomosim.quantum import (
     random_bures_mixed,
     random_pure_haar,
 )
-from conftest import numeric_rank
+from conftest import numeric_rank, random_hermitian
 
 RHO_H = pure_state(quantum.KET_H)
 EPS = np.finfo(float).eps
@@ -35,7 +37,7 @@ class TestTypes:
             DensityMatrix(np.diag([0.5, 0.6]))
 
     def test_density_matrix_validates_positivity(self):
-        with pytest.raises(linalg.NotPositiveSemidefiniteError):
+        with pytest.raises(quantum.NotPositiveSemidefiniteError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_povm_element_weight_is_trace(self):
@@ -47,9 +49,26 @@ class TestTypes:
         assert PovmElement(np.zeros((2, 2))).inert
 
     def test_matrices_are_frozen(self):
-        rho = maximally_mixed(2)
+        rho = maximally_mixed()
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+    def test_non_qubit_matrices_rejected(self):
+        for build in (DensityMatrix, PovmElement,
+                      lambda m: TransformOperator(m, maximally_mixed())):
+            with pytest.raises(ValueError, match=r"only qubits \(D = 2\)"):
+                build(np.eye(3) / 3)
+
+    def test_pickle_rebuilds_frozen_matrices(self):
+        for obj in (pure_state(quantum.KET_R), PovmElement(np.diag([0.25, 0.5]))):
+            back = pickle.loads(pickle.dumps(obj))
+            assert np.array_equal(back.matrix, obj.matrix)
+            assert not back.matrix.flags.writeable
+            # Unpickling runs the constructor's checks: a matrix swapped in
+            # behind the frozen dataclass does not survive the round trip.
+            object.__setattr__(obj, "matrix", np.diag([1.5, -0.5]))
+            with pytest.raises(quantum.NotPositiveSemidefiniteError):
+                pickle.loads(pickle.dumps(obj))
 
 
 class TestBornRule:
@@ -59,7 +78,7 @@ class TestBornRule:
 
     def test_projector_on_mixed(self):
         m = PovmElement(projector(quantum.KET_H))
-        assert born_probability(m, maximally_mixed(2)) == pytest.approx(0.5)
+        assert born_probability(m, maximally_mixed()) == pytest.approx(0.5)
 
     def test_diagonal_basis_overlap(self):
         # oracle: |<D|H>|^2 computed from the vectors directly
@@ -69,13 +88,15 @@ class TestBornRule:
         assert born_probability(m, RHO_H) == pytest.approx(oracle, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            born_probability(PovmElement(np.eye(3)), maximally_mixed(2))
+        # A non-qubit element is rejected when it is built, so it never
+        # meets a qubit state.
+        with pytest.raises(ValueError, match="only qubits"):
+            born_probability(PovmElement(np.eye(3)), maximally_mixed())
 
 
 class TestFidelityAndBures:
     def test_self_fidelity(self, rng):
-        rho = random_bures_mixed(2, rng)
+        rho = random_bures_mixed(rng)
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_pure_states(self):
@@ -83,13 +104,13 @@ class TestFidelityAndBures:
         assert bures_sq(RHO_H, RHO_V) == pytest.approx(2.0, abs=1e-9)
 
     def test_pure_vs_mixed(self):
-        assert fidelity(RHO_H, maximally_mixed(2)) == pytest.approx(0.5, abs=1e-10)
+        assert fidelity(RHO_H, maximally_mixed()) == pytest.approx(0.5, abs=1e-10)
         # plugging F = 0.5 into the distance formula: 2 - sqrt(2)
-        assert bures_sq(RHO_H, maximally_mixed(2)) == pytest.approx(
+        assert bures_sq(RHO_H, maximally_mixed()) == pytest.approx(
             0.5857864376269049, abs=1e-9)
 
     def test_bures_zero_for_identical(self, rng):
-        rho = random_bures_mixed(2, rng)
+        rho = random_bures_mixed(rng)
         assert bures_sq(rho, rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_pure_pure_equals_squared_overlap(self, rng):
@@ -104,23 +125,23 @@ class TestFidelityAndBures:
 
     def test_symmetry(self, rng):
         for _ in range(50):
-            a = random_bures_mixed(2, rng)
-            b = random_pure_haar(2, rng)
+            a = random_bures_mixed(rng)
+            b = random_pure_haar(rng)
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
 
     def test_equal_states_give_exactly_one(self, rng):
-        for rho in (random_bures_mixed(2, rng), random_pure_haar(2, rng)):
+        for rho in (random_bures_mixed(rng), random_pure_haar(rng)):
             assert fidelity(rho, DensityMatrix(rho.matrix.copy())) == 1.0
             assert bures_sq(rho, rho) == 0.0
 
     def test_rejects_non_qubits(self):
         with pytest.raises(ValueError, match="only qubits"):
-            fidelity(maximally_mixed(3), maximally_mixed(3))
+            fidelity(DensityMatrix(np.eye(3) / 3), DensityMatrix(np.eye(3) / 3))
 
     def test_det_is_the_exact_determinant_rounded_once(self, rng):
         # The reference: a*d - |b|^2 in Fractions, rounded once.
         for i in range(300):
-            rho = (random_bures_mixed if i % 2 else random_pure_haar)(2, rng)
+            rho = (random_bures_mixed if i % 2 else random_pure_haar)(rng)
             (a, b), (_, d) = (rho.matrix * (1e-150 if i % 7 == 0 else 1.0)).tolist()
             exact = (Fraction(a.real) * Fraction(d.real)
                      - Fraction(b.real) ** 2 - Fraction(b.imag) ** 2)
@@ -142,8 +163,8 @@ class TestFidelityAndBures:
 
         def state(kind):
             if kind == 0:
-                return random_bures_mixed(2, rng)
-            psi = random_pure_haar(2, rng)
+                return random_bures_mixed(rng)
+            psi = random_pure_haar(rng)
             if kind == 1:
                 return psi
             mix = 10.0 ** rng.uniform(-15, -3)
@@ -155,7 +176,7 @@ class TestFidelityAndBures:
 
     def test_small_distance_linearization(self, rng):
         # d_B^2 ~= 1 - F when d_B^2 << 1
-        base = random_bures_mixed(2, rng)
+        base = random_bures_mixed(rng)
         for scale in (1e-3, 1e-4):
             bumped = DensityMatrix(
                 (1 - scale) * base.matrix + scale * np.eye(2) / 2)
@@ -189,36 +210,36 @@ class TestMub:
 
 class TestHaarSampler:
     def test_sample_is_rank_one_unit_trace(self, rng):
-        rho = random_pure_haar(2, rng)
+        rho = random_pure_haar(rng)
         assert rho.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
         assert numeric_rank(rho.matrix, 1e-8) == 1
 
     def test_mean_overlap_is_half(self, rng):
-        vals = [random_pure_haar(2, rng).matrix[0, 0].real for _ in range(10 ** 4)]
+        vals = [random_pure_haar(rng).matrix[0, 0].real for _ in range(10 ** 4)]
         assert np.mean(vals) == pytest.approx(0.5, abs=0.02)
 
     def test_second_moment_matches_quadrature(self, rng):
         # overlap is uniform on [0,1]; E[x^2] = integral x^2 dx = 1/3,
         # frozen from numerical quadrature of the density
         oracle = 0.33333333333333337
-        vals = [random_pure_haar(2, rng).matrix[0, 0].real ** 2
+        vals = [random_pure_haar(rng).matrix[0, 0].real ** 2
                 for _ in range(10 ** 4)]
         assert np.mean(vals) == pytest.approx(oracle, abs=0.02)
 
     def test_overlap_uniformity_ks(self, rng):
-        vals = [random_pure_haar(2, rng).matrix[0, 0].real for _ in range(10 ** 4)]
+        vals = [random_pure_haar(rng).matrix[0, 0].real for _ in range(10 ** 4)]
         assert stats.kstest(vals, "uniform").pvalue > 0.01
 
     def test_haar_unitary_is_unitary(self, rng):
-        for dim in (2, 3):
-            u = haar_unitary(dim, rng)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-10
+        for _ in range(100):
+            u = haar_unitary(rng)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10
 
 
 class TestBuresSampler:
     def test_samples_are_valid_states(self, rng):
         for _ in range(100):
-            rho = random_bures_mixed(2, rng)
+            rho = random_bures_mixed(rng)
             assert rho.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
@@ -226,12 +247,12 @@ class TestBuresSampler:
         # eigenvalue distribution is unchanged under rho -> W rho W^dag
         n = 10 ** 4
         base = np.array([
-            np.linalg.eigvalsh(random_bures_mixed(2, rng).matrix)[0]
+            np.linalg.eigvalsh(random_bures_mixed(rng).matrix)[0]
             for _ in range(n)])
-        w = haar_unitary(2, np.random.default_rng(1))
+        w = haar_unitary(np.random.default_rng(1))
         rotated = np.array([
             np.linalg.eigvalsh(
-                w @ random_bures_mixed(2, rng).matrix @ w.conj().T)[0]
+                w @ random_bures_mixed(rng).matrix @ w.conj().T)[0]
             for _ in range(n)])
         ks = stats.ks_2samp(base, rotated).statistic
         assert ks < 0.05
@@ -250,31 +271,33 @@ class TestBuresSampler:
 
         orng = np.random.default_rng(987654321)
         oracle = np.mean([oracle_sample(orng) for _ in range(10 ** 4)])
-        ours = np.mean([random_bures_mixed(2, rng).purity() for _ in range(10 ** 4)])
+        ours = np.mean([random_bures_mixed(rng).purity() for _ in range(10 ** 4)])
         assert ours == pytest.approx(oracle, abs=0.01)
 
 
 class TestMaximallyMixed:
     def test_qubit(self):
-        assert np.allclose(maximally_mixed(2).matrix, np.diag([0.5, 0.5]))
+        assert np.allclose(maximally_mixed().matrix, np.diag([0.5, 0.5]))
 
     def test_qutrit(self):
-        assert np.allclose(maximally_mixed(3).matrix, np.eye(3) / 3)
+        # The qutrit's fully mixed state eye(3)/3 is a valid state of
+        # another dimension, rejected when it is built.
+        with pytest.raises(ValueError, match=r"only qubits \(D = 2\)"):
+            DensityMatrix(np.eye(3) / 3)
 
     def test_born_probability_is_one_over_d(self, rng):
-        for dim in (2, 3, 4):
-            u = haar_unitary(dim, rng)
+        for _ in range(10):
+            u = haar_unitary(rng)
             m = PovmElement(projector(u[:, 0]))
-            assert born_probability(m, maximally_mixed(dim)) == pytest.approx(
-                1.0 / dim, abs=1e-12)
+            assert born_probability(m, maximally_mixed()) == pytest.approx(0.5, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_born_probability_in_range(seed):
     r = np.random.default_rng(seed)
-    rho = random_bures_mixed(2, r)
-    m = PovmElement(projector(haar_unitary(2, r)[:, 0]) * float(r.uniform(0.1, 3.0)))
+    rho = random_bures_mixed(r)
+    m = PovmElement(projector(haar_unitary(r)[:, 0]) * float(r.uniform(0.1, 3.0)))
     p = born_probability(m, rho)
     assert 0.0 <= p <= m.weight
 
@@ -283,8 +306,8 @@ def test_born_probability_in_range(seed):
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_fidelity_bounds_property(seed):
     r = np.random.default_rng(seed)
-    a = random_bures_mixed(2, r)
-    b = random_pure_haar(2, r)
+    a = random_bures_mixed(r)
+    b = random_pure_haar(r)
     f = fidelity(a, b)
     assert 0.0 <= f <= 1.0
     assert 0.0 <= bures_sq(a, b) <= 2.0
@@ -294,7 +317,7 @@ def _qubit(low, high, theta, phi):
     """Hermitian 2x2 matrix with eigenvalues (low, high), up to round-off."""
     u = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
                   [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
-    return linalg.hermitize((u * [low, high]) @ u.conj().T)
+    return quantum.hermitize((u * [low, high]) @ u.conj().T)
 
 
 @settings(max_examples=300, deadline=None)
@@ -306,16 +329,47 @@ def test_qubit_psd_check_agrees_with_eigvalsh(low, high, theta, phi, skew):
     # of that threshold; the Hermiticity check likewise.
     m = _qubit(low, high, theta, phi)
     m[0, 1] += skew * (1 + 1j) * 1e-4    # up to 1.4e-12 away from Hermitian
-    herm = linalg.hermiticity_defect(m) <= linalg.HERMITICITY_TOL
-    assume(abs(linalg.hermiticity_defect(m) - linalg.HERMITICITY_TOL) > 1e-15)
+    defect = np.max(np.abs(m - m.conj().T))
+    herm = defect <= quantum.HERMITICITY_TOL
+    assume(abs(defect - quantum.HERMITICITY_TOL) > 1e-15)
     lowest = np.linalg.eigvalsh(m)[0]
-    assume(abs(lowest + linalg.EIGENVALUE_CLAMP) > 16 * EPS * max(high, 1.0))
+    assume(abs(lowest + quantum.EIGENVALUE_CLAMP) > 16 * EPS * max(high, 1.0))
     if not herm:
-        with pytest.raises(linalg.NonHermitianError):
+        with pytest.raises(quantum.NonHermitianError):
             PovmElement(m)
-    elif lowest < -linalg.EIGENVALUE_CLAMP:
-        with pytest.raises(linalg.NotPositiveSemidefiniteError, match="eigenvalue"):
+    elif lowest < -quantum.EIGENVALUE_CLAMP:
+        with pytest.raises(quantum.NotPositiveSemidefiniteError, match="eigenvalue"):
             PovmElement(m)
     else:
         e = PovmElement(m)
         assert e.weight == float(m.trace().real)
+
+
+class TestNumericRank:
+    def test_identity(self):
+        assert numeric_rank(np.eye(2), 1e-8) == 2
+
+    def test_projector(self):
+        assert numeric_rank(np.diag([1.0, 0.0]), 1e-8) == 1
+
+    def test_requires_positive_tol(self):
+        with pytest.raises(ValueError):
+            numeric_rank(np.eye(2), 0.0)
+
+    def test_congruence_preserves_rank(self, rng):
+        # L M L^dag keeps the rank of M whenever L is full rank
+        for _ in range(100):
+            dim = int(rng.integers(2, 5))
+            r = int(rng.integers(1, dim + 1))
+            vecs = rng.standard_normal((r, dim)) + 1j * rng.standard_normal((r, dim))
+            m = sum(np.outer(v, v.conj()) for v in vecs)
+            expected = numeric_rank(m, 1e-8)
+            lop = (rng.standard_normal((dim, dim))
+                   + 1j * rng.standard_normal((dim, dim)))
+            assert numeric_rank(lop, 1e-8) == dim  # generically full rank
+            assert numeric_rank(lop @ m @ lop.conj().T, 1e-8) == expected
+
+
+def test_trace_norm_hermitian(rng):
+    a = random_hermitian(rng, 3)
+    assert quantum.trace_norm(a) == pytest.approx(np.sum(np.abs(np.linalg.eigvalsh(a))))

@@ -55,14 +55,14 @@ class TestSampleCounts:
     def test_poisson_moments(self, rng):
         # I * p * t = 100
         plan = h_plan()
-        rho = maximally_mixed(2)
+        rho = maximally_mixed()
         draws = np.array([sample_counts(plan, rho, SRC, 0.2, rng)[0] for _ in range(10 ** 4)])
         assert 97 <= draws.mean() <= 103
         assert 90 <= draws.var() <= 110
 
     def test_group_total_is_poisson_sum(self, rng):
         # basis pair on the mixed state: the exposure total has mean I*t
-        rho = maximally_mixed(2)
+        rho = maximally_mixed()
         plan = MeasurementPlan(
             (h_measurement(), TimedMeasurement(PovmElement(projector(quantum.KET_V)), 1.0)),
             ((0, 1),))
@@ -84,8 +84,8 @@ class TestSampleCounts:
         src = SourceModel(1000.0, efficiency=0.8)
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            rho = random_bures_mixed(2, rng)
-            plan = next_plan(protocol, random_bures_mixed(2, rng), mub_qubit(), rng,
+            rho = random_bures_mixed(rng)
+            plan = next_plan(protocol, random_bures_mixed(rng), mub_qubit(), rng,
                              random_v=seed % 2 == 1)
             if seed % 3 == 0:  # groups listing their members out of index order
                 plan = MeasurementPlan(plan.measurements, tuple(g[::-1] for g in plan.groups[::-1]))
@@ -101,7 +101,7 @@ class TestSampleCounts:
 
     def test_rejects_non_positive_base_time(self, rng):
         with pytest.raises(ValueError, match="base_time"):
-            sample_counts(h_plan(), maximally_mixed(2), SRC, 0.0, rng)
+            sample_counts(h_plan(), maximally_mixed(), SRC, 0.0, rng)
 
 
 class TestEmittedCopies:
@@ -111,7 +111,7 @@ class TestEmittedCopies:
     def test_mub_pass_with_pair_grouping(self, rng):
         # 3 group exposures of unit duration at I = 100 emit 300 copies
         src = SourceModel(100.0)
-        plan = initial_plan("rankp-nc", mub_qubit(), 2, rng)
+        plan = initial_plan("rankp-nc", mub_qubit(), rng)
         assert plan.exposure_weight() == pytest.approx(3.0)
         assert emitted_copies(plan.exposure_weight() * 1.0, src) == pytest.approx(300.0)
 
@@ -140,7 +140,7 @@ class TestRunTomography:
 
     def test_mixed_state_convergence_sanity(self):
         # desk-scale version of the 9/(4N) sanity bound
-        rho = maximally_mixed(2)
+        rho = maximally_mixed()
         sched = Schedule(100, 1.25, 3 * 10 ** 4)
         bound = 10 * 9 / (4 * 3e4)
         ok = 0
@@ -155,7 +155,7 @@ class TestRunTomography:
         assert tr.fidelity[-1] >= 0.9999
 
     def test_n_emit_follows_budget_schedule(self):
-        tr, _ = run_tomography("random", maximally_mixed(2), SRC, Schedule(100, 1.25, 10 ** 4), 5)
+        tr, _ = run_tomography("random", maximally_mixed(), SRC, Schedule(100, 1.25, 10 ** 4), 5)
         n = tr.n_emit
         assert n[0] == pytest.approx(100.0)
         assert n[1] == pytest.approx(100.0 + 125.0)
@@ -163,19 +163,19 @@ class TestRunTomography:
         assert n[-1] >= 10 ** 4
 
     def test_n_det_monotone(self):
-        tr, _ = run_tomography("rankp-m", random_pure_haar(2, np.random.default_rng(0)),
+        tr, _ = run_tomography("rankp-m", random_pure_haar(np.random.default_rng(0)),
                                SRC, Schedule(100, 1.3, 10 ** 4), 5)
         assert all(np.diff(tr.n_det) >= 0)
 
     def test_complete_protocol_detects_all(self):
         # E[N_det] = N_emit for decomposition-of-unity protocols
-        rho = random_bures_mixed(2, np.random.default_rng(1))
+        rho = random_bures_mixed(np.random.default_rng(1))
         for proto in ("eigen", "random", "rankp-b"):
             tr, _ = run_tomography(proto, rho, SRC, Schedule(100, 1.25, 10 ** 5), 11)
             assert abs(tr.n_det[-1] - tr.n_emit[-1]) <= 5 * np.sqrt(tr.n_emit[-1])
 
     def test_rankp_nc_discards_outcomes_on_pure_states(self):
-        rho = random_pure_haar(2, np.random.default_rng(2))
+        rho = random_pure_haar(np.random.default_rng(2))
         tr, _ = run_tomography("rankp-nc", rho, SRC, Schedule(100, 1.25, 10 ** 5), 13)
         assert tr.n_det[-1] / tr.n_emit[-1] < 0.9
 
@@ -193,7 +193,7 @@ class TestRunTomography:
         # these runs gave mean N * d_B^2 = 204 at eff = 0.5 (4.7 at eff = 1).
         vals = []
         for i in range(4):
-            rho = random_bures_mixed(2, np.random.default_rng(100 + i))
+            rho = random_bures_mixed(np.random.default_rng(100 + i))
             tr, _ = run_tomography("rankp-nc", rho, SourceModel(1000.0, 0.5),
                                    Schedule(100, 1.25, 2 * 10 ** 4), 7 + i)
             vals.append(tr.n_emit[-1] * tr.d_bures_sq[-1])
@@ -201,7 +201,8 @@ class TestRunTomography:
 
     def test_rejects_non_qubit_state(self):
         with pytest.raises(ValueError, match="only qubits"):
-            run_tomography("eigen", maximally_mixed(3), SRC, Schedule(50, 1.3, 2000), 1)
+            run_tomography("eigen", DensityMatrix(np.eye(3) / 3), SRC,
+                           Schedule(50, 1.3, 2000), 1)
 
 
 class TestRunArrays:
@@ -218,7 +219,7 @@ class TestRunArrays:
 
         mle_estimate = simulator.mle_estimate
         monkeypatch.setattr(simulator, "mle_estimate", keep)
-        rho = random_bures_mixed(2, np.random.default_rng(seed))
+        rho = random_bures_mixed(np.random.default_rng(seed))
         run_tomography(protocol, rho, SRC, Schedule(100, 1.25, 2 * 10 ** 4), seed)
         return datas
 
@@ -290,12 +291,12 @@ class TestRunArrays:
 
 def regularized_pure(rng):
     from tomosim.estimation import regularize_full_rank
-    return regularize_full_rank(random_pure_haar(2, rng), 1e-3)
+    return regularize_full_rank(random_pure_haar(rng), 1e-3)
 
 
 class TestReplayCounts:
     def make_trace(self, n_max=3 * 10 ** 4, seed=21):
-        rho = random_bures_mixed(2, np.random.default_rng(4))
+        rho = random_bures_mixed(np.random.default_rng(4))
         return run_tomography("eigen", rho, SRC, Schedule(100, 1.25, n_max), seed)
 
     def test_final_prefix_distance_zero(self):
@@ -348,7 +349,7 @@ class TestReplayCounts:
 
 class TestRecordIO:
     def test_round_trip_bit_exact(self, tmp_path, rng):
-        rho = random_pure_haar(2, rng)
+        rho = random_pure_haar(rng)
         _, records = run_tomography("rankp-m", rho, SRC, Schedule(100, 1.3, 5000), 17)
         path = tmp_path / "records.csv"
         write_records(path, records, SRC.intensity)
@@ -363,7 +364,7 @@ class TestRecordIO:
             assert np.array_equal(r1.element.matrix, r2.element.matrix)
 
     def test_rewrite_identical_bytes(self, tmp_path, rng):
-        rho = random_pure_haar(2, rng)
+        rho = random_pure_haar(rng)
         _, records = run_tomography("eigen", rho, SRC, Schedule(100, 1.3, 2000), 23)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records(p1, records, SRC.intensity)
