@@ -59,16 +59,17 @@ class TestTypes:
             with pytest.raises(ValueError, match=r"only qubits \(D = 2\)"):
                 build(np.eye(3) / 3)
 
-    def test_pickle_rebuilds_frozen_matrices(self):
-        for obj in (pure_state(quantum.KET_R), PovmElement(np.diag([0.25, 0.5]))):
-            back = pickle.loads(pickle.dumps(obj))
-            assert np.array_equal(back.matrix, obj.matrix)
-            assert not back.matrix.flags.writeable
-            # Unpickling runs the constructor's checks: a matrix swapped in
-            # behind the frozen dataclass does not survive the round trip.
-            object.__setattr__(obj, "matrix", np.diag([1.5, -0.5]))
-            with pytest.raises(quantum.NotPositiveSemidefiniteError):
-                pickle.loads(pickle.dumps(obj))
+    @pytest.mark.parametrize("build", [DensityMatrix, PovmElement])
+    def test_pickle_rebuilds_frozen_matrices(self, build):
+        obj = build(np.diag([0.25, 0.75]))
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is build and np.array_equal(back.matrix, obj.matrix)
+        assert not back.matrix.flags.writeable
+        # Unpickling runs the constructor's checks: a matrix swapped in
+        # behind the frozen dataclass does not survive the round trip.
+        object.__setattr__(obj, "matrix", np.diag([1.5, -0.5]))
+        with pytest.raises(quantum.NotPositiveSemidefiniteError):
+            pickle.loads(pickle.dumps(obj))
 
 
 class TestBornRule:
