@@ -45,6 +45,7 @@ from .quantum import (
 )
 from .simulator import (
     GroupedRecord,
+    RecordStream,
     Schedule,
     SourceModel,
     Trace,

@@ -14,7 +14,6 @@ import math
 import os
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -29,6 +28,7 @@ from .analysis import (
     fit_power_law,
     gill_massar_bound,
 )
+from .estimation import MleOptions
 from .protocols import DEFAULT_DELTA, PROTOCOLS
 from .quantum import (
     DensityMatrix,
@@ -37,7 +37,7 @@ from .quantum import (
     require_qubit,
 )
 from .simulator import (
-    GroupedRecord,
+    RecordStream,
     Schedule,
     SourceModel,
     Trace,
@@ -123,17 +123,29 @@ class CampaignConfig:
                 raise ValueError(f"protocol {p!r} given more than once")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.states not in ("pure", "bures") and not Path(self.states).exists():
-            raise ValueError(f"state file {self.states!r} does not exist")
+        if self.states not in ("pure", "bures"):
+            if not Path(self.states).exists():
+                raise ValueError(f"state file {self.states!r} does not exist")
+            read_state_file(self.states)    # fail before any output exists
 
 
 def read_state_file(path) -> DensityMatrix:
-    """Explicit true state: first line D = 2, second line 8 reals (re/im interleaved)."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    """Explicit true state: first line D = 2, second line 8 reals (re/im
+    interleaved). An error names the file and line."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(Path(path).read_text().splitlines(), 1)
+             if ln.strip()]
     if len(lines) != 2:
         raise ValueError(f"{path}: expected two lines (dimension, entries)")
-    require_qubit(int(lines[0]), path)
-    return DensityMatrix(_qubit_matrix(lines[1].split(",")))
+    (dim_no, dim), (no, entries) = lines
+    try:
+        dim = int(dim)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{dim_no}: {exc}") from None
+    require_qubit(dim, f"{path}:{dim_no}")
+    try:
+        return DensityMatrix(_qubit_matrix(entries.split(",")))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{no}: {exc}") from None
 
 
 def write_state_file(path, rho: DensityMatrix) -> None:
@@ -152,32 +164,46 @@ def _true_state(cfg: CampaignConfig, run_idx: int) -> DensityMatrix:
 
 
 def _run_one(cfg: CampaignConfig, protocol: str,
-             run_idx: int) -> tuple[Trace, list[GroupedRecord]]:
+             run_idx: int) -> tuple[Trace, RecordStream, list[int]]:
+    """A run's trace, its record stream and the iteration count of each of
+    its estimator calls."""
     rho_true = _true_state(cfg, run_idx)
     # One substream per (master seed, run index), shared by all protocols:
     # paired noise across protocols tightens ratio comparisons.
     run_seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, run_idx))
+    mle_iters: list[int] = []
     trace, records = run_tomography(
         protocol, rho_true, cfg.source, cfg.schedule, run_seed,
-        delta=cfg.delta, random_v=cfg.random_v,
+        delta=cfg.delta, random_v=cfg.random_v, mle_iters=mle_iters,
     )
-    return replace(trace, run_id=run_idx, seed=cfg.seed), records
+    return replace(trace, run_id=run_idx, seed=cfg.seed), records, mle_iters
 
 
 def run_campaign(cfg: CampaignConfig, workers: int | None = None,
-                 on_run=None) -> dict[str, list[Trace]]:
+                 on_run=None, mle_stats: dict | None = None) -> dict[str, list[Trace]]:
     """Execute all (protocol, run) jobs, optionally in parallel.
 
     ``on_run(protocol, trace, records)`` is invoked as each run completes,
-    with the run's record stream. Results are deterministic for a fixed
-    config regardless of worker count.
+    with the run's record stream. Pass ``mle_stats`` to collect, per
+    protocol, the estimator calls, their total iterations and the calls
+    that reached ``MleOptions().max_iter``. Results are deterministic for
+    a fixed config regardless of worker count.
     """
     jobs = [(p, r) for p in cfg.protocols for r in range(cfg.runs)]
     workers = _worker_count(workers)
     results: dict[str, list[Trace]] = {p: [None] * cfg.runs for p in cfg.protocols}
+    if mle_stats is not None:
+        mle_stats.update({p: {"mle_calls": 0, "mle_iters": 0, "mle_cap_hits": 0}
+                          for p in cfg.protocols})
+    cap = MleOptions().max_iter
 
-    def finish(p: str, r: int, trace: Trace, records: list[GroupedRecord]) -> None:
+    def finish(p: str, r: int, trace: Trace, records: RecordStream, iters: list[int]) -> None:
         results[p][r] = trace
+        if mle_stats is not None:
+            stats = mle_stats[p]
+            stats["mle_calls"] += len(iters)
+            stats["mle_iters"] += sum(iters)
+            stats["mle_cap_hits"] += sum(n >= cap for n in iters)
         if on_run:
             on_run(p, trace, records)
 
@@ -185,6 +211,9 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
         for p, r in jobs:
             finish(p, r, *_run_one(cfg, p, r))
     else:
+        # Imported here: a serial campaign does not pay for the import.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_one, cfg, p, r): (p, r) for p, r in jobs}
             for fut in as_completed(futures):
@@ -216,22 +245,24 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
     With ``records``, also write each run's record stream, whose header
     carries the detected rate I * eff the counts follow and eff, for
     ``replay``. Last, write manifest.json: the full config, the tomosim,
-    numpy and Python versions, the worker count and the wall time. It is
-    the one output that differs between runs of the same config, and it
-    is not a CSV.
+    numpy and Python versions, the worker count, the wall time and, per
+    protocol, the estimator's calls, total iterations and ``max_iter``
+    hits. It is the one output that differs between runs of the same
+    config, and it is not a CSV.
     """
     t0 = perf_counter()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def flush(protocol: str, trace: Trace, stream: list[GroupedRecord]) -> None:
+    def flush(protocol: str, trace: Trace, stream: RecordStream) -> None:
         name = f"{protocol}_{trace.run_id:03d}.csv"
         write_trace_file(out / f"trace_{name}", trace)
         if records:
             write_records(out / f"records_{name}", stream,
                           cfg.source.intensity * cfg.source.efficiency, cfg.source.efficiency)
 
-    results = run_campaign(cfg, workers=workers, on_run=flush)
+    mle_stats: dict[str, dict[str, int]] = {}
+    results = run_campaign(cfg, workers=workers, on_run=flush, mle_stats=mle_stats)
     for protocol, traces in results.items():
         if len(traces) >= 2:
             curve = average_curves(traces)
@@ -243,6 +274,7 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
                      "python": platform.python_version()},
         "workers": _worker_count(workers),
         "wall_s": perf_counter() - t0,
+        "estimator": mle_stats,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, default=str) + "\n")
     return 0
@@ -332,13 +364,13 @@ def cmd_replay(record_files, n0: float | None, out_dir,
     """
     if n0 is not None and not 0.0 < n0 < math.inf:
         raise ValueError(f"--n0 must be positive and finite, got {n0!r}")
+    # Every stream is read and checked before any output exists.
+    streams = [(read_records(path), read_header(path)[2]) for path in record_files]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clipped: list[Trace] = []
-    for i, path in enumerate(record_files):
-        grouped, _, intensity = read_records(path)
-        efficiency = read_header(path)[2]
-        trace = replace(replay_counts(grouped, intensity, n0, points_per_decade=points_per_decade,
+    for i, (path, ((stream, _, intensity), efficiency)) in enumerate(zip(record_files, streams)):
+        trace = replace(replay_counts(stream, intensity, n0, points_per_decade=points_per_decade,
                                       efficiency=efficiency), run_id=i)
         write_trace_file(out / f"replay_{i:03d}.csv", trace)
         keep = trace.n_emit <= trace.n_emit[-1] / 4

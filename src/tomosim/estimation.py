@@ -21,8 +21,11 @@ from .quantum import (
     DensityMatrix,
     NotPositiveSemidefiniteError,
     PovmElement,
+    first_failure,
     hermitize,
     maximally_mixed,
+    stack_checks,
+    stack_spectrum,
     trace_norm,
 )
 
@@ -84,13 +87,51 @@ class MeasurementRecord:
         object.__setattr__(self, "counts", int(self.counts))
 
 
+def stack_records(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(matrices, times, counts) arrays of MeasurementRecord objects."""
+    try:
+        counts = np.array([r.counts for r in records], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("record counts must fit in a 64-bit integer") from None
+    return (np.array([r.element.matrix for r in records], dtype=complex).reshape(-1, 2, 2),
+            np.array([r.time for r in records], dtype=float), counts)
+
+
+def checked_records(mats, times, counts, where=lambda i: f"record {i}"):
+    """Stacked records, (K, 2, 2) matrices, times and integer counts, as
+    arrays, checked together as PovmElement and MeasurementRecord check
+    one; an error names its record i as ``where(i)``."""
+    mats = np.asarray(mats, dtype=complex).reshape(-1, 2, 2)
+    times, counts = np.asarray(times, dtype=float), np.asarray(counts)
+    if not times.shape == counts.shape == (len(mats),):
+        raise ValueError(f"{len(mats)} records but times of shape {times.shape} "
+                         f"and counts of shape {counts.shape}")
+    if counts.size and counts.dtype.kind not in "iu":
+        raise ValueError("record counts must be integers")
+    trace, norm = stack_spectrum(mats)
+    failure = first_failure(stack_checks(mats, trace, norm, "POVM element") + [
+        (np.abs(trace - 1.0) > 1e-9, lambda i: ValueError(
+            f"record element must have unit trace, got {float(trace[i])!r}")),
+        (~((times >= 0) & (times < math.inf)), lambda i: ValueError(
+            f"record time must be finite and >= 0, got {float(times[i])!r}")),
+        (counts < 0, lambda i: ValueError("record counts must be a non-negative integer")),
+        ((times == 0) & (counts != 0),
+         lambda i: ValueError("zero exposition time cannot register counts")),
+    ])
+    if failure is not None:
+        raise ValueError(f"{where(failure[0])}: {failure[1]}")
+    return mats, times, counts
+
+
 class _RecordArrays:
-    """The live records (t > 0) of a growing record stream as arrays: each
-    record's trace Tr M_k, Bloch vector m_k (M_k = (Tr M_k + m_k.sigma)/2),
-    time and counts. A full buffer grows to hold one more batch of the
-    size just appended: a run appends one plan's records per iteration,
-    so the slack stays below one plan. A prefix of the buffers is the
-    arrays of the data holding its first n live records.
+    """A growing record stream as arrays: each record's matrix M_k, trace
+    Tr M_k, Bloch vector m_k (M_k = (Tr M_k + m_k.sigma)/2), time and
+    counts. A full buffer grows to hold one more batch of the size just
+    appended: a run appends one plan's records per iteration, so the slack
+    stays below one plan. A prefix of the buffers is the arrays of the
+    data holding its first n records; the estimator reads their live
+    records (t > 0), which are the prefix itself unless a record with
+    t = 0 lies in it.
 
     The Bloch vectors are kept complex, as the einsum over the Paulis gives
     them, and read through their real part: numpy's matmul sums a strided
@@ -100,6 +141,8 @@ class _RecordArrays:
 
     def __init__(self):
         self.size = 0
+        self.first_dead = math.inf    # index of the first record with t = 0
+        self._mats = np.empty((0, 2, 2), dtype=complex)
         self._bloch = np.empty((0, 3), dtype=complex)
         self._traces = np.empty(0)
         self._times = np.empty(0)
@@ -108,21 +151,24 @@ class _RecordArrays:
         # whose counted Bloch vectors were found to span three directions.
         self._spanning = None
 
-    def extend(self, records) -> None:
-        live = [r for r in records if r.time > 0]
-        if not live:
+    def extend(self, mats: np.ndarray, times: np.ndarray, counts: np.ndarray) -> None:
+        """Append checked records: (K, 2, 2) matrices, times and counts."""
+        if not len(times):
             return
-        start, stop = self.size, self.size + len(live)
+        start, stop = self.size, self.size + len(times)
         if stop > self._times.size:
-            self._reserve(stop + len(live))
-        mats = np.array([r.element.matrix for r in live])
+            self._reserve(stop + len(times))
+        self._mats[start:stop] = mats
         self._bloch[start:stop] = np.einsum("aji,kij->ka", _PAULI, mats)
         self._traces[start:stop] = (mats[:, 0, 0] + mats[:, 1, 1]).real
-        self._times[start:stop] = [r.time for r in live]
-        self._counts[start:stop] = [r.counts for r in live]
+        self._times[start:stop] = times
+        self._counts[start:stop] = counts
+        # Checked times are >= 0, so a zero marks a record with t = 0.
+        if self.first_dead == math.inf and not times.all():
+            self.first_dead = start + int(np.argmin(times))
         self.size = stop
 
-    _BUFFERS = ("_bloch", "_traces", "_times", "_counts")
+    _BUFFERS = ("_mats", "_bloch", "_traces", "_times", "_counts")
 
     def _reserve(self, capacity: int) -> None:
         n = self.size
@@ -133,20 +179,32 @@ class _RecordArrays:
             setattr(self, name, new)
 
     def prefix(self, n: int) -> "_RecordArrays":
-        """A copy holding the first n live records only."""
+        """A copy holding the first n records only."""
         out = _RecordArrays()
         for name in self._BUFFERS:
             setattr(out, name, getattr(self, name)[:n].copy())
         out.size = n
+        out.first_dead = self.first_dead if self.first_dead < n else math.inf
         return out
 
+    def records(self, n: int):
+        """(matrices, times, counts) of the first n records, live or not."""
+        return self._mats[:n], self._times[:n], self._counts[:n]
+
     def views(self, n: int):
-        """(traces, Bloch vectors, times, counts) of the first n live records."""
-        return (self._traces[:n], self._bloch[:n].real, self._times[:n], self._counts[:n])
+        """(matrices, traces, Bloch vectors, times, counts) of the live
+        records among the first n: views, or copies if one has t = 0."""
+        out = (self._mats[:n], self._traces[:n], self._bloch[:n], self._times[:n],
+               self._counts[:n])
+        if self.first_dead < n:
+            live = self._times[:n] > 0
+            out = tuple(a[live] for a in out)
+        mats, traces, bloch, times, counts = out
+        return mats, traces, bloch.real, times, counts
 
     def spans_three(self, n: int, bloch_pos: np.ndarray) -> bool:
-        """matrix_rank(bloch_pos) == 3 for the counted Bloch vectors of the
-        first n live records.
+        """matrix_rank(bloch_pos) == 3 for the counted Bloch vectors among
+        the first n records.
 
         Appending rows never lowers a singular value, and rows of length
         at most 1 (+1e-9) keep the largest one below sqrt(K) for K rows, so
@@ -169,60 +227,83 @@ class _RecordArrays:
         return True
 
 
-@dataclass(frozen=True)
 class LikelihoodData:
     """A record collection plus the source intensity I.
 
-    Its live records are also held as arrays (_RecordArrays), which
-    ``extended`` grows in place, so a run that appends each iteration's
-    records converts every record once.
+    The records are held as arrays (_RecordArrays), which ``extended``
+    grows in place, so a run that appends each iteration's records stacks
+    every record once. ``records`` is the MeasurementRecord tuple the data
+    was built from, or, for data built from arrays, views of them built on
+    first use.
     """
 
-    records: tuple[MeasurementRecord, ...]
-    intensity: float
+    def __init__(self, records, intensity: float):
+        records = tuple(records)
+        self._hold(intensity, _RecordArrays(), *stack_records(records))
+        self.__dict__["records"] = records
 
-    def __post_init__(self):
-        if not 0 < self.intensity < math.inf:
-            raise ValueError(f"intensity must be positive and finite, got {self.intensity!r}")
-        object.__setattr__(self, "records", tuple(self.records))
-        arrays = _RecordArrays()
-        arrays.extend(self.records)
-        self._hold(arrays)
+    @classmethod
+    def from_arrays(cls, intensity: float, mats: np.ndarray, times: np.ndarray,
+                    counts: np.ndarray) -> "LikelihoodData":
+        """Data of records given as arrays, (K, 2, 2) unit-trace matrices,
+        times and counts, that are already checked: a MeasurementPlan's
+        measurements, or a RecordStream's records."""
+        out = object.__new__(cls)
+        out._hold(intensity, _RecordArrays(), mats, times, counts)
+        return out
 
-    def _hold(self, arrays: _RecordArrays) -> None:
-        """Keep the first arrays.size live records of arrays as this data's."""
+    def _hold(self, intensity: float, arrays: _RecordArrays, mats, times, counts) -> None:
+        """Append checked records to arrays and keep all its records as this
+        data's."""
+        if not 0 < intensity < math.inf:
+            raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
+        arrays.extend(mats, times, counts)
         # Poisson means I*t must stay normal floats, or G and log(I p t)
         # overflow or underflow deep inside the estimator.
-        live = arrays.views(arrays.size)[2]
+        live = arrays.views(arrays.size)[3]
         least = float(live.min()) if live.size else math.inf
-        if not self.intensity * least >= sys.float_info.min:
+        if not intensity * least >= sys.float_info.min:
             raise ValueError("intensity * record time must be a normal float, "
-                             f"got {self.intensity!r} * {least!r}")
+                             f"got {intensity!r} * {least!r}")
         total = float(live.sum())
-        if not math.isfinite(self.intensity * total):
+        if not math.isfinite(intensity * total):
             raise ValueError("intensity * total record time must be finite, "
-                             f"got {self.intensity!r} * {total!r}")
-        object.__setattr__(self, "_arrays", arrays)
-        object.__setattr__(self, "_n_live", arrays.size)
+                             f"got {intensity!r} * {total!r}")
+        self.intensity = intensity
+        self._arrays = arrays
+        self._n = arrays.size
 
     def extended(self, records) -> "LikelihoodData":
         """This data with records appended, sharing and growing its arrays
         (or a copy of their prefix when a longer data already grew them)."""
-        new = tuple(records)
+        return self.extended_arrays(*stack_records(tuple(records)))
+
+    def extended_arrays(self, mats: np.ndarray, times: np.ndarray,
+                        counts: np.ndarray) -> "LikelihoodData":
+        """``extended`` for already checked records given as arrays, as
+        from_arrays takes them."""
         arrays = self._arrays
-        if arrays.size != self._n_live:
-            arrays = arrays.prefix(self._n_live)
-        arrays.extend(new)
+        if arrays.size != self._n:
+            arrays = arrays.prefix(self._n)
         out = object.__new__(LikelihoodData)
-        object.__setattr__(out, "records", self.records + new)
-        object.__setattr__(out, "intensity", self.intensity)
-        out._hold(arrays)
+        out._hold(self.intensity, arrays, mats, times, counts)
         return out
+
+    @cached_property
+    def records(self) -> tuple[MeasurementRecord, ...]:
+        """MeasurementRecord views of the records, built on first use."""
+        mats, times, counts = self._arrays.records(self._n)
+        return tuple(MeasurementRecord(PovmElement(m), t, int(n))
+                     for m, t, n in zip(mats, times.tolist(), counts.tolist()))
 
     def arrays(self):
         """(traces, Bloch vectors, times, counts) of the live records,
         views of the arrays this data shares."""
-        return self._arrays.views(self._n_live)
+        return self._arrays.views(self._n)[1:]
+
+    def matrices(self) -> np.ndarray:
+        """The (K, 2, 2) matrices of the live records."""
+        return self._arrays.views(self._n)[0]
 
 
 @dataclass(frozen=True)
@@ -232,11 +313,6 @@ class MleOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-
-
-def _live_matrices(data: LikelihoodData) -> np.ndarray:
-    """The operators of the records with t > 0, stacked (K, 2, 2)."""
-    return np.array([r.element.matrix for r in data.records if r.time > 0])
 
 
 def _probabilities(mats: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -264,7 +340,7 @@ def log_likelihood(data: LikelihoodData, rho: DensityMatrix) -> float:
     _, _, times, counts = data.arrays()
     if not times.size:
         return 0.0
-    p = _probabilities(_live_matrices(data), rho.matrix)
+    p = _probabilities(data.matrices(), rho.matrix)
     return _loglik(p, times, counts, data.intensity)
 
 
@@ -321,7 +397,7 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     if counts.sum() == 0:
         rho0 = maximally_mixed()
         if logliks is not None:
-            logliks.append(_loglik(_probabilities(_live_matrices(data), rho0.matrix),
+            logliks.append(_loglik(_probabilities(data.matrices(), rho0.matrix),
                                    times, counts, data.intensity))
         return rho0
     lik = _Likelihood(data)
@@ -359,11 +435,11 @@ class _Likelihood:
         self.drift = self.intensity * self.times @ self.bloch
         # Counts on fewer than three independent directions leave H singular:
         # a Newton step along the rest would be set by round-off.
-        self.full_rank = data._arrays.spans_three(self.times.size, self.bloch_pos)
+        self.full_rank = data._arrays.spans_three(data._n, self.bloch_pos)
 
     @cached_property
     def mats(self) -> np.ndarray:
-        return _live_matrices(self.data)
+        return self.data.matrices()
 
     def counted(self, p: np.ndarray):
         """The counted p_k, clamped at PROB_CLAMP, and their ln(I p_k t_k)."""

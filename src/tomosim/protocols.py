@@ -15,7 +15,8 @@ convert around the same arithmetic. Eigen and Random are the baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -28,12 +29,15 @@ from .quantum import (
     Povm,
     PovmElement,
     as_square_complex,
+    first_failure,
     from_stokes,
     haar_unitary,
     maximally_mixed,
-    projector,
     qubit_spectrum,
     require_qubit,
+    stack_checks,
+    stack_is_psd,
+    stack_spectrum,
     to_stokes,
 )
 
@@ -95,35 +99,98 @@ class TimedMeasurement:
         object.__setattr__(self, "time_weight", float(self.time_weight))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementPlan:
     """Timed measurements partitioned into simultaneity groups: measurements
-    sharing a group are orthogonal and read out within a single exposure."""
+    sharing a group are orthogonal and read out within a single exposure.
 
-    measurements: tuple[TimedMeasurement, ...]
+    The measurements are held as arrays, the (K, 2, 2) unit-trace rank-1
+    projectors and their (K,) time weights, and checked once, together, as
+    TimedMeasurement checks one. ``measurements`` builds TimedMeasurement
+    views of them on first use. ``order`` lists the measurement indices
+    group by group, and ``group_of`` the group of each entry of ``order``.
+    """
+
+    matrices: np.ndarray
+    time_weights: np.ndarray
     groups: tuple[tuple[int, ...], ...]
+    weights: np.ndarray = field(init=False, repr=False)  # derived: Tr of each matrix
+    order: np.ndarray = field(init=False, repr=False)
+    group_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        measurements = tuple(self.measurements)
-        groups = tuple(tuple(g) for g in self.groups)
-        seen = [i for g in groups for i in g]
-        if sorted(seen) != list(range(len(measurements))):
+        mats = np.array(self.matrices, dtype=complex).reshape(-1, 2, 2)
+        times = np.array(self.time_weights, dtype=float).reshape(-1)
+        groups = tuple(map(tuple, self.groups))
+        if not len(mats):
+            raise ValueError("a plan needs at least one measurement")
+        if times.size != len(mats):
+            raise ValueError(f"{len(mats)} projectors but {times.size} time weights")
+        order, group_of, pairs = _layout(groups)
+        if order.size != len(mats):
             raise ValueError("groups must partition the measurement indices")
-        for g in groups:
-            for a, b in combinations(g, 2):
-                # Tr(Ma Mb) is the Frobenius product <Ma, Mb> of Hermitian Ma.
-                overlap = abs(np.vdot(measurements[a].projector.matrix,
-                                      measurements[b].projector.matrix))
-                if overlap > _ORTHO_TOL:
-                    raise ValueError(f"grouped projectors {a},{b} not orthogonal "
-                                     f"(|Tr Ma Mb| = {overlap:.3e})")
-        object.__setattr__(self, "measurements", measurements)
-        object.__setattr__(self, "groups", groups)
+        trace, norm = stack_spectrum(mats)
+        # Rank 1 is a null four-vector: the eigenvalues are (S_0 +- |s|)/2.
+        rank_defect = np.abs(trace - norm) - _RANK_TOL * (trace + norm)
+        if not (stack_is_psd(mats, trace, norm) and times.min() > 0
+                and np.abs(trace - 1.0).max() <= 1e-9 and rank_defect.max() <= 0):
+            _raise_first(mats, times, trace, norm, rank_defect)
+        if pairs is not None:
+            # Tr(Ma Mb) is the Frobenius product <Ma, Mb> of Hermitian Ma.
+            flat = mats.reshape(-1, 4)
+            overlaps = np.abs(np.vecdot(flat[pairs[0]], flat[pairs[1]]))
+            if overlaps.max() > _ORTHO_TOL:
+                k = int(np.argmax(overlaps > _ORTHO_TOL))
+                raise ValueError(f"grouped projectors {pairs[0][k]},{pairs[1][k]} not "
+                                 f"orthogonal (|Tr Ma Mb| = {overlaps[k]:.3e})")
+        mats.setflags(write=False)
+        times.setflags(write=False)
+        trace.setflags(write=False)
+        for name, value in (("matrices", mats), ("time_weights", times), ("groups", groups),
+                            ("weights", trace), ("order", order), ("group_of", group_of)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def measurements(self) -> tuple[TimedMeasurement, ...]:
+        """TimedMeasurement views of the plan's arrays, built on first use."""
+        return tuple(TimedMeasurement(PovmElement(m), t)
+                     for m, t in zip(self.matrices, self.time_weights.tolist()))
 
     def exposure_weight(self) -> float:
         """Total exposure per unit base time: one max-weight slot per group."""
-        return float(sum(max(self.measurements[i].time_weight for i in g)
-                         for g in self.groups))
+        times = self.time_weights.tolist()
+        return float(sum(max(times[i] for i in g) for g in self.groups))
+
+
+def _raise_first(mats, times, trace, norm, rank_defect) -> None:
+    """Raise the error of the first measurement that fails a check, in the
+    order PovmElement and TimedMeasurement check one."""
+    failure = first_failure(stack_checks(mats, trace, norm, "POVM element") + [
+        (~(times > 0), lambda i: ValueError("time_weight must be positive")),
+        (np.abs(trace - 1.0) > 1e-9, lambda i: ValueError("projector must have unit trace")),
+        (rank_defect > 0, lambda i: ValueError("projector must be rank 1")),
+    ])
+    if failure is not None:
+        raise failure[1]
+
+
+@lru_cache(maxsize=64)
+def _layout(groups: tuple[tuple[int, ...], ...]):
+    """(order, group_of, pairs) of a plan's groups: the measurement indices
+    group by group, the group of each, and the index arrays (a, b) of the
+    pairs sharing a group, None if there are none; read-only, and kept for
+    the next plan of the same shape."""
+    order = [i for g in groups for i in g]
+    if sorted(order) != list(range(len(order))):
+        raise ValueError("groups must partition the measurement indices")
+    pairs = [ab for g in groups for ab in combinations(g, 2)]
+    out = (np.array(order, dtype=np.intp),
+           np.array([j for j, g in enumerate(groups) for _ in g], dtype=np.int64),
+           np.array(pairs, dtype=np.intp).T if pairs else None)
+    for a in out:
+        if a is not None:
+            a.setflags(write=False)
+    return out
 
 
 def _vectors(elements) -> np.ndarray:
@@ -156,19 +223,20 @@ def _minimal_completion(vecs: np.ndarray) -> np.ndarray:
     return np.vstack([vecs, np.concatenate(([norm], -total[1:]))]) / mu
 
 
-def _timed(vecs: np.ndarray) -> tuple[TimedMeasurement, ...]:
-    """Each four-vector t (1, m) as its unit-trace projector held for time t."""
+def _timed(vecs: np.ndarray, groups) -> MeasurementPlan:
+    """The plan holding each four-vector t (1, m) as its unit-trace
+    projector held for time t, in the given groups."""
     times = vecs[:, 0]
-    if np.any(times <= INERT_WEIGHT):
+    if (times <= INERT_WEIGHT).any():
         raise ValueError("element has vanishing trace; drop it instead")
-    mats = from_stokes(vecs / times[:, None])
-    return tuple(TimedMeasurement(PovmElement(m), t) for m, t in zip(mats, times))
+    return MeasurementPlan(from_stokes(vecs / times[:, None]), times, groups)
 
 
 def _ket_plan(kets, groups) -> MeasurementPlan:
     """Projectors onto unit kets, each held for unit time."""
-    return MeasurementPlan(
-        tuple(TimedMeasurement(PovmElement(projector(v)), 1.0) for v in kets), groups)
+    kets = np.asarray(kets)
+    # The outer products |v><v| of projector(), stacked.
+    return MeasurementPlan(kets[:, :, None] * kets.conj()[:, None, :], np.ones(len(kets)), groups)
 
 
 def rank_preserving_map(rho_hat: DensityMatrix,
@@ -207,7 +275,7 @@ def apply_unitary_freedom(op: TransformOperator, v: np.ndarray) -> TransformOper
 
 def normalize_with_time(element: PovmElement) -> TimedMeasurement:
     """Split an unnormalized element into unit-trace projector x exposition time."""
-    return _timed(_vectors([element]))[0]
+    return _timed(_vectors([element]), ((0,),)).measurements[0]
 
 
 def complement_to_basis(m: TimedMeasurement) -> MeasurementPlan:
@@ -217,7 +285,7 @@ def complement_to_basis(m: TimedMeasurement) -> MeasurementPlan:
     simultaneity group; the completion is the antipodal projector.
     """
     vecs = m.time_weight * _vectors([m.projector])
-    return MeasurementPlan(_timed(_with_antipodes(vecs)), ((0, 1),))
+    return _timed(_with_antipodes(vecs), ((0, 1),))
 
 
 def complement_minimal(elements) -> tuple[list[PovmElement], list[PovmElement]]:
@@ -279,14 +347,13 @@ def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
     op = rank_preserving_map(rho_hat, delta)
     if random_v:
         op = apply_unitary_freedom(op, haar_unitary(rng))
-    vecs = _vectors(base.elements) @ _transfer(op.adjoint).T
+    vecs = base.vectors @ _transfer(op.adjoint).T
     if protocol == "rankp-m":
         vecs = _minimal_completion(vecs)
     vecs = vecs[vecs[:, 0] > INERT_WEIGHT]
     if protocol == "rankp-b":
-        return MeasurementPlan(_timed(_with_antipodes(vecs)),
-                               tuple((2 * i, 2 * i + 1) for i in range(len(vecs))))
-    return MeasurementPlan(_timed(vecs), tuple((i,) for i in range(len(vecs))))
+        return _timed(_with_antipodes(vecs), tuple((2 * i, 2 * i + 1) for i in range(len(vecs))))
+    return _timed(vecs, tuple((i,) for i in range(len(vecs))))
 
 
 def initial_plan(protocol: str, base: Povm,
@@ -301,7 +368,7 @@ def initial_plan(protocol: str, base: Povm,
         return next_plan(protocol, maximally_mixed(), base, rng)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    timed = _timed(_vectors(base.elements))
-    if len(timed) % 2 != 0:
+    vecs = base.vectors
+    if len(vecs) % 2 != 0:
         raise ValueError("base set must concatenate complete bases")
-    return MeasurementPlan(timed, tuple((i, i + 1) for i in range(0, len(timed), 2)))
+    return _timed(vecs, tuple((i, i + 1) for i in range(0, len(vecs), 2)))

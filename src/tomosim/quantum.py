@@ -65,6 +65,51 @@ def qubit_spectrum(m: np.ndarray) -> tuple[float, float]:
     return a.real + d.real, math.hypot(a.real - d.real, 2.0 * abs(c))
 
 
+def first_failure(checks) -> tuple[int, ValueError] | None:
+    """The first row of a stack that fails any of ``checks``, a sequence of
+    (failing-rows mask, error of row i) in the order they apply to one row,
+    with that row's first error; None when every row passes."""
+    failing = checks[0][0]
+    for mask, _ in checks[1:]:
+        failing = failing | mask
+    if not failing.any():
+        return None
+    i = int(np.argmax(failing))
+    return next((i, error(i)) for mask, error in checks if mask[i])
+
+
+def stack_spectrum(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S_0, |s|) of each matrix of a (K, 2, 2) stack, read as
+    qubit_spectrum reads one."""
+    a, c, d = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+    return a.real + d.real, np.hypot(a.real - d.real, 2.0 * np.abs(c))
+
+
+def _defects(mats: np.ndarray) -> np.ndarray:
+    """|A - A^dag| elementwise over a stack: 2 |Im a|, 2 |Im d|, |b - c*|."""
+    return np.abs(mats - mats.conj().swapaxes(1, 2))
+
+
+def stack_is_psd(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray) -> bool:
+    """Whether every matrix of a stack passes _hermitian_psd's checks, given
+    its stack_spectrum: a fast test, for stack_checks to explain a failure."""
+    return not (_defects(mats).max() > HERMITICITY_TOL
+                or (trace - norm).min() < -2 * EIGENVALUE_CLAMP)
+
+
+def stack_checks(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray, what: str):
+    """_hermitian_psd's checks over a stack, given its stack_spectrum, as
+    (failing rows, error of row i) pairs for first_failure."""
+    defect = _defects(mats).max(axis=(1, 2))
+    lowest = (trace - norm) / 2
+    return [
+        (defect > HERMITICITY_TOL,
+         lambda i: NonHermitianError(f"{what} not Hermitian: defect {defect[i]:.3e}")),
+        (lowest < -EIGENVALUE_CLAMP,
+         lambda i: NotPositiveSemidefiniteError(f"{what} has eigenvalue {lowest[i]:.3e}")),
+    ]
+
+
 def _hermitian_psd(a, what: str) -> tuple[np.ndarray, float]:
     """a as a read-only 2x2 complex matrix, checked Hermitian and PSD, and
     its trace; the smallest eigenvalue is the closed form (S_0 - |s|)/2."""
@@ -150,6 +195,13 @@ class Povm:
         if not elements:
             raise ValueError("POVM needs at least one element")
         object.__setattr__(self, "elements", elements)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """(K, 4) four-vectors of the elements, computed on first use and kept."""
+        vecs = to_stokes(np.array([e.matrix for e in self.elements]))
+        vecs.setflags(write=False)
+        return vecs
 
 
 def projector(vec) -> np.ndarray:

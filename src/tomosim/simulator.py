@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import LikelihoodData, MeasurementRecord, mle_estimate
+from .estimation import (
+    LikelihoodData,
+    MeasurementRecord,
+    checked_records,
+    mle_estimate,
+    stack_records,
+)
 from .protocols import (
     DEFAULT_DELTA,
     MeasurementPlan,
@@ -77,6 +84,53 @@ class GroupedRecord(NamedTuple):
     record: MeasurementRecord
 
 
+@dataclass(frozen=True, eq=False)
+class RecordStream(Sequence):
+    """A chronological record stream as arrays: each record's exposure-group
+    id, unit-trace (K, 2, 2) matrix, time and counts, checked once, together,
+    as MeasurementRecord checks one. Indexing and iteration give GroupedRecord
+    views, built on demand. Unpickling rebuilds a stream through the
+    constructor."""
+
+    group_ids: np.ndarray
+    matrices: np.ndarray
+    times: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        gids = np.array(self.group_ids, dtype=np.int64).reshape(-1)
+        records = checked_records(self.matrices, self.times, self.counts)
+        if gids.size != records[1].size:
+            raise ValueError(f"{gids.size} group ids for {records[1].size} records")
+        for name, value in zip(("group_ids", "matrices", "times", "counts"),
+                               (gids, *map(np.array, records))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return RecordStream, (self.group_ids, self.matrices, self.times, self.counts)
+
+    @classmethod
+    def of(cls, grouped) -> "RecordStream":
+        """The stream of a sequence of GroupedRecord objects (or the stream itself)."""
+        if isinstance(grouped, RecordStream):
+            return grouped
+        grouped = list(grouped)
+        return cls([gid for gid, _ in grouped], *stack_records([rec for _, rec in grouped]))
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def __getitem__(self, i: int) -> GroupedRecord:
+        return GroupedRecord(int(self.group_ids[i]), MeasurementRecord(
+            PovmElement(self.matrices[i]), float(self.times[i]), int(self.counts[i])))
+
+    def group_ends(self) -> np.ndarray:
+        """One past the last record of each exposure group, in order."""
+        new_group = np.flatnonzero(np.diff(self.group_ids) != 0) + 1
+        return np.append(new_group, len(self))
+
+
 @dataclass(frozen=True)
 class Trace:
     """Per-iteration log of one run; its fields are the trace-file columns.
@@ -131,13 +185,12 @@ def sample_counts(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceMod
     """
     if base_time <= 0:
         raise ValueError("base_time must be positive")
-    order = [i for g in plan.groups for i in g]
-    ms = [plan.measurements[i] for i in order]
+    order = plan.order
     # Born rule as born_probability computes it, Re Tr(M rho) of the product.
-    prods = np.array([m.projector.matrix for m in ms]) @ rho_true.matrix
+    prods = plan.matrices[order] @ rho_true.matrix
     p = (prods[:, 0, 0] + prods[:, 1, 1]).real
-    p = np.minimum(np.maximum(p, 0.0), [m.projector.weight for m in ms])
-    means = src.intensity * src.efficiency * p * [m.time_weight for m in ms] * base_time
+    p = np.minimum(np.maximum(p, 0.0), plan.weights[order])
+    means = src.intensity * src.efficiency * p * plan.time_weights[order] * base_time
     counts = np.empty(len(order), dtype=np.int64)
     counts[order] = rng.poisson(means)
     return counts
@@ -156,24 +209,21 @@ def emitted_copies(total_time: float, src: SourceModel) -> float:
 
 
 def _measure_plan(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceModel,
-                  base_time: float, rng: np.random.Generator,
-                  next_group_id: int) -> tuple[list[GroupedRecord], int, int]:
-    """Sample every group of a plan; returns (records, detected, next free id)."""
+                  base_time: float, rng: np.random.Generator, next_group_id: int):
+    """Sample every group of a plan; returns its records in group order as
+    arrays (group ids, matrices, times, counts), the detected total and the
+    next free group id."""
     counts = sample_counts(plan, rho_true, src, base_time, rng)
-    out: list[GroupedRecord] = []
-    gid = next_group_id
-    for group in plan.groups:
-        for idx in group:
-            m = plan.measurements[idx]
-            rec = MeasurementRecord(m.projector, m.time_weight * base_time, int(counts[idx]))
-            out.append(GroupedRecord(gid, rec))
-        gid += 1
-    return out, int(counts.sum()), gid
+    order = plan.order
+    records = (next_group_id + plan.group_of, plan.matrices[order],
+               plan.time_weights[order] * base_time, counts[order])
+    return records, int(counts.sum()), next_group_id + len(plan.groups)
 
 
 def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
                    sched: Schedule, seed, *, delta: float = DEFAULT_DELTA,
-                   random_v: bool = False) -> tuple[Trace, list[GroupedRecord]]:
+                   random_v: bool = False,
+                   mle_iters: list | None = None) -> tuple[Trace, RecordStream]:
     """One full adaptive tomography run; returns its trace and record stream.
 
     Iteration 0 measures the untransformed MUB base set; every following
@@ -181,11 +231,13 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     geometrically growing budget of expected emitted copies, appends the
     sampled records and re-estimates. Stops once cumulative N_emit
     reaches the schedule's n_max. Fully deterministic for a fixed seed.
+    Pass ``mle_iters`` to collect the iteration count of each estimator
+    call.
     """
     rng = np.random.default_rng(seed)
     base = mub_qubit()
 
-    records: list[GroupedRecord] = []
+    batches = []
     data = None
     rows = []
     rho_hat = maximally_mixed()
@@ -203,30 +255,32 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
                              delta=delta, random_v=random_v)
         exposure = plan.exposure_weight()
         base_time = budget / (src.intensity * exposure)
-        new_records, detected, group_id = _measure_plan(
+        batch, detected, group_id = _measure_plan(
             plan, rho_true, src, base_time, rng, group_id)
-        records.extend(new_records)
+        batches.append(batch)
         n_det += detected
         n_emit += emitted_copies(base_time * exposure, src)
 
         # Counts arrive at the detected rate I * eff; N_emit stays on I.
         # Each iteration's data extends the last one's arrays.
-        batch = tuple(r.record for r in new_records)
-        data = (LikelihoodData(batch, src.intensity * src.efficiency)
-                if data is None else data.extended(batch))
-        rho_hat, loglik = _estimate(data)
+        data = (LikelihoodData.from_arrays(src.intensity * src.efficiency, *batch[1:])
+                if data is None else data.extended_arrays(*batch[1:]))
+        rho_hat, loglik = _estimate(data, mle_iters)
         rows.append(_row(iteration, n_emit, n_det, rho_true, rho_hat, loglik))
         if n_emit >= sched.n_max:
             break
         budget *= sched.growth
         iteration += 1
-    return _trace(protocol, rows), records
+    return _trace(protocol, rows), RecordStream(*map(np.concatenate, zip(*batches)))
 
 
-def _estimate(data: LikelihoodData) -> tuple[DensityMatrix, float]:
-    """The MLE of data and its log-likelihood, the estimator's last value."""
+def _estimate(data: LikelihoodData, mle_iters: list | None = None) -> tuple[DensityMatrix, float]:
+    """The MLE of data and its log-likelihood, the estimator's last value;
+    appends the call's iteration count to mle_iters if given."""
     logliks: list[float] = []
     est = mle_estimate(data, logliks=logliks)
+    if mle_iters is not None:
+        mle_iters.append(len(logliks) - 1)
     return est, logliks[-1]
 
 
@@ -237,45 +291,40 @@ def _row(iteration: int, n_emit: float, n_det: int, reference: DensityMatrix,
     return (iteration, n_emit, n_det, 2.0 - 2.0 * np.sqrt(f), f, loglik)
 
 
-def _group_runs(grouped: Sequence[GroupedRecord]) -> list[list[MeasurementRecord]]:
-    """Split a chronological stream into its exposure groups."""
-    groups: list[list[MeasurementRecord]] = []
-    last_id = None
-    for gid, rec in grouped:
-        if gid != last_id:
-            groups.append([])
-            last_id = gid
-        groups[-1].append(rec)
-    return groups
-
-
 def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
                   n0: float | None = None, *, points_per_decade: int = 10,
                   efficiency: float = 1.0) -> Trace:
     """Re-estimate on growing prefixes of a recorded count stream.
 
-    The counts arrive at the detected rate ``intensity``, which is the
-    source intensity I times the detector ``efficiency``; N counts emitted
+    The stream is a RecordStream, or a sequence of GroupedRecord. The
+    counts arrive at the detected rate ``intensity``, which is the source
+    intensity I times the detector ``efficiency``; N counts emitted
     copies, I * t. Distances are measured against the final assessment,
     the estimate at N0 (defaults to the full stream), instead of an
     unknown true state. Prefixes are cut at exposure-group boundaries on
     a logarithmic N grid.
     """
-    if not grouped:
+    stream = RecordStream.of(grouped)
+    if not len(stream):
         raise ValueError("empty record stream")
-    groups = _group_runs(grouped)
+    ends = stream.group_ends()
     emitted = intensity / efficiency
     cum_n: list[float] = []
     running = 0.0
-    for g in groups:
-        running += emitted * max(r.time for r in g)
+    for t in np.maximum.reduceat(stream.times, np.append(0, ends[:-1])).tolist():
+        running += emitted * t
         cum_n.append(running)
+    n_det = np.cumsum(stream.counts)[ends - 1].tolist()
+
+    def prefix(idx: int) -> LikelihoodData:
+        """The data of the first idx + 1 groups."""
+        stop = ends[idx]
+        return LikelihoodData.from_arrays(intensity, stream.matrices[:stop],
+                                          stream.times[:stop], stream.counts[:stop])
 
     n0 = cum_n[-1] if n0 is None else float(n0)
     ref_idx = max(i for i, n in enumerate(cum_n) if n <= n0 or i == 0)
-
-    flat = [r for g in groups[:ref_idx + 1] for r in g]
-    ref_state, ref_loglik = _estimate(LikelihoodData(tuple(flat), intensity))
+    ref_state, ref_loglik = _estimate(prefix(ref_idx))
 
     span = math.log10(cum_n[ref_idx] / cum_n[0]) if cum_n[ref_idx] > cum_n[0] else 0.0
     targets = np.geomspace(cum_n[0], cum_n[ref_idx],
@@ -284,13 +333,11 @@ def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
 
     rows = []
     for idx in picks:
-        prefix = [r for g in groups[:idx + 1] for r in g]
         if idx == ref_idx:
             est, loglik = ref_state, ref_loglik
         else:
-            est, loglik = _estimate(LikelihoodData(tuple(prefix), intensity))
-        rows.append(_row(idx, cum_n[idx], sum(r.counts for r in prefix),
-                         ref_state, est, loglik))
+            est, loglik = _estimate(prefix(idx))
+        rows.append(_row(idx, cum_n[idx], n_det[idx], ref_state, est, loglik))
     return _trace("replay", rows)
 
 
@@ -353,15 +400,18 @@ def _qubit_matrix(fields) -> np.ndarray:
 
 def write_records(path, grouped: Sequence[GroupedRecord], intensity: float,
                   efficiency: float = 1.0) -> None:
-    """Write a record stream whose counts follow the detected rate
-    ``intensity``, the source intensity times ``efficiency``."""
-    if not grouped:
+    """Write a record stream (a RecordStream, or a sequence of GroupedRecord)
+    whose counts follow the detected rate ``intensity``, the source
+    intensity times ``efficiency``."""
+    stream = RecordStream.of(grouped)
+    if not len(stream):
         raise ValueError("nothing to write")
-    dim = grouped[0].record.element.dim
-    lines = [f"{dim},{_fmt(intensity)},{_fmt(efficiency)}"]
-    for gid, rec in grouped:
-        lines.append(",".join([str(gid), *_matrix_fields(rec.element.matrix),
-                               _fmt(rec.time), str(rec.counts)]))
+    lines = [f"2,{_fmt(intensity)},{_fmt(efficiency)}"]
+    # Each matrix as row-major reals, re/im interleaved, as _matrix_fields.
+    reals = stream.matrices.reshape(-1, 4).view(float).tolist()
+    for gid, row, t, n in zip(stream.group_ids.tolist(), reals, stream.times.tolist(),
+                              stream.counts.tolist()):
+        lines.append(",".join([str(gid), *map(_fmt, row), _fmt(t), str(n)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -378,6 +428,8 @@ def _parse_header(path, line: str) -> tuple[int, float, float]:
     except ValueError:
         raise malformed from None
     require_qubit(dim, path)
+    if not 0.0 < intensity < math.inf:
+        raise ValueError(f"{path}: intensity must be positive and finite, got {intensity!r}")
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"{path}: detector efficiency must be in (0, 1], got {efficiency!r}")
     return dim, intensity, efficiency
@@ -392,22 +444,32 @@ def read_header(path) -> tuple[int, float, float]:
     raise ValueError(f"empty record file {path}")
 
 
-def read_records(path) -> tuple[list[GroupedRecord], int, float]:
-    """Parse a record stream; returns (records, dim, detected rate I * eff)."""
+def read_records(path) -> tuple[RecordStream, int, float]:
+    """Parse a record stream; returns (records, dim, detected rate I * eff).
+
+    Every line is parsed and every record checked, together, before the
+    stream is returned; an error names the file and line."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty record file {path}")
-    dim, intensity, _ = _parse_header(path, lines[0])
-    out: list[GroupedRecord] = []
-    for ln in lines[1:]:
+    dim, intensity, _ = _parse_header(path, lines[0][1])
+    cells = []
+    for no, ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"malformed record line (expected 11 fields): {ln!r}")
-        rec = MeasurementRecord(
-            element=PovmElement(_qubit_matrix(parts[1:-2])),
-            time=float(parts[-2]),
-            counts=int(parts[-1]),
-        )
-        out.append(GroupedRecord(int(parts[0]), rec))
-    return out, dim, intensity
+        try:
+            if len(parts) != 11:
+                raise ValueError(f"malformed record line (expected 11 fields): {ln!r}")
+            cells.append((np.int64(int(parts[0])), _qubit_matrix(parts[1:-2]),
+                          float(parts[-2]), np.int64(int(parts[-1]))))
+        except (ValueError, OverflowError) as exc:    # OverflowError: beyond int64
+            raise ValueError(f"{path}:{no}: {exc}") from None
+    gids, mats, times, counts = zip(*cells) if cells else ((), (), (), ())
+    mats, times, counts = checked_records(
+        np.array(mats), times, np.array(counts, dtype=np.int64),
+        where=lambda i: f"{path}:{lines[1 + i][0]}")
+    try:    # the estimator's limits on I * t, met by every prefix if by the whole
+        LikelihoodData.from_arrays(intensity, mats, times, counts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return RecordStream(gids, mats, times, counts), dim, intensity

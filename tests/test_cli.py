@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tomosim.cli import (
     CampaignConfig,
+    _run_one,
     main,
     read_curve_file,
     read_state_file,
@@ -20,6 +21,7 @@ from tomosim.cli import (
 )
 import tomosim
 from tomosim.analysis import ConvergenceCurve
+from tomosim.estimation import MleOptions
 from tomosim.quantum import maximally_mixed, pure_state, random_bures_mixed
 from tomosim import quantum
 from tomosim.simulator import (
@@ -113,6 +115,20 @@ class TestSimulateCommand:
                                    "python": platform.python_version()}
         assert (one["workers"], two["workers"]) == (1, 2)
         assert one["wall_s"] > 0 and two["wall_s"] > 0
+        # Estimator statistics per protocol, the same from two worker
+        # processes: one call per trace row, and the iterations that each
+        # call's log-likelihood list records beyond its start.
+        assert one["estimator"] == two["estimator"]
+        cfg = CampaignConfig(protocols=("eigen", "rankp-m"), runs=2, seed=5,
+                             schedule=Schedule(n_max=3000), out_dir=out1)
+        for protocol in cfg.protocols:
+            iters = [n for run in range(2) for n in _run_one(cfg, protocol, run)[2]]
+            rows = sum(read_trace_file(out1 / f"trace_{protocol}_{run:03d}.csv").iteration.size
+                       for run in range(2))
+            assert one["estimator"][protocol] == {
+                "mle_calls": rows, "mle_iters": sum(iters),
+                "mle_cap_hits": sum(n >= MleOptions().max_iter for n in iters)}
+            assert len(iters) == rows and sum(iters) > rows
 
     def test_scientific_notation_counts(self, tmp_path):
         rc = main(simulate_args(tmp_path, n_max="1e3"))
@@ -153,6 +169,21 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "sim")])
         assert rc == 1
         assert "finite matrix reals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("2\n0.9,0,0,0,0,0,0,0\n", 2, "density matrix trace 0.9 != 1"),
+        ("\n2.0\n1,0,0,0,0,0,0,0\n", 2, "invalid literal for int() with base 10: '2.0'"),
+        ("3\n1,0,0,0,0,0,0,0\n", 1, "only qubits (D = 2) are supported, got D = 3")])
+    def test_bad_state_file_fails_before_any_output(self, tmp_path, capsys, text, line,
+                                                     message):
+        state = tmp_path / "s.txt"
+        state.write_text(text)
+        rc = main(["simulate", "--protocol", "eigen", "--states", str(state),
+                   "--runs", "2", "--n-max", "2e3", "--workers", "1",
+                   "--out", str(tmp_path / "sim")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"tomosim: {state}:{line}: {message}\n"
+        assert not (tmp_path / "sim").exists()
 
     def test_non_finite_count_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -421,6 +452,23 @@ class TestReplayCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("tomosim: ") and "efficiency must be in (0, 1]" in err
+
+    @pytest.mark.parametrize("line, message", [
+        # a Hermitian diag(1, -0.5) projector
+        ("0,1,0,0,0,0,0,-0.5,0,1,5", "POVM element has eigenvalue -5.000e-01"),
+        ("0,1,0,0,0,0,0,0,0,1,-5", "record counts must be a non-negative integer"),
+        ("0,1,0,0,0,0,0,0,0,0,5", "zero exposition time cannot register counts"),
+        ("0,1,0,0,0,0,0,0", "malformed record line (expected 11 fields)")])
+    def test_bad_record_fails_before_any_output(self, tmp_path, capsys, line, message):
+        # The good stream comes first: every file is checked before any
+        # output of the replay exists.
+        good = self.make_records(tmp_path, n_max=2 * 10 ** 3)[0]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"2,1000\n0,1,0,0,0,0,0,0,0,1,5\n\n{line}\n")
+        rc = main(["replay", str(good), str(bad), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"tomosim: {bad}:4: {message}")
+        assert not (tmp_path / "rep").exists()
 
     def test_malformed_records_fail(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

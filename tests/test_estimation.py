@@ -58,6 +58,10 @@ class TestRecordTypes:
         with pytest.raises(ValueError):
             MeasurementRecord(H_PROJ, 1.0, -1)
 
+    def test_counts_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            LikelihoodData((MeasurementRecord(H_PROJ, 1.0, 10 ** 20),), 10.0)
+
     def test_intensity_positive(self):
         with pytest.raises(ValueError):
             LikelihoodData((MeasurementRecord(H_PROJ, 1.0, 1),), 0.0)

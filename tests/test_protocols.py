@@ -412,15 +412,13 @@ class TestInitialPlan:
 
 class TestPlanValidation:
     def test_groups_must_partition(self):
-        t = TimedMeasurement(PovmElement(projector(quantum.KET_H)), 1.0)
         with pytest.raises(ValueError, match="partition"):
-            MeasurementPlan((t,), ((0, 0),))
+            MeasurementPlan([projector(quantum.KET_H)], [1.0], ((0, 0),))
 
     def test_grouped_projectors_must_be_orthogonal(self):
-        t1 = TimedMeasurement(PovmElement(projector(quantum.KET_H)), 1.0)
-        t2 = TimedMeasurement(PovmElement(projector(quantum.KET_D)), 1.0)
         with pytest.raises(ValueError, match="not orthogonal"):
-            MeasurementPlan((t1, t2), ((0, 1),))
+            MeasurementPlan([projector(quantum.KET_H), projector(quantum.KET_D)], [1.0, 1.0],
+                            ((0, 1),))
 
     def test_transform_operator_validates_mapping(self):
         with pytest.raises(ValueError, match="eye/D"):

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from tomosim.protocols import (
     PROTOCOLS,
     MeasurementPlan,
-    TimedMeasurement,
     initial_plan,
     next_plan,
 )
@@ -38,12 +38,8 @@ from tomosim.simulator import (
 SRC = SourceModel(1000.0)
 
 
-def h_measurement(weight=1.0):
-    return TimedMeasurement(PovmElement(projector(quantum.KET_H)), weight)
-
-
 def h_plan(weight=1.0):
-    return MeasurementPlan((h_measurement(weight),), ((0,),))
+    return MeasurementPlan([projector(quantum.KET_H)], [weight], ((0,),))
 
 
 class TestSampleCounts:
@@ -63,9 +59,8 @@ class TestSampleCounts:
     def test_group_total_is_poisson_sum(self, rng):
         # basis pair on the mixed state: the exposure total has mean I*t
         rho = maximally_mixed()
-        plan = MeasurementPlan(
-            (h_measurement(), TimedMeasurement(PovmElement(projector(quantum.KET_V)), 1.0)),
-            ((0, 1),))
+        plan = MeasurementPlan([projector(quantum.KET_H), projector(quantum.KET_V)],
+                               [1.0, 1.0], ((0, 1),))
         totals = [sample_counts(plan, rho, SRC, 1.0, rng).sum() for _ in range(2000)]
         mean = np.mean(totals)
         assert abs(mean - 1000.0) <= 3 * np.sqrt(1000.0 / 2000) * 2
@@ -88,7 +83,8 @@ class TestSampleCounts:
             plan = next_plan(protocol, random_bures_mixed(rng), mub_qubit(), rng,
                              random_v=seed % 2 == 1)
             if seed % 3 == 0:  # groups listing their members out of index order
-                plan = MeasurementPlan(plan.measurements, tuple(g[::-1] for g in plan.groups[::-1]))
+                plan = MeasurementPlan(plan.matrices, plan.time_weights,
+                                       tuple(g[::-1] for g in plan.groups[::-1]))
             base_time = 0.01 * (seed + 1)
             mine, loop = np.random.default_rng(seed), np.random.default_rng(seed)
             counts = sample_counts(plan, rho, src, base_time, mine)
@@ -247,7 +243,10 @@ class TestRunArrays:
     def test_records_of_every_iteration_kept(self, monkeypatch):
         datas = self.run_datas(monkeypatch, "rankp-b")
         for prev, data in zip(datas, datas[1:]):
-            assert data.records[:len(prev.records)] == prev.records
+            # Records are views built from the run's arrays, so compared by value.
+            for old, new in zip(prev.records, data.records, strict=False):
+                assert np.array_equal(old.element.matrix, new.element.matrix)
+                assert (old.time, old.counts) == (new.time, new.counts)
             assert len(data.records) > len(prev.records)
             assert data.records[0].element.matrix.shape == (2, 2)
 
@@ -266,27 +265,53 @@ class TestRunArrays:
         with pytest.raises(ValueError, match="normal float"):
             first.extended((MeasurementRecord(v, 1e-320, 0),))
 
-    @pytest.mark.filterwarnings("ignore:mle_estimate. max_iter")
-    def test_n_det_matches_the_golden_campaigns(self, tmp_path):
+    def test_n_det_matches_the_golden_campaigns(self, golden_campaigns):
         # Every trace row's n_det of two five-protocol campaigns, as written
         # before the run loop grew its arrays: the same plans and draws.
-        from tomosim.cli import main
-        golden = Path(__file__).parent / "data" / "ndet_golden.csv"
-        with open(golden) as fh:
-            expected = [row for row in csv.DictReader(ln for ln in fh if not ln.startswith("#"))]
-        got = []
-        for states in ("pure", "bures"):
-            out = tmp_path / states
-            assert main(["simulate", "--protocol", "random,eigen,rankp-nc,rankp-b,rankp-m",
-                         "--states", states, "--runs", "2", "--n-max", "1e4", "--seed", "7",
-                         "--workers", "1", "--out", str(out)]) == 0
-            for protocol in PROTOCOLS:
-                for run in range(2):
-                    with open(out / f"trace_{protocol}_{run:03d}.csv") as fh:
-                        got += [{"states": states, "protocol": protocol, "run_id": r["run_id"],
-                                 "iteration": r["iteration"], "n_det": r["n_det"]}
-                                for r in csv.DictReader(fh)]
-        assert got == expected
+        expected = _golden_rows("ndet_golden.csv")
+        assert [{k: row[k] for k in expected[0]} for row in golden_campaigns] == expected
+
+
+def _golden_rows(name: str) -> list[dict]:
+    with open(Path(__file__).parent / "data" / name) as fh:
+        return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+
+
+@pytest.fixture(scope="module")
+def golden_campaigns(tmp_path_factory) -> list[dict]:
+    """Every trace row, tagged with its states, of `simulate --protocol
+    random,eigen,rankp-nc,rankp-b,rankp-m --states {pure,bures} --runs 2
+    --n-max 1e4 --seed 7`."""
+    from tomosim.cli import main
+    rows = []
+    for states in ("pure", "bures"):
+        out = tmp_path_factory.mktemp(states)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "mle_estimate. max_iter")
+            assert main(["simulate", "--protocol", ",".join(PROTOCOLS), "--states", states,
+                         "--runs", "2", "--n-max", "1e4", "--seed", "7", "--workers", "1",
+                         "--out", str(out)]) == 0
+        for protocol in PROTOCOLS:
+            for run in range(2):
+                with open(out / f"trace_{protocol}_{run:03d}.csv") as fh:
+                    rows += [{"states": states, **row} for row in csv.DictReader(fh)]
+    return rows
+
+
+def test_every_trace_column_matches_the_golden_campaigns(golden_campaigns):
+    # Every column of every trace row of the same campaigns, as written
+    # before plans, counts and records became arrays: integers exactly,
+    # floats to a relative 1e-12, which allows for the order in which SIMD
+    # code sums on another host.
+    expected = _golden_rows("trace_golden.csv")
+    assert len(golden_campaigns) == len(expected)
+    for column in expected[0]:
+        mine, want = ([row[column] for row in rows] for rows in (golden_campaigns, expected))
+        if column in ("n_emit", "d_bures_sq", "fidelity", "loglik"):
+            np.testing.assert_allclose(np.array(mine, dtype=float),
+                                       np.array(want, dtype=float), rtol=1e-12, atol=0)
+        else:
+            assert mine == want, column
 
 
 def regularized_pure(rng):
