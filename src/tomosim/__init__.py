@@ -4,6 +4,7 @@ tomography with rank-preserving measurement transformations."""
 from .analysis import (
     ConvergenceCurve,
     PowerLawFit,
+    asymptotic_constant,
     average_curves,
     efficiency_ratio,
     fit_power_law,

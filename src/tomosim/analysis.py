@@ -21,12 +21,16 @@ class ConvergenceCurve:
 
     def __post_init__(self):
         n = np.asarray(self.n, dtype=float)
-        if n.ndim != 1 or np.any(np.diff(n) <= 0):
-            raise ValueError("curve N values must be strictly increasing")
+        if n.ndim != 1 or not np.isfinite(n).all() or np.any(np.diff(n) <= 0):
+            raise ValueError("curve N values must be finite and strictly increasing")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "std_of_mean",
-                           np.asarray(self.std_of_mean, dtype=float))
+        for name in ("mean", "std_of_mean"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.shape != n.shape:
+                raise ValueError(f"curve {name} has shape {values.shape}, N has {n.shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"curve {name} values must be finite")
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,44 @@ def efficiency_ratio(fit1: PowerLawFit, fit2: PowerLawFit,
     if not 0 < n1 < n2:
         raise ValueError("need 0 < N1 < N2")
     return (fit2.alpha / fit1.alpha) * (n1 * n2) ** ((fit2.beta - fit1.beta) / 2.0)
+
+
+def asymptotic_constant(plan, rho) -> float:
+    """Predicted N E[d_B^2] as N -> infinity when a plan is measured again
+    and again at a mixed state rho: tr(G F^-1).
+
+    In Bloch coordinates r of rho, F = sum_k w_k m_k m_k^T / (4 p_k),
+    divided by the plan's exposure weight, is the Poisson Fisher
+    information per emitted copy of the plan's unit-trace projectors
+    (Bloch vectors m_k, time weights w_k, p_k = (1 + m_k.r)/2), and
+    G = [1 + r r^T / (1 - r^2)] / 4 is the Bures metric, d_B^2 = dr.G dr.
+    Gill and Massar (PRA 61, 042312, 2000) bound it below by 9/4 for every
+    plan. Infinite when the plan's Bloch vectors span fewer than three
+    directions; G diverges on pure states, which are rejected. Near them a
+    plan's four-vectors, exact to round-off eps, fix the constant only to
+    about eps / sqrt(1 - r^2).
+    """
+    r = rho.stokes[1:]
+    purity_gap = 4.0 * rho.det    # 1 - r^2, from the exact determinant
+    if not purity_gap > 0:
+        raise ValueError("asymptotic_constant needs a mixed state, got a pure one")
+    norm = math.sqrt(r @ r)
+    u = r / norm if norm > 0 else np.array([0.0, 0.0, 1.0])
+    m = plan.vectors[:, 1:]
+    m = m / np.linalg.norm(m, axis=1)[:, None]
+    along = m @ u
+    # p = (1 + m.r)/2 = [(1 - |r|) + |r| |m + u|^2 / 2] / 2, free of the
+    # cancellation 1 + m.r suffers at m = -u on a near-pure state.
+    p = 0.5 * (purity_gap / (1.0 + norm)
+               + 0.5 * norm * np.einsum("ka,ka->k", m + u, m + u))
+    # tr(G F^-1) = tr(A^-1) with A = G^-1/2 F G^-1/2, which is F on the
+    # Bloch vectors G^-1/2 m = 2 [m - (m.u) u + sqrt(1 - r^2) (m.u) u].
+    scaled = 2.0 * (m - along[:, None] * u + (math.sqrt(purity_gap) * along)[:, None] * u)
+    weights = plan.time_weights / (4.0 * p * plan.exposure_weight())
+    spectrum = np.linalg.eigvalsh((scaled.T * weights) @ scaled)
+    if not spectrum[0] > 1e-12 * spectrum[-1]:
+        return math.inf
+    return float(np.sum(1.0 / spectrum))
 
 
 def gill_massar_bound(n: float, kind: str) -> float:

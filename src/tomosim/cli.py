@@ -89,8 +89,12 @@ def read_curve_file(path) -> tuple[ConvergenceCurve, dict]:
     if not header_seen or not rows:
         raise ValueError(f"{path}: not a curve file")
     arr = np.array(rows)
-    return ConvergenceCurve(arr[:, 0], arr[:, 1], arr[:, 2],
-                            runs=int(meta.get("runs", "0"))), meta
+    try:
+        curve = ConvergenceCurve(arr[:, 0], arr[:, 1], arr[:, 2],
+                                 runs=int(meta.get("runs", "0")))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return curve, meta
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +252,19 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
     numpy and Python versions, the worker count, the wall time and, per
     protocol, the estimator's calls, total iterations and ``max_iter``
     hits. It is the one output that differs between runs of the same
-    config, and it is not a CSV.
+    config, and it is not a CSV. While the campaign runs, each completed
+    run prints one progress line on stderr.
     """
     t0 = perf_counter()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    done, total = 0, len(cfg.protocols) * cfg.runs
 
     def flush(protocol: str, trace: Trace, stream: RecordStream) -> None:
+        nonlocal done
+        done += 1
+        print(f"tomosim: {protocol} run {trace.run_id} done ({done}/{total}, "
+              f"{perf_counter() - t0:.1f} s)", file=sys.stderr, flush=True)
         name = f"{protocol}_{trace.run_id:03d}.csv"
         write_trace_file(out / f"trace_{name}", trace)
         if records:

@@ -22,10 +22,12 @@ from .quantum import (
     NotPositiveSemidefiniteError,
     PovmElement,
     first_failure,
+    from_stokes,
     hermitize,
     maximally_mixed,
     stack_checks,
     stack_spectrum,
+    to_stokes,
     trace_norm,
 )
 
@@ -124,43 +126,33 @@ def checked_records(mats, times, counts, where=lambda i: f"record {i}"):
 
 
 class _RecordArrays:
-    """A growing record stream as arrays: each record's matrix M_k, trace
-    Tr M_k, Bloch vector m_k (M_k = (Tr M_k + m_k.sigma)/2), time and
-    counts. A full buffer grows to hold one more batch of the size just
-    appended: a run appends one plan's records per iteration, so the slack
-    stays below one plan. A prefix of the buffers is the arrays of the
-    data holding its first n records; the estimator reads their live
-    records (t > 0), which are the prefix itself unless a record with
-    t = 0 lies in it.
-
-    The Bloch vectors are kept complex, as the einsum over the Paulis gives
-    them, and read through their real part: numpy's matmul sums a strided
-    operand in another order than a contiguous one, and the estimator's
-    sums keep the order they had when every call stacked its own arrays.
+    """A growing record stream as arrays: each record's four-vector
+    (Tr M_k, m_k) (M_k = (Tr M_k + m_k.sigma)/2), time and counts. A full
+    buffer grows to hold one more batch of the size just appended: a run
+    appends one plan's records per iteration, so the slack stays below one
+    plan. A prefix of the buffers is the arrays of the data holding its
+    first n records; the estimator reads their live records (t > 0), which
+    are the prefix itself unless a record with t = 0 lies in it.
     """
 
     def __init__(self):
         self.size = 0
         self.first_dead = math.inf    # index of the first record with t = 0
-        self._mats = np.empty((0, 2, 2), dtype=complex)
-        self._bloch = np.empty((0, 3), dtype=complex)
-        self._traces = np.empty(0)
+        self._vecs = np.empty((0, 4))
         self._times = np.empty(0)
         self._counts = np.empty(0)
         # (prefix length, smallest singular value) of the first prefix
         # whose counted Bloch vectors were found to span three directions.
         self._spanning = None
 
-    def extend(self, mats: np.ndarray, times: np.ndarray, counts: np.ndarray) -> None:
-        """Append checked records: (K, 2, 2) matrices, times and counts."""
+    def extend(self, vecs: np.ndarray, times: np.ndarray, counts: np.ndarray) -> None:
+        """Append checked records: (K, 4) four-vectors, times and counts."""
         if not len(times):
             return
         start, stop = self.size, self.size + len(times)
         if stop > self._times.size:
             self._reserve(stop + len(times))
-        self._mats[start:stop] = mats
-        self._bloch[start:stop] = np.einsum("aji,kij->ka", _PAULI, mats)
-        self._traces[start:stop] = (mats[:, 0, 0] + mats[:, 1, 1]).real
+        self._vecs[start:stop] = vecs
         self._times[start:stop] = times
         self._counts[start:stop] = counts
         # Checked times are >= 0, so a zero marks a record with t = 0.
@@ -168,7 +160,7 @@ class _RecordArrays:
             self.first_dead = start + int(np.argmin(times))
         self.size = stop
 
-    _BUFFERS = ("_mats", "_bloch", "_traces", "_times", "_counts")
+    _BUFFERS = ("_vecs", "_times", "_counts")
 
     def _reserve(self, capacity: int) -> None:
         n = self.size
@@ -188,19 +180,17 @@ class _RecordArrays:
         return out
 
     def records(self, n: int):
-        """(matrices, times, counts) of the first n records, live or not."""
-        return self._mats[:n], self._times[:n], self._counts[:n]
+        """(four-vectors, times, counts) of the first n records, live or not."""
+        return self._vecs[:n], self._times[:n], self._counts[:n]
 
     def views(self, n: int):
-        """(matrices, traces, Bloch vectors, times, counts) of the live
-        records among the first n: views, or copies if one has t = 0."""
-        out = (self._mats[:n], self._traces[:n], self._bloch[:n], self._times[:n],
-               self._counts[:n])
+        """(four-vectors, times, counts) of the live records among the
+        first n: views, or copies if one has t = 0."""
+        out = self.records(n)
         if self.first_dead < n:
             live = self._times[:n] > 0
             out = tuple(a[live] for a in out)
-        mats, traces, bloch, times, counts = out
-        return mats, traces, bloch.real, times, counts
+        return out
 
     def spans_three(self, n: int, bloch_pos: np.ndarray) -> bool:
         """matrix_rank(bloch_pos) == 3 for the counted Bloch vectors among
@@ -230,37 +220,39 @@ class _RecordArrays:
 class LikelihoodData:
     """A record collection plus the source intensity I.
 
-    The records are held as arrays (_RecordArrays), which ``extended``
-    grows in place, so a run that appends each iteration's records stacks
-    every record once. ``records`` is the MeasurementRecord tuple the data
-    was built from, or, for data built from arrays, views of them built on
-    first use.
+    The records are held as arrays of four-vectors, times and counts
+    (_RecordArrays), which ``extended`` grows in place, so a run that
+    appends each iteration's records stacks every record once. Matrices
+    are views: ``records`` is the MeasurementRecord tuple the data was
+    built from, or, for data built from arrays, views of them built on
+    first use, and ``matrices`` are built per call.
     """
 
     def __init__(self, records, intensity: float):
         records = tuple(records)
-        self._hold(intensity, _RecordArrays(), *stack_records(records))
+        mats, times, counts = stack_records(records)
+        self._hold(intensity, _RecordArrays(), to_stokes(mats), times, counts)
         self.__dict__["records"] = records
 
     @classmethod
-    def from_arrays(cls, intensity: float, mats: np.ndarray, times: np.ndarray,
+    def from_arrays(cls, intensity: float, vecs: np.ndarray, times: np.ndarray,
                     counts: np.ndarray) -> "LikelihoodData":
-        """Data of records given as arrays, (K, 2, 2) unit-trace matrices,
-        times and counts, that are already checked: a MeasurementPlan's
-        measurements, or a RecordStream's records."""
+        """Data of records given as arrays, (K, 4) four-vectors of unit-trace
+        operators, times and counts, that are already checked: a
+        MeasurementPlan's measurements, or a RecordStream's records."""
         out = object.__new__(cls)
-        out._hold(intensity, _RecordArrays(), mats, times, counts)
+        out._hold(intensity, _RecordArrays(), vecs, times, counts)
         return out
 
-    def _hold(self, intensity: float, arrays: _RecordArrays, mats, times, counts) -> None:
+    def _hold(self, intensity: float, arrays: _RecordArrays, vecs, times, counts) -> None:
         """Append checked records to arrays and keep all its records as this
         data's."""
         if not 0 < intensity < math.inf:
             raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
-        arrays.extend(mats, times, counts)
+        arrays.extend(vecs, times, counts)
         # Poisson means I*t must stay normal floats, or G and log(I p t)
         # overflow or underflow deep inside the estimator.
-        live = arrays.views(arrays.size)[3]
+        live = arrays.views(arrays.size)[1]
         least = float(live.min()) if live.size else math.inf
         if not intensity * least >= sys.float_info.min:
             raise ValueError("intensity * record time must be a normal float, "
@@ -276,9 +268,10 @@ class LikelihoodData:
     def extended(self, records) -> "LikelihoodData":
         """This data with records appended, sharing and growing its arrays
         (or a copy of their prefix when a longer data already grew them)."""
-        return self.extended_arrays(*stack_records(tuple(records)))
+        mats, times, counts = stack_records(tuple(records))
+        return self.extended_arrays(to_stokes(mats), times, counts)
 
-    def extended_arrays(self, mats: np.ndarray, times: np.ndarray,
+    def extended_arrays(self, vecs: np.ndarray, times: np.ndarray,
                         counts: np.ndarray) -> "LikelihoodData":
         """``extended`` for already checked records given as arrays, as
         from_arrays takes them."""
@@ -286,24 +279,25 @@ class LikelihoodData:
         if arrays.size != self._n:
             arrays = arrays.prefix(self._n)
         out = object.__new__(LikelihoodData)
-        out._hold(self.intensity, arrays, mats, times, counts)
+        out._hold(self.intensity, arrays, vecs, times, counts)
         return out
 
     @cached_property
     def records(self) -> tuple[MeasurementRecord, ...]:
         """MeasurementRecord views of the records, built on first use."""
-        mats, times, counts = self._arrays.records(self._n)
+        vecs, times, counts = self._arrays.records(self._n)
         return tuple(MeasurementRecord(PovmElement(m), t, int(n))
-                     for m, t, n in zip(mats, times.tolist(), counts.tolist()))
+                     for m, t, n in zip(from_stokes(vecs), times.tolist(), counts.tolist()))
 
     def arrays(self):
         """(traces, Bloch vectors, times, counts) of the live records,
         views of the arrays this data shares."""
-        return self._arrays.views(self._n)[1:]
+        vecs, times, counts = self._arrays.views(self._n)
+        return vecs[:, 0], vecs[:, 1:], times, counts
 
     def matrices(self) -> np.ndarray:
-        """The (K, 2, 2) matrices of the live records."""
-        return self._arrays.views(self._n)[0]
+        """The (K, 2, 2) matrices of the live records, built per call."""
+        return from_stokes(self._arrays.views(self._n)[0])
 
 
 @dataclass(frozen=True)
@@ -360,7 +354,8 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     The log-likelihood is concave in the Bloch vector r of rho, and a
     call first solves for its maximum by Newton's method on r alone,
     from the fully mixed state, with p_k = (Tr M_k + m_k.r)/2 over the
-    records' Bloch vectors m_k: a step that would leave the Bloch ball is
+    records' four-vectors (Tr M_k, m_k) and the exposure term in closed
+    form (_Likelihood.value): a step that would leave the Bloch ball is
     cut to _SPHERE_SHARE of the way to the sphere, and a step is halved
     until it gains at least _NEWTON_GAIN of its first-order gain. The
     call ends, converged, once the Newton point lies in the ball, every
@@ -406,7 +401,7 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         r, steps, capped = solved
         if logliks is not None:
             logliks.extend(steps)
-        est = DensityMatrix(0.5 * (np.eye(2) + np.einsum("a,aij->ij", r, _PAULI)))
+        est = DensityMatrix(from_stokes(np.concatenate(([1.0], r))))
     else:
         rho, capped = _line_search(lik, opts.max_iter, logliks)
         est = DensityMatrix(_clip_spectrum(rho))
@@ -420,9 +415,10 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
 class _Likelihood:
     """The arrays of one estimator call: the live records' traces, Bloch
     vectors m_k (M_k = (Tr M_k + m_k.sigma)/2), times and counts, views of
-    the data's arrays, and the count-independent part of the gradient in
-    Bloch coordinates. The operators M_k themselves are stacked only for
-    the line search."""
+    the data's arrays; the counted records' (n_k > 0) I t_k, m_k, n_k and
+    the products of the m_k's components, stacked once; and the exposure
+    sums I sum t_k Tr M_k and I sum t_k m_k. The operators M_k themselves
+    are built only for the line search."""
 
     def __init__(self, data: LikelihoodData):
         self.data, self.intensity = data, data.intensity
@@ -430,16 +426,44 @@ class _Likelihood:
         self.pos = self.counts > 0
         self.counts_pos = self.counts[self.pos]
         self.times_pos = self.times[self.pos]
+        self.traces_pos = self.traces[self.pos]
+        self.rates_pos = self.intensity * self.times_pos
         self.total_rate = self.intensity * self.times.sum()
         self.bloch_pos = self.bloch[self.pos]
+        self.exposure = self.intensity * self.times @ self.traces
         self.drift = self.intensity * self.times @ self.bloch
         # Counts on fewer than three independent directions leave H singular:
         # a Newton step along the rest would be set by round-off.
         self.full_rank = data._arrays.spans_three(data._n, self.bloch_pos)
+        if self.full_rank:
+            # The six distinct entries of m_k m_k^T, the Hessian's terms.
+            self.products = self.bloch_pos[:, _ROWS] * self.bloch_pos[:, _COLS]
 
     @cached_property
     def mats(self) -> np.ndarray:
         return self.data.matrices()
+
+    def value(self, r: np.ndarray):
+        """(log-likelihood, counted p_k, their logs ln(I t_k p_k)) at the
+        Bloch vector r, with p_k = (Tr M_k + m_k.r)/2 clamped below at
+        PROB_CLAMP in the logs, and the exposure term sum_k I t_k p_k over
+        every record in closed form, (I sum t_k Tr M_k + I sum t_k m_k.r)/2:
+        the value _loglik gives while every p_k lies in [0, 1] and every
+        counted one above PROB_CLAMP."""
+        p = 0.5 * (self.traces_pos + self.bloch_pos @ r)
+        logs = np.log(self.rates_pos * np.maximum(p, PROB_CLAMP))
+        return float(self.counts_pos @ logs) - 0.5 * (self.exposure + self.drift @ r), p, logs
+
+    def step(self, p: np.ndarray, logs: np.ndarray):
+        """(the log-likelihood's round-off, Newton step s, Newton decrement
+        g.s) at the counted p_k and logs of value(), where s = H^-1 g with
+        g = (1/2) sum (n_k/p_k - I t_k) m_k and H = (1/4) sum n_k/p_k^2
+        m_k m_k^T; s and g.s are None unless H is positive definite."""
+        p = np.maximum(p, PROB_CLAMP)
+        ratios = self.counts_pos / p
+        noise = _ROUNDOFF * (self.counts_pos @ np.abs(logs) + self.total_rate)
+        grad = 0.5 * (ratios @ self.bloch_pos - self.drift)
+        return (noise, *_solve_spd(0.25 * ((ratios / p) @ self.products), grad))
 
     def counted(self, p: np.ndarray):
         """The counted p_k, clamped at PROB_CLAMP, and their ln(I p_k t_k)."""
@@ -458,12 +482,11 @@ class _Likelihood:
         return self.terms(p)[0]
 
     def newton(self, p_pos: np.ndarray, logs: np.ndarray):
-        """(n_k/p_k over the counted records, the log-likelihood's round-off,
-        Newton step s, Newton decrement g.s) at the counted probabilities
-        p_pos and their logs from counted(), where s = H^-1 g on the Bloch
-        vector with g = (1/2) sum (n_k/p_k - I t_k) m_k and
-        H = (1/4) sum n_k/p_k^2 m_k m_k^T; s and g.s are None when H is
-        singular."""
+        """The line search's Newton trial: (n_k/p_k over the counted
+        records, the log-likelihood's round-off, the step s and decrement
+        g.s that step() defines, by a general solve) at the counted
+        probabilities p_pos and their logs from counted(); s and g.s are
+        None when H is singular."""
         ratios = self.counts_pos / p_pos
         noise = _ROUNDOFF * (np.dot(self.counts_pos, np.abs(logs)) + self.total_rate)
         if not self.full_rank:
@@ -485,30 +508,56 @@ class _Likelihood:
                 and bool(np.all(p[self.pos] > PROB_CLAMP)))
 
 
+# Row and column of the six distinct entries of a symmetric 3x3 matrix, in
+# the order xx, xy, xz, yy, yz, zz.
+_ROWS = np.array([0, 0, 0, 1, 1, 2])
+_COLS = np.array([0, 1, 2, 1, 2, 2])
+
+
+def _solve_spd(h: np.ndarray, g: np.ndarray):
+    """(s, g.s) for the symmetric 3x3 system H s = g, H given by its six
+    distinct entries, by the closed-form LDL^T factorization; (None, None)
+    unless every pivot is positive, that is unless H is positive definite."""
+    h00, h01, h02, h11, h12, h22 = h.tolist()
+    g0, g1, g2 = g.tolist()
+    if not h00 > 0:
+        return None, None
+    l10, l20 = h01 / h00, h02 / h00
+    d1 = h11 - l10 * h01
+    if not d1 > 0:
+        return None, None
+    l21 = (h12 - l20 * h01) / d1
+    d2 = h22 - l20 * h02 - l21 * l21 * d1
+    if not d2 > 0:
+        return None, None
+    y1 = g1 - l10 * g0
+    y2 = g2 - l20 * g0 - l21 * y1
+    s2 = y2 / d2
+    s1 = y1 / d1 - l21 * s2
+    s0 = g0 / h00 - l10 * s1 - l20 * s2
+    return np.array([s0, s1, s2]), g0 * s0 + g1 * s1 + g2 * s2
+
+
 def _newton_solve(lik: _Likelihood, max_iter: int):
-    """Newton ascent on the Bloch vector from the fully mixed state.
+    """Newton ascent on the Bloch vector from the fully mixed state, over
+    the counted records and the exposure term in closed form.
 
     Returns (r, log-likelihoods of the start and each step, whether
     max_iter ran out), or None to hand the call over to the line search.
     """
-    traces, bloch = lik.traces, lik.bloch
-
-    def probabilities(r):
-        return np.minimum(np.maximum(0.5 * (traces + bloch @ r), 0.0), 1.0)
-
     r = np.zeros(3)
-    p = probabilities(r)
-    ll, p_pos, logs = lik.terms(p)
+    ll, p, logs = lik.value(r)
     lls = [ll]
     cuts = 0
     for _ in range(max_iter):
-        _, noise, step, decrement = lik.newton(p_pos, logs)
+        noise, step, decrement = lik.step(p, logs)
         if step is None:
             return None
         r_new = r + step
-        if lik.converged(p, noise, r_new, decrement):
-            return r, lls, False
-        if r_new @ r_new < 1.0:
+        inside = r_new @ r_new < 1.0
+        if inside and decrement <= noise and p.min() > PROB_CLAMP:
+            return r, lls, False    # the end rule of _Likelihood.converged
+        if inside:
             t, cuts = 1.0, 0
         else:
             cuts += 1
@@ -518,14 +567,13 @@ def _newton_solve(lik: _Likelihood, max_iter: int):
             a, b, c = step @ step, r @ step, r @ r - 1.0
             t = _SPHERE_SHARE * (math.sqrt(b * b - a * c) - b) / a
         while True:
-            p_new = probabilities(r + t * step)
-            ll_new, pos_new, logs_new = lik.terms(p_new)
+            ll_new, p_new, logs_new = lik.value(r + t * step)
             if ll_new - ll >= _NEWTON_GAIN * t * decrement:
                 break
             t /= 2
             if t * decrement < noise:
                 return None    # no resolvable ascent along the step
-        r, p, ll, p_pos, logs = r + t * step, p_new, ll_new, pos_new, logs_new
+        r, p, ll, logs = r + t * step, p_new, ll_new, logs_new
         lls.append(ll)
     return r, lls, True
 

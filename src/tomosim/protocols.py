@@ -8,14 +8,17 @@ gamma Lambda(r) for the symmetric map, the Lorentz boost with velocity r
 scaled by gamma = 1/sqrt(1 - |r|^2). RankP-B pairs each element with its
 antipode t (1, -m); RankP-M divides the set by the largest eigenvalue
 mu = (S_0 + |s|)/2 of its sum S and appends the residual (|s|, -s)/mu.
-Plans become matrices only at the end, and the public matrix functions
-convert around the same arithmetic. Eigen and Random are the baselines.
+The baselines are four-vectors too: Eigen turns the MUB axes by the
+minimal rotation taking z to the estimator's Bloch direction, and Random
+reads the Bloch vector of a Haar-random ket. A plan holds four-vectors;
+its matrices are views built on demand, and the public matrix functions
+convert around the same arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -99,56 +102,76 @@ class TimedMeasurement:
         object.__setattr__(self, "time_weight", float(self.time_weight))
 
 
-@dataclass(frozen=True, eq=False)
 class MeasurementPlan:
     """Timed measurements partitioned into simultaneity groups: measurements
     sharing a group are orthogonal and read out within a single exposure.
 
-    The measurements are held as arrays, the (K, 2, 2) unit-trace rank-1
-    projectors and their (K,) time weights, and checked once, together, as
-    TimedMeasurement checks one. ``measurements`` builds TimedMeasurement
-    views of them on first use. ``order`` lists the measurement indices
-    group by group, and ``group_of`` the group of each entry of ``order``.
+    The measurements are held as arrays, the (K, 4) four-vectors (1, m) of
+    their unit-trace rank-1 projectors and their (K,) time weights, and
+    checked once, together, on the four-vectors: unit trace, rank 1 (the
+    four-vector is null), positive times and Tr(Ma Mb) = (1 + ma.mb)/2 = 0
+    within a group. The constructor takes the (K, 2, 2) projectors and
+    first checks them Hermitian and PSD; ``of_vectors`` takes four-vectors.
+    ``matrices`` and ``measurements`` (TimedMeasurement views) are built
+    on first use. ``order`` lists the measurement indices group by group,
+    and ``group_of`` the group of each entry of ``order``.
     """
 
-    matrices: np.ndarray
-    time_weights: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
-    weights: np.ndarray = field(init=False, repr=False)  # derived: Tr of each matrix
-    order: np.ndarray = field(init=False, repr=False)
-    group_of: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mats = np.array(self.matrices, dtype=complex).reshape(-1, 2, 2)
-        times = np.array(self.time_weights, dtype=float).reshape(-1)
-        groups = tuple(map(tuple, self.groups))
-        if not len(mats):
-            raise ValueError("a plan needs at least one measurement")
-        if times.size != len(mats):
-            raise ValueError(f"{len(mats)} projectors but {times.size} time weights")
-        order, group_of, pairs = _layout(groups)
-        if order.size != len(mats):
-            raise ValueError("groups must partition the measurement indices")
+    def __init__(self, matrices, time_weights, groups):
+        mats = np.array(matrices, dtype=complex).reshape(-1, 2, 2)
         trace, norm = stack_spectrum(mats)
+        if not stack_is_psd(mats, trace, norm):
+            raise first_failure(stack_checks(mats, trace, norm, "POVM element"))[1]
+        self._hold(to_stokes(mats), time_weights, groups)
+
+    @classmethod
+    def of_vectors(cls, vectors, time_weights, groups) -> "MeasurementPlan":
+        """The plan of (K, 4) real four-vectors of unit-trace projectors."""
+        out = object.__new__(cls)
+        out._hold(np.array(vectors, dtype=float).reshape(-1, 4), time_weights, groups)
+        return out
+
+    def _hold(self, vecs: np.ndarray, time_weights, groups) -> None:
+        times = np.array(time_weights, dtype=float).reshape(-1)
+        groups = tuple(map(tuple, groups))
+        if not len(vecs):
+            raise ValueError("a plan needs at least one measurement")
+        if times.size != len(vecs):
+            raise ValueError(f"{len(vecs)} projectors but {times.size} time weights")
+        order, group_of, pairs = _layout(groups)
+        if order.size != len(vecs):
+            raise ValueError("groups must partition the measurement indices")
+        trace = vecs[:, 0]
+        norm = np.sqrt(np.einsum("ka,ka->k", vecs[:, 1:], vecs[:, 1:]))
         # Rank 1 is a null four-vector: the eigenvalues are (S_0 +- |s|)/2.
         rank_defect = np.abs(trace - norm) - _RANK_TOL * (trace + norm)
-        if not (stack_is_psd(mats, trace, norm) and times.min() > 0
-                and np.abs(trace - 1.0).max() <= 1e-9 and rank_defect.max() <= 0):
-            _raise_first(mats, times, trace, norm, rank_defect)
+        if not (times.min() > 0 and np.abs(trace - 1.0).max() <= 1e-9
+                and rank_defect.max() <= 0):
+            # Negated tests, so that a NaN fails them as it fails the above.
+            raise first_failure([
+                (~(times > 0), lambda i: ValueError("time_weight must be positive")),
+                (~(np.abs(trace - 1.0) <= 1e-9),
+                 lambda i: ValueError("projector must have unit trace")),
+                (~(rank_defect <= 0), lambda i: ValueError("projector must be rank 1")),
+            ])[1]
         if pairs is not None:
-            # Tr(Ma Mb) is the Frobenius product <Ma, Mb> of Hermitian Ma.
-            flat = mats.reshape(-1, 4)
-            overlaps = np.abs(np.vecdot(flat[pairs[0]], flat[pairs[1]]))
+            # Tr(Ma Mb) = (a_0 b_0 + a.b)/2 for Ma = (a_0 + a.sigma)/2.
+            overlaps = np.abs(0.5 * np.einsum("ka,ka->k", vecs[pairs[0]], vecs[pairs[1]]))
             if overlaps.max() > _ORTHO_TOL:
                 k = int(np.argmax(overlaps > _ORTHO_TOL))
                 raise ValueError(f"grouped projectors {pairs[0][k]},{pairs[1][k]} not "
                                  f"orthogonal (|Tr Ma Mb| = {overlaps[k]:.3e})")
-        mats.setflags(write=False)
+        vecs.setflags(write=False)
         times.setflags(write=False)
-        trace.setflags(write=False)
-        for name, value in (("matrices", mats), ("time_weights", times), ("groups", groups),
-                            ("weights", trace), ("order", order), ("group_of", group_of)):
-            object.__setattr__(self, name, value)
+        self.vectors, self.time_weights, self.groups = vecs, times, groups
+        self.order, self.group_of = order, group_of
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The (K, 2, 2) projectors, built on first use."""
+        mats = from_stokes(self.vectors)
+        mats.setflags(write=False)
+        return mats
 
     @cached_property
     def measurements(self) -> tuple[TimedMeasurement, ...]:
@@ -160,18 +183,6 @@ class MeasurementPlan:
         """Total exposure per unit base time: one max-weight slot per group."""
         times = self.time_weights.tolist()
         return float(sum(max(times[i] for i in g) for g in self.groups))
-
-
-def _raise_first(mats, times, trace, norm, rank_defect) -> None:
-    """Raise the error of the first measurement that fails a check, in the
-    order PovmElement and TimedMeasurement check one."""
-    failure = first_failure(stack_checks(mats, trace, norm, "POVM element") + [
-        (~(times > 0), lambda i: ValueError("time_weight must be positive")),
-        (np.abs(trace - 1.0) > 1e-9, lambda i: ValueError("projector must have unit trace")),
-        (rank_defect > 0, lambda i: ValueError("projector must be rank 1")),
-    ])
-    if failure is not None:
-        raise failure[1]
 
 
 @lru_cache(maxsize=64)
@@ -229,14 +240,24 @@ def _timed(vecs: np.ndarray, groups) -> MeasurementPlan:
     times = vecs[:, 0]
     if (times <= INERT_WEIGHT).any():
         raise ValueError("element has vanishing trace; drop it instead")
-    return MeasurementPlan(from_stokes(vecs / times[:, None]), times, groups)
+    return MeasurementPlan.of_vectors(vecs / times[:, None], times, groups)
 
 
-def _ket_plan(kets, groups) -> MeasurementPlan:
-    """Projectors onto unit kets, each held for unit time."""
-    kets = np.asarray(kets)
-    # The outer products |v><v| of projector(), stacked.
-    return MeasurementPlan(kets[:, :, None] * kets.conj()[:, None, :], np.ones(len(kets)), groups)
+def _boost(rho_hat: DensityMatrix, delta: float) -> np.ndarray:
+    """gamma Lambda(r), the transfer matrix of rank_preserving_map's lmap^dag
+    in closed form: Lambda(r) is the Lorentz boost with velocity r, the
+    Bloch vector of rho_hat mixed with eye/2 (weight delta), and
+    gamma = 1/sqrt(1 - |r|^2)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    s = (1.0 - delta) * rho_hat.stokes
+    r = s[1:] / (s[0] + delta)
+    gamma = 1.0 / math.sqrt(1.0 - r @ r)
+    out = np.empty((4, 4))
+    out[0, 0] = gamma
+    out[0, 1:] = out[1:, 0] = -gamma * r
+    out[1:, 1:] = np.eye(3) + (gamma * gamma / (gamma + 1.0)) * np.outer(r, r)
+    return gamma * out
 
 
 def rank_preserving_map(rho_hat: DensityMatrix,
@@ -297,14 +318,13 @@ def complement_minimal(elements) -> tuple[list[PovmElement], list[PovmElement]]:
     return [PovmElement(m) for m in mats[:-2]], [PovmElement(m) for m in mats[-2:]]
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude entry is real positive."""
-    c = vec[int(np.argmax(np.abs(vec)))]
-    return vec * (c.conjugate() / abs(c))
+# The MUB axes +-z, +-x, +-y, the Bloch vectors of H, V, D, A, R, L.
+_MUB_AXES = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],
+                     dtype=float)
 
 
-def _eigen_frame(rho_hat: DensityMatrix) -> list[np.ndarray]:
-    """Kets of the MUB frame aligned with the estimator.
+def _eigen_frame(rho_hat: DensityMatrix) -> np.ndarray:
+    """(6, 4) four-vectors (1, m) of the MUB frame aligned with the estimator.
 
     Measuring the bare eigenbasis alone is degenerate: estimates built
     from basis-aligned counts stay diagonal in that basis, so the basis
@@ -312,18 +332,40 @@ def _eigen_frame(rho_hat: DensityMatrix) -> list[np.ndarray]:
     learned. The aligned frame adds the two bases unbiased to the
     eigenbasis (the estimator-frame analogue of the static MUB set),
     keeping every state component informed while the eigenbasis itself
-    pins down the spectrum. A degenerate spectrum falls back to the
-    computational basis.
+    pins down the spectrum.
+
+    The frame is the MUB axes turned by the minimal rotation taking z to
+    the estimator's Bloch direction u (Rodrigues), so it depends on u
+    alone and moves smoothly with it, except at u = -z, where it is the
+    half turn about x. A degenerate spectrum (|r| < 1e-12) falls back to
+    the computational basis.
     """
-    w, v = np.linalg.eigh(rho_hat.matrix)
-    if w[-1] - w[0] < 1e-12:
-        u1, u2 = np.eye(2, dtype=complex)
+    x, y, z = rho_hat.stokes[1:].tolist()
+    norm = math.sqrt(x * x + y * y + z * z)
+    if norm < 1e-12:
+        rot = np.eye(3)
     else:
-        u1, u2 = (_fix_phase(col) for col in v.T)
-    sq2 = 1.0 / np.sqrt(2.0)
-    return [u1, u2,
-            sq2 * (u1 + u2), sq2 * (u1 - u2),
-            sq2 * (u1 + 1j * u2), sq2 * (u1 - 1j * u2)]
+        x, y, z = x / norm, y / norm, z / norm
+        side = x * x + y * y
+        if z < 0 and side == 0:
+            rot = np.diag([1.0, -1.0, -1.0])
+        else:
+            # 1/(1 + z), as (1 - z)/(x^2 + y^2) where 1 + z cancels.
+            a = 1.0 / (1.0 + z) if z >= 0 else (1.0 - z) / side
+            rot = np.array([[1.0 - a * x * x, -a * x * y, x],
+                            [-a * x * y, 1.0 - a * y * y, y],
+                            [-x, -y, z]])
+    vecs = np.ones((6, 4))
+    vecs[:, 1:] = _MUB_AXES @ rot.T
+    return vecs
+
+
+def _ket_vector(ket: np.ndarray) -> np.ndarray:
+    """Four-vector (1, m) of the projector onto a unit ket (a, b):
+    m = (2 Re a*b, 2 Im a*b, |a|^2 - |b|^2)."""
+    a, b = ket.tolist()
+    ab = a.conjugate() * b
+    return np.array([1.0, 2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
 
 
 def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
@@ -339,15 +381,16 @@ def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
     rankp-m  -- minimally complemented set, singleton groups throughout.
     """
     if protocol == "random":
-        return _ket_plan(haar_unitary(rng).T, ((0, 1),))
+        return _timed(_with_antipodes(_ket_vector(haar_unitary(rng)[:, 0])[None]), ((0, 1),))
     if protocol == "eigen":
-        return _ket_plan(_eigen_frame(rho_hat), ((0, 1), (2, 3), (4, 5)))
+        return _timed(_eigen_frame(rho_hat), ((0, 1), (2, 3), (4, 5)))
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    op = rank_preserving_map(rho_hat, delta)
+    transfer = _boost(rho_hat, delta)
     if random_v:
-        op = apply_unitary_freedom(op, haar_unitary(rng))
-    vecs = base.vectors @ _transfer(op.adjoint).T
+        # Left-multiplying lmap by V conjugates elements by V^dag first.
+        transfer = transfer @ _transfer(haar_unitary(rng).conj().T)
+    vecs = base.vectors @ transfer.T
     if protocol == "rankp-m":
         vecs = _minimal_completion(vecs)
     vecs = vecs[vecs[:, 0] > INERT_WEIGHT]

@@ -158,6 +158,14 @@ class DensityMatrix:
         estimate of a run is computed once."""
         return _qubit_det(self.matrix)
 
+    @cached_property
+    def stokes(self) -> np.ndarray:
+        """Four-vector (Tr rho, Tr sigma rho) = (1, r), r the Bloch vector;
+        computed on first use and kept, read-only."""
+        s = to_stokes(self.matrix)
+        s.setflags(write=False)
+        return s
+
 
 @dataclass(frozen=True, slots=True)
 class PovmElement:

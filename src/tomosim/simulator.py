@@ -34,9 +34,11 @@ from .quantum import (
     DensityMatrix,
     PovmElement,
     fidelity,
+    from_stokes,
     maximally_mixed,
     mub_qubit,
     require_qubit,
+    to_stokes,
 )
 
 # Not called here (fidelity is computed once per entry, and each estimate's
@@ -177,19 +179,20 @@ def sample_counts(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceMod
     measurements: measurement i draws with mean I * eff * p_i *
     (time_weight_i * base_time), p_i = Tr(M_i rho) clamped to [0, Tr M_i].
 
-    The draws are taken in the order the plan's groups list their members,
-    all by one rng.poisson call, which draws as one call per measurement
-    would. Members of a simultaneity group are sampled by one such draw
-    each from the shared exposure; independent Poisson outcomes are the
-    thinning of the group total.
+    The Born rule is read on four-vectors, Tr(M rho) = (v_0 + v.r)/2 for
+    M's four-vector (v_0, v) and rho's (1, r). The draws are taken in the
+    order the plan's groups list their members, all by one rng.poisson
+    call, which draws as one call per measurement would. Members of a
+    simultaneity group are sampled by one such draw each from the shared
+    exposure; independent Poisson outcomes are the thinning of the group
+    total.
     """
     if base_time <= 0:
         raise ValueError("base_time must be positive")
     order = plan.order
-    # Born rule as born_probability computes it, Re Tr(M rho) of the product.
-    prods = plan.matrices[order] @ rho_true.matrix
-    p = (prods[:, 0, 0] + prods[:, 1, 1]).real
-    p = np.minimum(np.maximum(p, 0.0), plan.weights[order])
+    vecs = plan.vectors[order]
+    p = 0.5 * (vecs @ rho_true.stokes)
+    p = np.minimum(np.maximum(p, 0.0), vecs[:, 0])
     means = src.intensity * src.efficiency * p * plan.time_weights[order] * base_time
     counts = np.empty(len(order), dtype=np.int64)
     counts[order] = rng.poisson(means)
@@ -211,11 +214,11 @@ def emitted_copies(total_time: float, src: SourceModel) -> float:
 def _measure_plan(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceModel,
                   base_time: float, rng: np.random.Generator, next_group_id: int):
     """Sample every group of a plan; returns its records in group order as
-    arrays (group ids, matrices, times, counts), the detected total and the
-    next free group id."""
+    arrays (group ids, four-vectors, times, counts), the detected total and
+    the next free group id."""
     counts = sample_counts(plan, rho_true, src, base_time, rng)
     order = plan.order
-    records = (next_group_id + plan.group_of, plan.matrices[order],
+    records = (next_group_id + plan.group_of, plan.vectors[order],
                plan.time_weights[order] * base_time, counts[order])
     return records, int(counts.sum()), next_group_id + len(plan.groups)
 
@@ -255,16 +258,21 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
                              delta=delta, random_v=random_v)
         exposure = plan.exposure_weight()
         base_time = budget / (src.intensity * exposure)
-        batch, detected, group_id = _measure_plan(
+        (gids, vecs, times, counts), detected, group_id = _measure_plan(
             plan, rho_true, src, base_time, rng, group_id)
-        batches.append(batch)
+        # The stream keeps the records' matrices, which a record file
+        # carries, and the estimator reads their four-vectors, so a replay
+        # of the written stream re-estimates bit for bit.
+        mats = from_stokes(vecs)
+        batches.append((gids, mats, times, counts))
         n_det += detected
         n_emit += emitted_copies(base_time * exposure, src)
 
         # Counts arrive at the detected rate I * eff; N_emit stays on I.
         # Each iteration's data extends the last one's arrays.
-        data = (LikelihoodData.from_arrays(src.intensity * src.efficiency, *batch[1:])
-                if data is None else data.extended_arrays(*batch[1:]))
+        vecs = to_stokes(mats)
+        data = (LikelihoodData.from_arrays(src.intensity * src.efficiency, vecs, times, counts)
+                if data is None else data.extended_arrays(vecs, times, counts))
         rho_hat, loglik = _estimate(data, mle_iters)
         rows.append(_row(iteration, n_emit, n_det, rho_true, rho_hat, loglik))
         if n_emit >= sched.n_max:
@@ -308,6 +316,7 @@ def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
     if not len(stream):
         raise ValueError("empty record stream")
     ends = stream.group_ends()
+    vecs = to_stokes(stream.matrices)
     emitted = intensity / efficiency
     cum_n: list[float] = []
     running = 0.0
@@ -319,7 +328,7 @@ def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
     def prefix(idx: int) -> LikelihoodData:
         """The data of the first idx + 1 groups."""
         stop = ends[idx]
-        return LikelihoodData.from_arrays(intensity, stream.matrices[:stop],
+        return LikelihoodData.from_arrays(intensity, vecs[:stop],
                                           stream.times[:stop], stream.counts[:stop])
 
     n0 = cum_n[-1] if n0 is None else float(n0)
@@ -469,7 +478,7 @@ def read_records(path) -> tuple[RecordStream, int, float]:
         np.array(mats), times, np.array(counts, dtype=np.int64),
         where=lambda i: f"{path}:{lines[1 + i][0]}")
     try:    # the estimator's limits on I * t, met by every prefix if by the whole
-        LikelihoodData.from_arrays(intensity, mats, times, counts)
+        LikelihoodData.from_arrays(intensity, to_stokes(mats), times, counts)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return RecordStream(gids, mats, times, counts), dim, intensity

@@ -1,5 +1,6 @@
 import json
 import platform
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,18 @@ class TestSimulateCommand:
                 "mle_calls": rows, "mle_iters": sum(iters),
                 "mle_cap_hits": sum(n >= MleOptions().max_iter for n in iters)}
             assert len(iters) == rows and sum(iters) > rows
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_progress_line_per_completed_run(self, tmp_path, capsys, workers):
+        args = simulate_args(tmp_path, protocols="eigen,rankp-m")
+        assert main(args[:-1] + [workers]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        pattern = re.compile(r"tomosim: (eigen|rankp-m) run ([01]) done \((\d)/4, [\d.]+ s\)")
+        matches = [pattern.fullmatch(ln) for ln in lines]
+        assert all(matches), lines
+        assert [int(m[3]) for m in matches] == [1, 2, 3, 4]
+        assert sorted((m[1], m[2]) for m in matches) == [
+            ("eigen", "0"), ("eigen", "1"), ("rankp-m", "0"), ("rankp-m", "1")]
 
     def test_scientific_notation_counts(self, tmp_path):
         rc = main(simulate_args(tmp_path, n_max="1e3"))
@@ -275,6 +288,14 @@ class TestCurveFileRoundTrip:
         p = tmp_path / "c.csv"
         p.write_text("n,mean,std_of_mean\n1\n")
         with pytest.raises(ValueError, match="needs 3 values"):
+            read_curve_file(p)
+
+    @pytest.mark.parametrize("rows", ["nan,1,0\n", "1,nan,0\n", "inf,1,0\ninf,1,0\n"],
+                             ids=["nan-n", "nan-mean", "inf-n"])
+    def test_non_finite_row_rejected(self, tmp_path, rows):
+        p = tmp_path / "c.csv"
+        p.write_text("# runs=2\nn,mean,std_of_mean\n" + rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: curve .* finite"):
             read_curve_file(p)
 
 

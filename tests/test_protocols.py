@@ -2,10 +2,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tomosim import quantum
 from tomosim.estimation import regularize_full_rank
 from tomosim.protocols import (
+    PROTOCOLS,
     MeasurementPlan,
     TimedMeasurement,
     TransformOperator,
@@ -245,6 +248,28 @@ class TestNextPlan:
             for i in plan.groups[0])
         assert np.allclose(probs, np.linalg.eigvalsh(rho.matrix), atol=1e-9)
 
+    def test_eigen_frame_moves_continuously_with_the_estimate(self, rng):
+        # The frame is a function of the Bloch direction alone, smooth away
+        # from -z: a 1e-15 move of r moves every four-vector by O(1e-15),
+        # also across r_z = 0, where the first estimate lands whenever the
+        # H and V counts tie.
+        for k in range(400):
+            r = rng.standard_normal(3)
+            if k % 2:
+                r[2] = 0.0
+            r *= rng.uniform(0.1, 0.99) / np.linalg.norm(r)
+            move = rng.standard_normal(3)
+            move *= 1e-15 / np.linalg.norm(move)
+            plans = [next_plan("eigen", DensityMatrix(quantum.from_stokes(np.r_[1.0, x])), MUB,
+                               rng).vectors for x in (r, r + move)]
+            assert np.max(np.abs(plans[1] - plans[0])) <= 1e-13
+
+    def test_eigen_frame_at_minus_z_is_the_half_turn_about_x(self):
+        plan = next_plan("eigen", DensityMatrix(np.diag([0.1, 0.9])), MUB,
+                         np.random.default_rng(0))
+        axes = [[0, 0, -1], [0, 0, 1], [1, 0, 0], [-1, 0, 0], [0, -1, 0], [0, 1, 0]]
+        assert np.array_equal(plan.vectors, np.column_stack([np.ones(6), axes]))
+
     def test_random_plan_is_fresh_basis(self, rng):
         p1 = next_plan("random", maximally_mixed(), MUB, rng)
         p2 = next_plan("random", maximally_mixed(), MUB, rng)
@@ -420,6 +445,12 @@ class TestPlanValidation:
             MeasurementPlan([projector(quantum.KET_H), projector(quantum.KET_D)], [1.0, 1.0],
                             ((0, 1),))
 
+    def test_non_finite_projector_rejected(self):
+        with pytest.raises(ValueError, match="unit trace"):
+            MeasurementPlan([[[np.nan, 0.0], [0.0, 0.0]]], [1.0], ((0,),))
+        with pytest.raises(ValueError, match="rank 1"):
+            MeasurementPlan.of_vectors([[1.0, np.nan, 0.0, 0.0]], [1.0], ((0,),))
+
     def test_transform_operator_validates_mapping(self):
         with pytest.raises(ValueError, match="eye/D"):
             TransformOperator(np.eye(2), DensityMatrix(np.diag([0.9, 0.1])))
@@ -430,3 +461,54 @@ class TestPlanValidation:
         assert np.array_equal(back.lmap, op.lmap)
         assert not back.lmap.flags.writeable
         assert not back.source_estimator.matrix.flags.writeable
+
+
+def _random_plan(seed, protocol, random_v):
+    rng = np.random.default_rng(seed)
+    rho = (random_pure_haar if seed % 2 else quantum.random_bures_mixed)(rng)
+    return next_plan(protocol, rho, MUB, rng, random_v=random_v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), protocol=st.sampled_from(PROTOCOLS),
+       random_v=st.booleans())
+def test_matrix_constructor_rebuilds_every_plan(seed, protocol, random_v):
+    # The matrix checks (Hermitian, PSD) and the four-vector checks pass
+    # the same plans: a plan's matrix view rebuilds it.
+    plan = _random_plan(seed, protocol, random_v)
+    again = MeasurementPlan(plan.matrices, plan.time_weights, plan.groups)
+    np.testing.assert_allclose(again.vectors, plan.vectors, rtol=0, atol=1e-15)
+    assert np.array_equal(again.time_weights, plan.time_weights)
+    assert again.groups == plan.groups
+    assert np.array_equal(again.order, plan.order)
+    assert np.array_equal(again.group_of, plan.group_of)
+    assert again.exposure_weight() == plan.exposure_weight()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), protocol=st.sampled_from(PROTOCOLS),
+       pick=st.integers(0, 11), defect=st.sampled_from(["rank", "orthogonality"]),
+       size=st.floats(1e-3, 0.5))
+def test_four_vector_checks_fail_as_the_matrix_checks(seed, protocol, pick, defect, size):
+    # A four-vector perturbed off rank 1 (shortened Bloch vector, still PSD)
+    # or off orthogonality within its group (Bloch vector turned by an
+    # angle) raises what its matrix raises.
+    plan = _random_plan(seed, protocol, False)
+    vecs = plan.vectors.copy()
+    if defect == "rank":
+        vecs[pick % len(vecs), 1:] *= 1.0 - size
+    else:
+        pairs = [g for g in plan.groups if len(g) > 1]
+        if not pairs:
+            return
+        a, b = pairs[pick % len(pairs)]
+        m = vecs[b, 1:]
+        axis = np.cross(m, [1.0, 0.0, 0.0] if abs(m[0]) < 0.9 else [0.0, 1.0, 0.0])
+        axis /= np.linalg.norm(axis)
+        vecs[b, 1:] = m * np.cos(size) + np.cross(axis, m) * np.sin(size)
+    with pytest.raises(ValueError) as from_vectors:
+        MeasurementPlan.of_vectors(vecs, plan.time_weights, plan.groups)
+    with pytest.raises(ValueError) as from_matrices:
+        MeasurementPlan(quantum.from_stokes(vecs), plan.time_weights, plan.groups)
+    assert str(from_vectors.value) == str(from_matrices.value)
+    assert ("rank 1" if defect == "rank" else "not orthogonal") in str(from_vectors.value)
