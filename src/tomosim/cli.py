@@ -153,7 +153,7 @@ def read_state_file(path) -> DensityMatrix:
 
 
 def write_state_file(path, rho: DensityMatrix) -> None:
-    Path(path).write_text(f"{rho.dim}\n" + ",".join(_matrix_fields(rho.matrix)) + "\n")
+    Path(path).write_text("2\n" + ",".join(_matrix_fields(rho.matrix)) + "\n")
 
 
 def _true_state(cfg: CampaignConfig, run_idx: int) -> DensityMatrix:
@@ -227,7 +227,11 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
 
 def _worker_count(workers: int | None) -> int:
     """Worker processes a campaign uses: all CPUs unless given."""
-    return workers if workers is not None else (os.cpu_count() or 1)
+    if workers is None:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _campaign_meta(cfg: CampaignConfig) -> dict[str, str]:
@@ -256,6 +260,7 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
     run prints one progress line on stderr.
     """
     t0 = perf_counter()
+    workers = _worker_count(workers)    # fail before any output exists
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     done, total = 0, len(cfg.protocols) * cfg.runs
@@ -282,7 +287,7 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
         "config": asdict(cfg),
         "versions": {"tomosim": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
-        "workers": _worker_count(workers),
+        "workers": workers,
         "wall_s": perf_counter() - t0,
         "estimator": mle_stats,
     }

@@ -29,14 +29,13 @@ from .quantum import (
     INERT_WEIGHT,
     STOKES,
     DensityMatrix,
-    Povm,
     PovmElement,
     as_square_complex,
     first_failure,
     from_stokes,
     haar_unitary,
     maximally_mixed,
-    qubit_spectrum,
+    mub_qubit,
     require_qubit,
     stack_checks,
     stack_is_psd,
@@ -77,28 +76,18 @@ class TransformOperator:
     def __reduce__(self):
         return TransformOperator, (self.lmap, self.source_estimator)
 
-    @property
-    def adjoint(self) -> np.ndarray:
-        """L = lmap^dag, the operator conjugating measurement elements."""
-        return self.lmap.conj().T
-
 
 @dataclass(frozen=True)
 class TimedMeasurement:
-    """Unit-trace rank-1 projector held for time_weight exposition units."""
+    """Unit-trace rank-1 projector held for time_weight exposition units,
+    checked as a one-measurement MeasurementPlan."""
 
     projector: PovmElement
     time_weight: float
 
     def __post_init__(self):
-        if self.time_weight <= 0:
-            raise ValueError("time_weight must be positive")
-        if abs(self.projector.weight - 1.0) > 1e-9:
-            raise ValueError("projector must have unit trace")
-        # Rank 1 is a null four-vector: the eigenvalues are (S_0 +- |s|)/2.
-        s0, norm = qubit_spectrum(self.projector.matrix)
-        if abs(s0 - norm) > _RANK_TOL * (s0 + norm):
-            raise ValueError("projector must be rank 1")
+        MeasurementPlan.of_vectors(to_stokes(self.projector.matrix), [self.time_weight],
+                                   ((0,),))
         object.__setattr__(self, "time_weight", float(self.time_weight))
 
 
@@ -283,7 +272,7 @@ def rank_preserving_map(rho_hat: DensityMatrix,
 def transform_measurement(op: TransformOperator, element: PovmElement) -> PovmElement:
     """Conjugated element L M L^dag with L = lmap^dag: same rank, and
     Tr(M_new rho_hat) = Tr(M)/2 for the operator's source estimator."""
-    return PovmElement(from_stokes(_transfer(op.adjoint) @ to_stokes(element.matrix)))
+    return PovmElement(from_stokes(_transfer(op.lmap.conj().T) @ to_stokes(element.matrix)))
 
 
 def apply_unitary_freedom(op: TransformOperator, v: np.ndarray) -> TransformOperator:
@@ -310,17 +299,21 @@ def complement_to_basis(m: TimedMeasurement) -> MeasurementPlan:
 
 
 def complement_minimal(elements) -> tuple[list[PovmElement], list[PovmElement]]:
-    """(scaled, extra): the set divided by its sum's largest eigenvalue, and
-    the spectral terms lambda_j |phi_j><phi_j| of eye - S/mu_max that
-    complete it to eye, the zero-lambda one kept but inert."""
-    vecs = _minimal_completion(_vectors(elements))
-    mats = from_stokes(np.vstack([vecs, np.zeros(4)]))
-    return [PovmElement(m) for m in mats[:-2]], [PovmElement(m) for m in mats[-2:]]
+    """(scaled, [residual]): the set divided by its sum's largest eigenvalue
+    mu, and the one rank-1 residual eye - S/mu that completes it to eye."""
+    mats = from_stokes(_minimal_completion(_vectors(elements)))
+    return [PovmElement(m) for m in mats[:-1]], [PovmElement(mats[-1])]
 
 
 # The MUB axes +-z, +-x, +-y, the Bloch vectors of H, V, D, A, R, L.
 _MUB_AXES = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],
                      dtype=float)
+# The base set RankP transforms: the four-vectors of mub_qubit()'s projectors,
+# whose traces (1/sqrt 2)^2 + (1/sqrt 2)^2 may differ from 1 by an ulp.
+_MUB_VECTORS = _vectors(mub_qubit().elements)
+_MUB_VECTORS.setflags(write=False)
+# One group per basis: H/V, D/A, R/L, and eigen's aligned pairs.
+_BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))
 
 
 def _eigen_frame(rho_hat: DensityMatrix) -> np.ndarray:
@@ -368,29 +361,28 @@ def _ket_vector(ket: np.ndarray) -> np.ndarray:
     return np.array([1.0, 2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2])
 
 
-def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
-              rng: np.random.Generator, *, delta: float = DEFAULT_DELTA,
-              random_v: bool = False) -> MeasurementPlan:
+def next_plan(protocol: str, rho_hat: DensityMatrix, rng: np.random.Generator, *,
+              delta: float = DEFAULT_DELTA, random_v: bool = False) -> MeasurementPlan:
     """Measurement plan for the next adaptive iteration.
 
     random   -- a fresh Haar-random basis, unit weights, one group.
     eigen    -- the estimator-aligned MUB frame (eigenbasis plus the two
                 bases unbiased to it), unit weights, one group per basis.
-    rankp-nc -- transformed base elements, one singleton group each.
+    rankp-nc -- transformed MUB elements, one singleton group each.
     rankp-b  -- each transformed element and its antipode, one group per pair.
     rankp-m  -- minimally complemented set, singleton groups throughout.
     """
     if protocol == "random":
         return _timed(_with_antipodes(_ket_vector(haar_unitary(rng)[:, 0])[None]), ((0, 1),))
     if protocol == "eigen":
-        return _timed(_eigen_frame(rho_hat), ((0, 1), (2, 3), (4, 5)))
+        return _timed(_eigen_frame(rho_hat), _BASIS_PAIRS)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     transfer = _boost(rho_hat, delta)
     if random_v:
         # Left-multiplying lmap by V conjugates elements by V^dag first.
         transfer = transfer @ _transfer(haar_unitary(rng).conj().T)
-    vecs = base.vectors @ transfer.T
+    vecs = _MUB_VECTORS @ transfer.T
     if protocol == "rankp-m":
         vecs = _minimal_completion(vecs)
     vecs = vecs[vecs[:, 0] > INERT_WEIGHT]
@@ -399,19 +391,15 @@ def next_plan(protocol: str, rho_hat: DensityMatrix, base: Povm,
     return _timed(vecs, tuple((i,) for i in range(len(vecs))))
 
 
-def initial_plan(protocol: str, base: Povm,
-                 rng: np.random.Generator) -> MeasurementPlan:
-    """Iteration-0 plan: the untransformed base set.
+def initial_plan(protocol: str, rng: np.random.Generator) -> MeasurementPlan:
+    """Iteration-0 plan: the untransformed MUB set.
 
-    RankP variants measure the base set with unit weights, grouping each
-    constituent orthonormal basis (consecutive pairs of elements) into
-    one exposure. Eigen and Random start from their ordinary first basis.
+    RankP variants measure the MUB set with unit weights, grouping each of
+    its three orthonormal bases into one exposure. Eigen and Random start
+    from their ordinary first basis.
     """
     if protocol in ("eigen", "random"):
-        return next_plan(protocol, maximally_mixed(), base, rng)
+        return next_plan(protocol, maximally_mixed(), rng)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    vecs = base.vectors
-    if len(vecs) % 2 != 0:
-        raise ValueError("base set must concatenate complete bases")
-    return _timed(vecs, tuple((i, i + 1) for i in range(0, len(vecs), 2)))
+    return _timed(_MUB_VECTORS, _BASIS_PAIRS)

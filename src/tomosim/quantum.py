@@ -57,14 +57,6 @@ def require_qubit(dim: int, source) -> None:
         raise ValueError(f"{source}: only qubits (D = 2) are supported, got D = {dim}")
 
 
-def qubit_spectrum(m: np.ndarray) -> tuple[float, float]:
-    """(S_0, |s|) of a 2x2 Hermitian matrix (S_0 + s.sigma)/2, whose
-    eigenvalues are (S_0 -+ |s|)/2; read, as eigvalsh reads it, from the
-    real diagonal and the lower triangle."""
-    (a, _), (c, d) = m.tolist()
-    return a.real + d.real, math.hypot(a.real - d.real, 2.0 * abs(c))
-
-
 def first_failure(checks) -> tuple[int, ValueError] | None:
     """The first row of a stack that fails any of ``checks``, a sequence of
     (failing-rows mask, error of row i) in the order they apply to one row,
@@ -80,7 +72,7 @@ def first_failure(checks) -> tuple[int, ValueError] | None:
 
 def stack_spectrum(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S_0, |s|) of each matrix of a (K, 2, 2) stack, read as
-    qubit_spectrum reads one."""
+    _hermitian_psd reads one."""
     a, c, d = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
     return a.real + d.real, np.hypot(a.real - d.real, 2.0 * np.abs(c))
 
@@ -92,7 +84,8 @@ def _defects(mats: np.ndarray) -> np.ndarray:
 
 def stack_is_psd(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray) -> bool:
     """Whether every matrix of a stack passes _hermitian_psd's checks, given
-    its stack_spectrum: a fast test, for stack_checks to explain a failure."""
+    its stack_spectrum: a fast test, for stack_checks to explain a failure.
+    A NaN passes it; MeasurementPlan's four-vector checks reject it after."""
     return not (_defects(mats).max() > HERMITICITY_TOL
                 or (trace - norm).min() < -2 * EIGENVALUE_CLAMP)
 
@@ -103,25 +96,29 @@ def stack_checks(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray, what: st
     defect = _defects(mats).max(axis=(1, 2))
     lowest = (trace - norm) / 2
     return [
-        (defect > HERMITICITY_TOL,
+        (~(defect <= HERMITICITY_TOL),
          lambda i: NonHermitianError(f"{what} not Hermitian: defect {defect[i]:.3e}")),
-        (lowest < -EIGENVALUE_CLAMP,
+        (~(lowest >= -EIGENVALUE_CLAMP),
          lambda i: NotPositiveSemidefiniteError(f"{what} has eigenvalue {lowest[i]:.3e}")),
     ]
 
 
 def _hermitian_psd(a, what: str) -> tuple[np.ndarray, float]:
     """a as a read-only 2x2 complex matrix, checked Hermitian and PSD, and
-    its trace; the smallest eigenvalue is the closed form (S_0 - |s|)/2."""
+    its trace. For (S_0 + s.sigma)/2 the eigenvalues are (S_0 -+ |s|)/2,
+    read, as eigvalsh reads them, from the real diagonal and the lower
+    triangle."""
     m = as_square_complex(a)
     require_qubit(m.shape[0], what)
     (a00, a01), (a10, a11) = m.tolist()
-    defect = max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
-    trace, norm = qubit_spectrum(m)
-    lowest = (trace - norm) / 2
-    if defect > HERMITICITY_TOL:
+    defects = (2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
+    # max() would drop a NaN; the tests are negated, so that a NaN fails them.
+    defect = math.nan if math.isnan(sum(defects)) else max(defects)
+    trace = a00.real + a11.real
+    lowest = (trace - math.hypot(a00.real - a11.real, 2.0 * abs(a10))) / 2
+    if not defect <= HERMITICITY_TOL:
         raise NonHermitianError(f"{what} not Hermitian: defect {defect:.3e}")
-    if lowest < -EIGENVALUE_CLAMP:
+    if not lowest >= -EIGENVALUE_CLAMP:
         raise NotPositiveSemidefiniteError(f"{what} has eigenvalue {lowest:.3e}")
     m.setflags(write=False)
     return m, trace
@@ -137,16 +134,12 @@ class DensityMatrix:
 
     def __post_init__(self):
         m, tr = _hermitian_psd(self.matrix, "density matrix")
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
         object.__setattr__(self, "matrix", m)
 
     def __reduce__(self):
         return DensityMatrix, (self.matrix,)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def purity(self) -> float:
         return float((self.matrix @ self.matrix).trace().real)
@@ -184,10 +177,6 @@ class PovmElement:
         return PovmElement, (self.matrix,)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def inert(self) -> bool:
         return self.weight <= INERT_WEIGHT
 
@@ -203,13 +192,6 @@ class Povm:
         if not elements:
             raise ValueError("POVM needs at least one element")
         object.__setattr__(self, "elements", elements)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """(K, 4) four-vectors of the elements, computed on first use and kept."""
-        vecs = to_stokes(np.array([e.matrix for e in self.elements]))
-        vecs.setflags(write=False)
-        return vecs
 
 
 def projector(vec) -> np.ndarray:

@@ -22,7 +22,6 @@ from .estimation import (
     MeasurementRecord,
     checked_records,
     mle_estimate,
-    stack_records,
 )
 from .protocols import (
     DEFAULT_DELTA,
@@ -36,7 +35,6 @@ from .quantum import (
     fidelity,
     from_stokes,
     maximally_mixed,
-    mub_qubit,
     require_qubit,
     to_stokes,
 )
@@ -111,14 +109,6 @@ class RecordStream(Sequence):
 
     def __reduce__(self):
         return RecordStream, (self.group_ids, self.matrices, self.times, self.counts)
-
-    @classmethod
-    def of(cls, grouped) -> "RecordStream":
-        """The stream of a sequence of GroupedRecord objects (or the stream itself)."""
-        if isinstance(grouped, RecordStream):
-            return grouped
-        grouped = list(grouped)
-        return cls([gid for gid, _ in grouped], *stack_records([rec for _, rec in grouped]))
 
     def __len__(self) -> int:
         return self.times.size
@@ -238,7 +228,6 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     call.
     """
     rng = np.random.default_rng(seed)
-    base = mub_qubit()
 
     batches = []
     data = None
@@ -252,10 +241,9 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
 
     while True:
         if iteration == 0:
-            plan = initial_plan(protocol, base, rng)
+            plan = initial_plan(protocol, rng)
         else:
-            plan = next_plan(protocol, rho_hat, base, rng,
-                             delta=delta, random_v=random_v)
+            plan = next_plan(protocol, rho_hat, rng, delta=delta, random_v=random_v)
         exposure = plan.exposure_weight()
         base_time = budget / (src.intensity * exposure)
         (gids, vecs, times, counts), detected, group_id = _measure_plan(
@@ -299,20 +287,18 @@ def _row(iteration: int, n_emit: float, n_det: int, reference: DensityMatrix,
     return (iteration, n_emit, n_det, 2.0 - 2.0 * np.sqrt(f), f, loglik)
 
 
-def replay_counts(grouped: Sequence[GroupedRecord], intensity: float,
+def replay_counts(stream: RecordStream, intensity: float,
                   n0: float | None = None, *, points_per_decade: int = 10,
                   efficiency: float = 1.0) -> Trace:
     """Re-estimate on growing prefixes of a recorded count stream.
 
-    The stream is a RecordStream, or a sequence of GroupedRecord. The
-    counts arrive at the detected rate ``intensity``, which is the source
-    intensity I times the detector ``efficiency``; N counts emitted
+    The counts arrive at the detected rate ``intensity``, which is the
+    source intensity I times the detector ``efficiency``; N counts emitted
     copies, I * t. Distances are measured against the final assessment,
     the estimate at N0 (defaults to the full stream), instead of an
     unknown true state. Prefixes are cut at exposure-group boundaries on
     a logarithmic N grid.
     """
-    stream = RecordStream.of(grouped)
     if not len(stream):
         raise ValueError("empty record stream")
     ends = stream.group_ends()
@@ -407,12 +393,10 @@ def _qubit_matrix(fields) -> np.ndarray:
     return (reals[0::2] + 1j * reals[1::2]).reshape(2, 2)
 
 
-def write_records(path, grouped: Sequence[GroupedRecord], intensity: float,
+def write_records(path, stream: RecordStream, intensity: float,
                   efficiency: float = 1.0) -> None:
-    """Write a record stream (a RecordStream, or a sequence of GroupedRecord)
-    whose counts follow the detected rate ``intensity``, the source
-    intensity times ``efficiency``."""
-    stream = RecordStream.of(grouped)
+    """Write a record stream whose counts follow the detected rate
+    ``intensity``, the source intensity times ``efficiency``."""
     if not len(stream):
         raise ValueError("nothing to write")
     lines = [f"2,{_fmt(intensity)},{_fmt(efficiency)}"]

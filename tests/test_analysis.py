@@ -14,9 +14,7 @@ from tomosim.analysis import (
     log_grid,
 )
 from tomosim.protocols import PROTOCOLS, MeasurementPlan, next_plan
-from tomosim.quantum import mub_qubit, pure_state, random_bures_mixed
-
-MUB = mub_qubit()
+from tomosim.quantum import pure_state, random_bures_mixed
 
 
 class FakeTrace:
@@ -218,7 +216,7 @@ def test_eigen_plan_attains_the_gill_massar_constant(seed, angle):
     # tr(G F^-1) = 9/4 exactly.
     rng = np.random.default_rng(seed)
     rho = random_bures_mixed(rng)
-    plan = next_plan("eigen", rho, MUB, rng)
+    plan = next_plan("eigen", rho, rng)
     assert asymptotic_constant(plan, rho) == pytest.approx(9 / 4, rel=0, abs=1e-12)
     vecs = plan.vectors.copy()
     vecs[2:] = _turned(vecs[2:], vecs[0, 1:], angle)
@@ -232,7 +230,7 @@ def test_every_plan_obeys_the_gill_massar_bound(seed, random_v):
     rng = np.random.default_rng(seed)
     rho = random_bures_mixed(rng)
     for protocol in PROTOCOLS:
-        plan = next_plan(protocol, rho, MUB, rng, random_v=random_v)
+        plan = next_plan(protocol, rho, rng, random_v=random_v)
         assert asymptotic_constant(plan, rho) >= 9 / 4 - 1e-12
 
 
@@ -240,12 +238,12 @@ class TestAsymptoticConstant:
     def test_one_basis_informs_no_estimate(self):
         rng = np.random.default_rng(3)
         rho = random_bures_mixed(rng)
-        assert asymptotic_constant(next_plan("random", rho, MUB, rng), rho) == np.inf
+        assert asymptotic_constant(next_plan("random", rho, rng), rho) == np.inf
 
     def test_pure_state_rejected(self):
         rho = pure_state([1.0, 0.0])
         with pytest.raises(ValueError, match="mixed state"):
-            asymptotic_constant(next_plan("eigen", rho, MUB, np.random.default_rng(0)), rho)
+            asymptotic_constant(next_plan("eigen", rho, np.random.default_rng(0)), rho)
 
 
 class TestNonFiniteCurves:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tomosim.cli import (
     CampaignConfig,
     _run_one,
+    cmd_simulate,
     main,
     read_curve_file,
     read_state_file,
@@ -172,6 +173,12 @@ class TestSimulateCommand:
             main(simulate_args(tmp_path / "sim", extra=("--workers", value)))
         assert exc.value.code == 2
         assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    def test_workers_below_one_rejected_through_the_api(self, tmp_path):
+        cfg = CampaignConfig(protocols=("eigen",), runs=2, out_dir=tmp_path / "sim")
+        with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
+            cmd_simulate(cfg, workers=0)
         assert not (tmp_path / "sim").exists()
 
     def test_non_finite_state_file_fails(self, tmp_path, capsys):

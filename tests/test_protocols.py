@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomosim import quantum
+from tomosim import protocols, quantum
 from tomosim.estimation import regularize_full_rank
 from tomosim.protocols import (
     PROTOCOLS,
@@ -173,6 +173,19 @@ class TestNormalizeWithTime:
             normalize_with_time(PovmElement(np.zeros((2, 2))))
 
 
+class TestTimedMeasurement:
+    @pytest.mark.parametrize("matrix, time, message", [
+        (projector(quantum.KET_H), np.nan, "time_weight must be positive"),
+        (projector(quantum.KET_H), 0.0, "time_weight must be positive"),
+        (np.diag([0.5, 0.0]), -1.0, "time_weight must be positive"),
+        (np.diag([0.5, 0.0]), 1.0, "projector must have unit trace"),
+        (np.diag([0.5, 0.5]), 1.0, "projector must be rank 1")])
+    def test_checks_in_order(self, matrix, time, message):
+        # The checks of a one-measurement plan, first failure first.
+        with pytest.raises(ValueError, match=message):
+            TimedMeasurement(PovmElement(matrix), time)
+
+
 class TestComplementToBasis:
     def test_h_completes_to_v(self):
         m = TimedMeasurement(PovmElement(projector(quantum.KET_H)), 2.5)
@@ -201,7 +214,7 @@ class TestComplementMinimal:
         total = sum(e.matrix for e in scaled)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-12
         assert all(e.weight == pytest.approx(1 / 3, abs=1e-12) for e in scaled)
-        assert all(e.inert for e in extra)
+        assert len(extra) == 1 and extra[0].inert
 
     def test_synthetic_diagonal_sum(self):
         # elements summing to diag(2, 1): mu_max = 2, residual diag(0, 0.5)
@@ -211,7 +224,7 @@ class TestComplementMinimal:
         scaled, extra = complement_minimal(elements)
         assert all(e.weight == pytest.approx(0.5) for e in scaled)
         weights = sorted(e.weight for e in extra)
-        assert weights == pytest.approx([0.0, 0.5], abs=1e-12)
+        assert weights == pytest.approx([0.5], abs=1e-12)
         live = [e for e in extra if not e.inert]
         assert np.max(np.abs(live[0].matrix - np.diag([0.0, 0.5]))) <= 1e-12
         total = sum(e.matrix for e in scaled) + sum(e.matrix for e in extra)
@@ -223,7 +236,7 @@ class TestComplementMinimal:
             op = rank_preserving_map(rho, 1e-3)
             transformed = [transform_measurement(op, e) for e in MUB.elements]
             scaled, extra = complement_minimal(transformed)
-            assert len(extra) <= 2
+            assert len(extra) == 1
             total = sum(e.matrix for e in scaled) + sum(e.matrix for e in extra)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
 
@@ -231,13 +244,13 @@ class TestComplementMinimal:
 class TestNextPlan:
     def test_eigen_diagonal_estimator_contains_computational_basis(self):
         plan = next_plan("eigen", DensityMatrix(np.diag([0.9, 0.1])),
-                         MUB, np.random.default_rng(0))
+                         np.random.default_rng(0))
         first = [plan.measurements[i].projector.matrix for i in plan.groups[0]]
         assert np.max(np.abs(sorted_diag(first) - np.eye(2))) <= 1e-12
 
     def test_eigen_frame_is_estimator_aligned_mub(self, rng):
         rho = regularize_full_rank(random_pure_haar(rng), 1e-2)
-        plan = next_plan("eigen", rho, MUB, rng)
+        plan = next_plan("eigen", rho, rng)
         assert len(plan.groups) == 3
         for g in plan.groups:
             total = sum(plan.measurements[i].projector.matrix for i in g)
@@ -260,19 +273,19 @@ class TestNextPlan:
             r *= rng.uniform(0.1, 0.99) / np.linalg.norm(r)
             move = rng.standard_normal(3)
             move *= 1e-15 / np.linalg.norm(move)
-            plans = [next_plan("eigen", DensityMatrix(quantum.from_stokes(np.r_[1.0, x])), MUB,
+            plans = [next_plan("eigen", DensityMatrix(quantum.from_stokes(np.r_[1.0, x])),
                                rng).vectors for x in (r, r + move)]
             assert np.max(np.abs(plans[1] - plans[0])) <= 1e-13
 
     def test_eigen_frame_at_minus_z_is_the_half_turn_about_x(self):
-        plan = next_plan("eigen", DensityMatrix(np.diag([0.1, 0.9])), MUB,
+        plan = next_plan("eigen", DensityMatrix(np.diag([0.1, 0.9])),
                          np.random.default_rng(0))
         axes = [[0, 0, -1], [0, 0, 1], [1, 0, 0], [-1, 0, 0], [0, -1, 0], [0, 1, 0]]
         assert np.array_equal(plan.vectors, np.column_stack([np.ones(6), axes]))
 
     def test_random_plan_is_fresh_basis(self, rng):
-        p1 = next_plan("random", maximally_mixed(), MUB, rng)
-        p2 = next_plan("random", maximally_mixed(), MUB, rng)
+        p1 = next_plan("random", maximally_mixed(), rng)
+        p2 = next_plan("random", maximally_mixed(), rng)
         assert len(p1.groups) == 1
         total = sum(t.projector.matrix for t in p1.measurements)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-9
@@ -280,7 +293,7 @@ class TestNextPlan:
                              - p2.measurements[0].projector.matrix)) > 1e-3
 
     def test_rankp_nc_mixed_estimator_recovers_mub(self, rng):
-        plan = next_plan("rankp-nc", maximally_mixed(), MUB, rng, delta=1e-4)
+        plan = next_plan("rankp-nc", maximally_mixed(), rng, delta=1e-4)
         assert len(plan.measurements) == 6
         assert plan.groups == tuple((i,) for i in range(6))
         for timed, base in zip(plan.measurements, MUB.elements):
@@ -293,13 +306,13 @@ class TestNextPlan:
         rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         reg = regularize_full_rank(rho, 1e-4)
 
-        plan_nc = next_plan("rankp-nc", rho, MUB, rng, delta=1e-4)
+        plan_nc = next_plan("rankp-nc", rho, rng, delta=1e-4)
         assert len(plan_nc.measurements) == 6
         for t in plan_nc.measurements:
             p = np.trace(t.projector.matrix @ reg.matrix).real
             assert p * t.time_weight == pytest.approx(0.5, abs=1e-9)
 
-        plan_b = next_plan("rankp-b", rho, MUB, rng, delta=1e-4)
+        plan_b = next_plan("rankp-b", rho, rng, delta=1e-4)
         assert len(plan_b.groups) == 6
         for g in plan_b.groups:
             t = plan_b.measurements[g[0]]
@@ -308,7 +321,7 @@ class TestNextPlan:
 
     def test_rankp_b_groups_sum_to_identity(self, rng):
         rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
-        plan = next_plan("rankp-b", rho, MUB, rng)
+        plan = next_plan("rankp-b", rho, rng)
         assert len(plan.groups) == 6
         for g in plan.groups:
             assert len(g) == 2
@@ -320,7 +333,7 @@ class TestNextPlan:
     def test_rankp_m_global_decomposition(self, rng):
         for _ in range(50):
             rho = regularize_full_rank(random_pure_haar(rng), 1e-3)
-            plan = next_plan("rankp-m", rho, MUB, rng)
+            plan = next_plan("rankp-m", rho, rng)
             total = sum(t.projector.matrix * t.time_weight
                         for t in plan.measurements)
             # rescale by mu_max: reconstruct it from the scaled weights
@@ -332,13 +345,13 @@ class TestNextPlan:
     def test_transformed_projectors_rank_one(self, rng):
         rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         for proto in ("rankp-nc", "rankp-b", "rankp-m"):
-            plan = next_plan(proto, rho, MUB, rng)
+            plan = next_plan(proto, rho, rng)
             for t in plan.measurements:
                 assert numeric_rank(t.projector.matrix, 1e-8) == 1
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
-            next_plan("bogus", maximally_mixed(), MUB, np.random.default_rng(0))
+            next_plan("bogus", maximally_mixed(), np.random.default_rng(0))
 
     def test_rankp_nc_localization_on_purifying_trace(self, rng):
         # as the estimator purity grows toward a fixed pure state, the total
@@ -352,7 +365,7 @@ class TestNextPlan:
         for mix in (0.5, 0.2, 0.05, 0.01, 1e-3):
             rho_hat = DensityMatrix(
                 (1 - mix) * psi.matrix + mix * np.eye(2) / 2)
-            plan = next_plan("rankp-nc", rho_hat, MUB, rng, delta=1e-4)
+            plan = next_plan("rankp-nc", rho_hat, rng, delta=1e-4)
             b_hat = bloch(rho_hat.matrix)  # unnormalized: length = Bloch radius
             overlaps = [
                 np.trace(t.projector.matrix @ rho_hat.matrix).real
@@ -400,7 +413,7 @@ def test_rankp_plans_match_matrix_definition(protocol, random_v):
     for k in range(200):
         rho = (random_pure_haar if k % 2 else quantum.random_bures_mixed)(rng)
         v = haar_unitary(np.random.default_rng(k)) if random_v else np.eye(2)
-        plan = next_plan(protocol, rho, MUB, np.random.default_rng(k), random_v=random_v)
+        plan = next_plan(protocol, rho, np.random.default_rng(k), random_v=random_v)
         want, groups = definition_plan(protocol, rho, v)
         assert plan.groups == groups
         assert len(plan.measurements) == len(want)
@@ -418,20 +431,33 @@ def sorted_diag(mats):
 class TestInitialPlan:
     def test_rankp_initial_is_pair_grouped_mub(self, rng):
         for proto in ("rankp-nc", "rankp-b", "rankp-m"):
-            plan = initial_plan(proto, MUB, rng)
+            plan = initial_plan(proto, rng)
             assert len(plan.measurements) == 6
             assert plan.groups == ((0, 1), (2, 3), (4, 5))
             assert all(t.time_weight == pytest.approx(1.0) for t in plan.measurements)
 
     def test_eigen_initial_is_computational_frame(self, rng):
-        plan = initial_plan("eigen", MUB, rng)
+        plan = initial_plan("eigen", rng)
         first = plan.measurements[plan.groups[0][0]].projector.matrix
         assert np.max(np.abs(first - np.diag([1.0, 0.0]))) <= 1e-12
 
+    def test_rankp_plans_transform_the_mub_four_vectors(self, rng):
+        # The MUB set RankP reads is to_stokes of mub_qubit()'s matrices,
+        # bit for bit: their traces are 1 only to within an ulp.
+        mub = quantum.to_stokes(np.array([e.matrix for e in MUB.elements]))
+        plan = initial_plan("rankp-nc", rng)
+        assert np.array_equal(plan.vectors, mub / mub[:, :1])
+        assert np.array_equal(plan.time_weights, mub[:, 0])
+        rho = quantum.random_bures_mixed(rng)
+        expected = mub @ protocols._boost(rho, protocols.DEFAULT_DELTA).T
+        plan = next_plan("rankp-nc", rho, rng)
+        assert np.array_equal(plan.vectors, expected / expected[:, :1])
+        assert np.array_equal(plan.time_weights, expected[:, 0])
+
     def test_plan_exposure_weight(self, rng):
-        plan = initial_plan("rankp-nc", MUB, rng)
+        plan = initial_plan("rankp-nc", rng)
         assert plan.exposure_weight() == pytest.approx(3.0)
-        plan_nc = next_plan("rankp-nc", maximally_mixed(), MUB, rng)
+        plan_nc = next_plan("rankp-nc", maximally_mixed(), rng)
         assert plan_nc.exposure_weight() == pytest.approx(6.0, abs=1e-4)
 
 
@@ -466,7 +492,7 @@ class TestPlanValidation:
 def _random_plan(seed, protocol, random_v):
     rng = np.random.default_rng(seed)
     rho = (random_pure_haar if seed % 2 else quantum.random_bures_mixed)(rng)
-    return next_plan(protocol, rho, MUB, rng, random_v=random_v)
+    return next_plan(protocol, rho, rng, random_v=random_v)
 
 
 @settings(max_examples=100, deadline=None)

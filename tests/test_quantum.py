@@ -53,6 +53,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize("build, entries, message", [
+        (DensityMatrix, [[np.nan, 0], [0, 1]], "eigenvalue nan"),
+        (PovmElement, [[np.nan, 0], [0, 0]], "eigenvalue nan"),
+        (PovmElement, [[np.inf, 0], [0, 0]], "eigenvalue nan"),
+        (PovmElement, [[1, np.nan], [0, 0]], "not Hermitian: defect nan"),
+        (DensityMatrix, [[1, 0], [0, complex(0, np.nan)]], "not Hermitian: defect nan")])
+    def test_non_finite_entries_rejected(self, build, entries, message):
+        # Every comparison with NaN is false: the checks are negated so that
+        # a NaN fails them, also where Python's max() would drop it.
+        with pytest.raises(ValueError, match=message):
+            build(np.array(entries, dtype=complex))
+
     def test_non_qubit_matrices_rejected(self):
         for build in (DensityMatrix, PovmElement,
                       lambda m: TransformOperator(m, maximally_mixed())):

@@ -16,7 +16,6 @@ from tomosim.quantum import (
     PovmElement,
     born_probability,
     maximally_mixed,
-    mub_qubit,
     projector,
     pure_state,
     random_bures_mixed,
@@ -25,6 +24,7 @@ from tomosim.quantum import (
 from tomosim import quantum
 from tomosim.simulator import (
     _TRACE_COLUMNS,
+    RecordStream,
     Schedule,
     SourceModel,
     emitted_copies,
@@ -80,7 +80,7 @@ class TestSampleCounts:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             rho = random_bures_mixed(rng)
-            plan = next_plan(protocol, random_bures_mixed(rng), mub_qubit(), rng,
+            plan = next_plan(protocol, random_bures_mixed(rng), rng,
                              random_v=seed % 2 == 1)
             if seed % 3 == 0:  # groups listing their members out of index order
                 plan = MeasurementPlan(plan.matrices, plan.time_weights,
@@ -107,7 +107,7 @@ class TestEmittedCopies:
     def test_mub_pass_with_pair_grouping(self, rng):
         # 3 group exposures of unit duration at I = 100 emit 300 copies
         src = SourceModel(100.0)
-        plan = initial_plan("rankp-nc", mub_qubit(), rng)
+        plan = initial_plan("rankp-nc", rng)
         assert plan.exposure_weight() == pytest.approx(3.0)
         assert emitted_copies(plan.exposure_weight() * 1.0, src) == pytest.approx(300.0)
 
@@ -179,9 +179,9 @@ class TestRunTomography:
         # Eigen iterations consume one exposure per basis; RankP-NC six
         from tomosim.protocols import next_plan
         rho = regularized_pure(rng)
-        assert len(next_plan("eigen", rho, mub_qubit(), rng).groups) == 3
-        assert len(next_plan("random", rho, mub_qubit(), rng).groups) == 1
-        assert len(next_plan("rankp-nc", rho, mub_qubit(), rng).groups) == 6
+        assert len(next_plan("eigen", rho, rng).groups) == 3
+        assert len(next_plan("random", rho, rng).groups) == 1
+        assert len(next_plan("rankp-nc", rho, rng).groups) == 6
 
     def test_detector_efficiency_enters_the_likelihood(self):
         # Counts arrive at rate I * eff. Before the estimator was told I, a
@@ -365,7 +365,7 @@ class TestReplayCounts:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            replay_counts([], 100.0)
+            replay_counts(RecordStream([], [], [], []), 100.0)
 
 
 class TestRecordIO:
@@ -404,6 +404,10 @@ class TestRecordIO:
         p.write_text("3,100.0\n")
         with pytest.raises(ValueError, match="only qubits"):
             read_records(p)
+
+    def test_non_finite_stream_matrix_rejected(self):
+        with pytest.raises(ValueError, match="record 0: POVM element not Hermitian: defect nan"):
+            RecordStream([0], [[[np.nan, 0], [0, 0]]], [1.0], [3])
 
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
