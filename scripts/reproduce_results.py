@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from tomosim.analysis import average_curves, efficiency_ratio, fit_power_law
-from tomosim.cli import CampaignConfig, cmd_simulate, read_trace_file
+from tomosim.cli import CampaignConfig, _parse_positive_int, cmd_simulate, read_trace_file
 from tomosim.simulator import Schedule
 
 
@@ -28,7 +28,7 @@ def main():
                     help="50 runs to N=1e6 (acceptance scale)")
     ap.add_argument("--out", default="results/reproduction")
     ap.add_argument("--seed", type=int, default=424242)
-    ap.add_argument("--workers", type=int, default=None)
+    ap.add_argument("--workers", type=_parse_positive_int, default=None)
     args = ap.parse_args()
 
     runs = 50 if args.full else 12

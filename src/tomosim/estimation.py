@@ -192,9 +192,11 @@ class _RecordArrays:
             out = tuple(a[live] for a in out)
         return out
 
-    def spans_three(self, n: int, bloch_pos: np.ndarray) -> bool:
-        """matrix_rank(bloch_pos) == 3 for the counted Bloch vectors among
-        the first n records.
+    def span(self, n: int, bloch_pos: np.ndarray) -> np.ndarray | None:
+        """None when the counted Bloch vectors bloch_pos among the first n
+        records span three directions, matrix_rank(bloch_pos) == 3;
+        otherwise a (3, d) orthonormal basis of their span, d < 3, from the
+        right singular vectors of the same SVD.
 
         Appending rows never lowers a singular value, and rows of length
         at most 1 (+1e-9) keep the largest one below sqrt(K) for K rows, so
@@ -206,15 +208,14 @@ class _RecordArrays:
         k = bloch_pos.shape[0]
         known = self._spanning
         if known is not None and known[0] <= n and known[1] > 2.0 * k ** 1.5 * _EPS:
-            return True
-        if k < 3:
-            return False
-        s = np.linalg.svdvals(bloch_pos)
-        if not s[2] > s[0] * k * _EPS:
-            return False
+            return None
+        _, s, vt = np.linalg.svd(bloch_pos, full_matrices=False)
+        rank = int(np.count_nonzero(s > s[0] * k * _EPS))
+        if rank < 3:
+            return vt[:rank].T
         if known is None or n < known[0]:
             self._spanning = (n, s[2])
-        return True
+        return None
 
 
 class LikelihoodData:
@@ -360,12 +361,17 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     until it gains at least _NEWTON_GAIN of its first-order gain. The
     call ends, converged, once the Newton point lies in the ball, every
     counted p_k is above PROB_CLAMP and the Newton decrement is below the
-    log-likelihood's round-off. Data whose counted m_k span fewer than
-    three directions, a singular Hessian, more than _MAX_CUTS cut steps
-    running (the optimum lies on the sphere) or a step that no halving
-    makes ascend hand the call over to the line search below, which
-    restarts from the fully mixed state and leaves out the Newton loop's
-    steps.
+    log-likelihood's round-off. When the counted m_k span fewer than three
+    directions, the likelihood is flat across their span and the Newton
+    steps run on it, so the estimate is the minimum-norm maximizer, with
+    no Bloch component along a direction nothing counted measures; its
+    decrement on the span bounds the gap over the whole ball. A drift
+    I sum t_k m_k with a part off that span (the optimum then lies on the
+    sphere), a G = I sum t_k M_k without full support, a singular Hessian,
+    more than _MAX_CUTS cut steps running (the optimum lies on the
+    sphere) or a step that no halving makes ascend hand the call over to
+    the line search below, which restarts from the fully mixed state and
+    leaves out the Newton loop's steps.
 
     The line search first tries the same Newton step and takes it alone
     when it gains at least _NEWTON_GAIN of the Newton decrement.
@@ -396,7 +402,7 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
                                    times, counts, data.intensity))
         return rho0
     lik = _Likelihood(data)
-    solved = _newton_solve(lik, opts.max_iter) if lik.full_rank else None
+    solved = _newton_solve(lik, opts.max_iter) if lik.solvable else None
     if solved is not None:
         r, steps, capped = solved
         if logliks is not None:
@@ -417,8 +423,12 @@ class _Likelihood:
     vectors m_k (M_k = (Tr M_k + m_k.sigma)/2), times and counts, views of
     the data's arrays; the counted records' (n_k > 0) I t_k, m_k, n_k and
     the products of the m_k's components, stacked once; and the exposure
-    sums I sum t_k Tr M_k and I sum t_k m_k. The operators M_k themselves
-    are built only for the line search."""
+    sums I sum t_k Tr M_k and I sum t_k m_k (the drift). When the counted
+    m_k span fewer than three directions, ``span`` holds an orthonormal
+    basis of their span, the products are those of the m_k's coordinates
+    on it, and Newton steps stay in it; otherwise ``span`` is None.
+    ``solvable`` tells whether the Newton loop may take the call. The
+    operators M_k themselves are built only for the line search."""
 
     def __init__(self, data: LikelihoodData):
         self.data, self.intensity = data, data.intensity
@@ -432,12 +442,35 @@ class _Likelihood:
         self.bloch_pos = self.bloch[self.pos]
         self.exposure = self.intensity * self.times @ self.traces
         self.drift = self.intensity * self.times @ self.bloch
-        # Counts on fewer than three independent directions leave H singular:
-        # a Newton step along the rest would be set by round-off.
-        self.full_rank = data._arrays.spans_three(data._n, self.bloch_pos)
-        if self.full_rank:
+        basis = data._arrays.span(data._n, self.bloch_pos)
+        if basis is None:
+            self.span, self.solvable = None, True
             # The six distinct entries of m_k m_k^T, the Hessian's terms.
             self.products = self.bloch_pos[:, _ROWS] * self.bloch_pos[:, _COLS]
+        else:
+            self._on_span(basis)
+
+    def _on_span(self, basis: np.ndarray) -> None:
+        """Set up Newton steps on the span of the counted m_k, given a (3, d)
+        orthonormal basis Q of it, d < 3, where H is singular and the counted
+        terms are flat across the span. The steps run in the coordinates of
+        span, Q padded with zero columns, with the identity on the padded
+        coordinates (pad) so that they take no step. The call is solvable
+        there unless the drift has a part off the span beyond the
+        exposure term's round-off (that term then tilts the likelihood
+        along a flat direction, and the optimum lies on the sphere), or
+        G = I sum t_k M_k, of spectrum (exposure -+ |drift|)/2, lacks full
+        support (the line search checks the counts against it)."""
+        d = basis.shape[1]
+        self.span = np.zeros((3, 3))
+        self.span[:, :d] = basis
+        coords = self.bloch_pos @ self.span
+        self.products = coords[:, _ROWS] * coords[:, _COLS]
+        self.pad = np.diag([0.0] * d + [1.0] * (3 - d))[_ROWS, _COLS]
+        off = self.drift - self.span @ (self.drift @ self.span)
+        lam = math.sqrt(self.drift @ self.drift)
+        self.solvable = (0.5 * math.sqrt(off @ off) <= _ROUNDOFF * self.total_rate
+                         and self.exposure - lam > _SUPPORT_RTOL * (self.exposure + lam))
 
     @cached_property
     def mats(self) -> np.ndarray:
@@ -458,12 +491,18 @@ class _Likelihood:
         """(the log-likelihood's round-off, Newton step s, Newton decrement
         g.s) at the counted p_k and logs of value(), where s = H^-1 g with
         g = (1/2) sum (n_k/p_k - I t_k) m_k and H = (1/4) sum n_k/p_k^2
-        m_k m_k^T; s and g.s are None unless H is positive definite."""
+        m_k m_k^T; s and g.s are None unless H is positive definite. On a
+        span Q, s = Q H_Q^-1 g_Q with H_Q = Q^T H Q and g_Q = Q^T g, and
+        the decrement is g_Q.s_Q."""
         p = np.maximum(p, PROB_CLAMP)
         ratios = self.counts_pos / p
         noise = _ROUNDOFF * (self.counts_pos @ np.abs(logs) + self.total_rate)
         grad = 0.5 * (ratios @ self.bloch_pos - self.drift)
-        return (noise, *_solve_spd(0.25 * ((ratios / p) @ self.products), grad))
+        hess = 0.25 * ((ratios / p) @ self.products)
+        if self.span is None:
+            return (noise, *_solve_spd(hess, grad))
+        step, decrement = _solve_spd(hess + self.pad, grad @ self.span)
+        return noise, None if step is None else self.span @ step, decrement
 
     def counted(self, p: np.ndarray):
         """The counted p_k, clamped at PROB_CLAMP, and their ln(I p_k t_k)."""
@@ -489,7 +528,7 @@ class _Likelihood:
         None when H is singular."""
         ratios = self.counts_pos / p_pos
         noise = _ROUNDOFF * (np.dot(self.counts_pos, np.abs(logs)) + self.total_rate)
-        if not self.full_rank:
+        if self.span is not None:
             return ratios, noise, None, None
         hess = 0.25 * (self.bloch_pos.T * (ratios / p_pos)) @ self.bloch_pos
         grad = 0.5 * (ratios @ self.bloch_pos - self.drift)

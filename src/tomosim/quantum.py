@@ -85,17 +85,23 @@ def _defects(mats: np.ndarray) -> np.ndarray:
 def stack_is_psd(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray) -> bool:
     """Whether every matrix of a stack passes _hermitian_psd's checks, given
     its stack_spectrum: a fast test, for stack_checks to explain a failure.
-    A NaN passes it; MeasurementPlan's four-vector checks reject it after."""
+    A non-finite entry fails it."""
+    if not np.isfinite(mats).all():
+        return False
     return not (_defects(mats).max() > HERMITICITY_TOL
                 or (trace - norm).min() < -2 * EIGENVALUE_CLAMP)
 
 
 def stack_checks(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray, what: str):
     """_hermitian_psd's checks over a stack, given its stack_spectrum, as
-    (failing rows, error of row i) pairs for first_failure."""
-    defect = _defects(mats).max(axis=(1, 2))
-    lowest = (trace - norm) / 2
+    (failing rows, error of row i) pairs for first_failure, after a check
+    that every entry is finite: the others read inf - inf as NaN."""
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        defect = _defects(mats).max(axis=(1, 2))
+        lowest = (trace - norm) / 2
     return [
+        (~finite, lambda i: ValueError(f"{what} has a non-finite entry")),
         (~(defect <= HERMITICITY_TOL),
          lambda i: NonHermitianError(f"{what} not Hermitian: defect {defect[i]:.3e}")),
         (~(lowest >= -EIGENVALUE_CLAMP),

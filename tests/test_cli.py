@@ -1,7 +1,10 @@
 import json
 import platform
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +183,17 @@ class TestSimulateCommand:
         with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
             cmd_simulate(cfg, workers=0)
         assert not (tmp_path / "sim").exists()
+
+    def test_reproduction_script_rejects_workers_below_one(self, tmp_path):
+        # The script parses --workers as simulate does: a usage error before
+        # any campaign runs, so nothing is written where it would write.
+        script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_results.py"
+        done = subprocess.run([sys.executable, str(script), "--workers", "0"],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert "--workers: must be an integer >= 1" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not any(tmp_path.iterdir())
 
     def test_non_finite_state_file_fails(self, tmp_path, capsys):
         state = tmp_path / "state.txt"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tomosim import quantum
+from tomosim import estimation, quantum
 from tomosim.estimation import (
     LikelihoodData,
     MeasurementRecord,
@@ -21,6 +21,7 @@ from tomosim.quantum import (
     PovmElement,
     born_probability,
     fidelity,
+    from_stokes,
     haar_unitary,
     maximally_mixed,
     mub_qubit,
@@ -28,11 +29,25 @@ from tomosim.quantum import (
     pure_state,
     random_bures_mixed,
     random_pure_haar,
+    to_stokes,
 )
 from conftest import bloch_ball_fit, bloch_ball_optimum
 
 H_PROJ = PovmElement(projector(quantum.KET_H))
 V_PROJ = PovmElement(projector(quantum.KET_V))
+D_PROJ = PovmElement(projector(quantum.KET_D))
+
+
+def spy_line_search(monkeypatch) -> list:
+    """Record the max_iter of every call to the estimator's line search."""
+    calls, original = [], estimation._line_search
+
+    def spied(lik, max_iter, logliks):
+        calls.append(max_iter)
+        return original(lik, max_iter, logliks)
+
+    monkeypatch.setattr(estimation, "_line_search", spied)
+    return calls
 
 
 def mub_records(rho_true, intensity, time=1.0):
@@ -211,6 +226,19 @@ class TestMleEstimate:
             warnings.simplefilter("error")
             mle_estimate(data)
 
+    def test_max_iter_cap_warns_from_the_line_search(self, monkeypatch):
+        # H counted and D exposed without counts: the exposure term tilts
+        # the likelihood along x, which nothing counted measures, so the
+        # optimum lies on the sphere and the call goes to the line search
+        # at once; one step of it is not enough.
+        data = LikelihoodData(
+            (MeasurementRecord(H_PROJ, 1.0, 1000), MeasurementRecord(D_PROJ, 1.0, 0)),
+            1000.0)
+        calls = spy_line_search(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="max_iter = 1 "):
+            mle_estimate(data, MleOptions(max_iter=1))
+        assert calls == [1]
+
     @staticmethod
     def sampled_mub_data():
         """MUB counts of a Bures state at t = 1, I = 1000, and their optimum."""
@@ -272,6 +300,75 @@ class TestMleEstimate:
         monkeypatch.undo()
         assert abs(log_likelihood(data, est) - ll_opt) <= 1e-9
         assert len(solves) <= 1
+
+
+def basis_records(m, n_plus, n_minus, time=1.0):
+    """The records of the basis of Bloch vectors +-m (unit), both held for
+    time, with n_plus and n_minus counts."""
+    return [MeasurementRecord(PovmElement(from_stokes(np.array([1.0, *(sign * m)]))), time, n)
+            for sign, n in ((1.0, n_plus), (-1.0, n_minus))]
+
+
+def bloch_vector(rho: DensityMatrix) -> np.ndarray:
+    return to_stokes(rho.matrix)[1:]
+
+
+def no_line_search(*_):
+    raise AssertionError("handed over to the line search")
+
+
+class TestSpanNewton:
+    """Counts on fewer than three directions: Newton's method on their span,
+    as in the first two estimates of a random-basis run."""
+
+    def test_one_basis_gives_its_count_ratio(self, rng, monkeypatch):
+        # The likelihood is n+ ln(1 + x) + n- ln(1 - x) along m and flat
+        # across it: the minimum-norm maximizer is x m with x the count ratio.
+        monkeypatch.setattr(estimation, "_line_search", no_line_search)
+        m = bloch_vector(random_pure_haar(rng))
+        data = LikelihoodData(basis_records(m, 613, 387), 1000.0)
+        logliks = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mle_estimate(data, logliks=logliks)
+        assert np.abs(bloch_vector(est) - (613 - 387) / 1000 * m).max() <= 1e-12
+        assert len(logliks) - 1 <= 3
+
+    def test_two_bases_reach_the_ball_optimum_in_their_plane(self, rng, monkeypatch):
+        monkeypatch.setattr(estimation, "_line_search", no_line_search)
+        m1, m2 = bloch_vector(random_pure_haar(rng)), bloch_vector(random_pure_haar(rng))
+        assert 0.1 < abs(m1 @ m2) < 0.9
+        recs = basis_records(m1, 700, 300) + basis_records(m2, 240, 260, time=0.5)
+        data = LikelihoodData(tuple(recs), 1000.0)
+        feasible, _ = bloch_ball_fit(recs, 1000.0)
+        logliks = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mle_estimate(data, logliks=logliks)
+        assert log_likelihood(data, est) >= feasible - 1e-9
+        assert abs(bloch_vector(est) @ np.cross(m1, m2)) <= 1e-12
+        assert len(logliks) - 1 <= 3
+
+    def test_optimum_on_the_sphere_goes_to_the_line_search(self, rng, monkeypatch):
+        # No counts on -m: the optimum is m itself, which the Newton loop's
+        # cut steps only approach.
+        calls = spy_line_search(monkeypatch)
+        m = bloch_vector(random_pure_haar(rng))
+        est = mle_estimate(LikelihoodData(basis_records(m, 800, 0), 1000.0))
+        assert calls == [MleOptions().max_iter]
+        assert bloch_vector(est) @ m > 0.99
+
+    def test_drift_off_the_span_goes_to_the_line_search(self, monkeypatch):
+        # D held without counts adds I t x to the exposure term, which the
+        # counted H record cannot balance: the optimum leans to -x, onto
+        # the sphere.
+        calls = spy_line_search(monkeypatch)
+        data = LikelihoodData(
+            (MeasurementRecord(H_PROJ, 1.0, 500), MeasurementRecord(D_PROJ, 1.0, 0)),
+            1000.0)
+        est = mle_estimate(data)
+        assert calls == [MleOptions().max_iter]
+        assert bloch_vector(est)[0] < 0
 
 
 class TestMleOptions:

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -472,8 +473,11 @@ class TestPlanValidation:
                             ((0, 1),))
 
     def test_non_finite_projector_rejected(self):
-        with pytest.raises(ValueError, match="unit trace"):
-            MeasurementPlan([[[np.nan, 0.0], [0.0, 0.0]]], [1.0], ((0,),))
+        for bad in (np.nan, np.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="POVM element has a non-finite entry"):
+                    MeasurementPlan([[[bad, 0.0], [0.0, 0.0]]], [1.0], ((0,),))
         with pytest.raises(ValueError, match="rank 1"):
             MeasurementPlan.of_vectors([[1.0, np.nan, 0.0, 0.0]], [1.0], ((0,),))
 

@@ -406,8 +406,15 @@ class TestRecordIO:
             read_records(p)
 
     def test_non_finite_stream_matrix_rejected(self):
-        with pytest.raises(ValueError, match="record 0: POVM element not Hermitian: defect nan"):
-            RecordStream([0], [[[np.nan, 0], [0, 0]]], [1.0], [3])
+        # Rejected by name before the Hermitian and PSD checks, which would
+        # read inf - inf as NaN, and without a numpy warning on the way.
+        for matrix in ([[np.nan, 0], [0, 0]], [[np.inf, 0], [0, 0]], [[1, 0], [0, -np.inf]],
+                       [[1, complex(0, np.inf)], [0, 0]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError,
+                                   match="^record 0: POVM element has a non-finite entry$"):
+                    RecordStream([0], [matrix], [1.0], [3])
 
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
