@@ -274,40 +274,55 @@ def _golden_rows(name: str) -> list[dict]:
         return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
 
 
-@pytest.fixture(scope="module")
-def golden_campaigns(tmp_path_factory) -> list[dict]:
+def _campaign_rows(tmp_path_factory, protocols, *options) -> list[dict]:
     """Every trace row, tagged with its states, of `simulate --protocol
-    random,eigen,rankp-nc,rankp-b,rankp-m --states {pure,bures} --runs 2
-    --n-max 1e4 --seed 7`."""
+    <protocols> --states {pure,bures} --runs 2 --n-max 1e4 --seed 7
+    <options>`."""
     from tomosim.cli import main
     rows = []
     for states in ("pure", "bures"):
         out = tmp_path_factory.mktemp(states)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "mle_estimate. max_iter")
-            assert main(["simulate", "--protocol", ",".join(PROTOCOLS), "--states", states,
+            assert main(["simulate", "--protocol", ",".join(protocols), "--states", states,
                          "--runs", "2", "--n-max", "1e4", "--seed", "7", "--workers", "1",
-                         "--out", str(out)]) == 0
-        for protocol in PROTOCOLS:
+                         "--out", str(out), *options]) == 0
+        for protocol in protocols:
             for run in range(2):
                 with open(out / f"trace_{protocol}_{run:03d}.csv") as fh:
                     rows += [{"states": states, **row} for row in csv.DictReader(fh)]
     return rows
 
 
-def test_every_trace_column_matches_the_golden_campaigns(golden_campaigns):
-    # Every column of every trace row of the same campaigns, as the golden
-    # file holds them: integers exactly, floats to a relative 1e-12, which
-    # allows for the order in which SIMD code sums on another host.
-    expected = _golden_rows("trace_golden.csv")
-    assert len(golden_campaigns) == len(expected)
+@pytest.fixture(scope="module")
+def golden_campaigns(tmp_path_factory) -> list[dict]:
+    """The trace rows of the five-protocol campaigns."""
+    return _campaign_rows(tmp_path_factory, PROTOCOLS)
+
+
+def _assert_trace_columns_match(rows: list[dict], name: str) -> None:
+    """Every column of every trace row as the golden file holds them:
+    integers exactly, floats to a relative 1e-12, which allows for the
+    order in which SIMD code sums on another host."""
+    expected = _golden_rows(name)
+    assert len(rows) == len(expected)
     for column in expected[0]:
-        mine, want = ([row[column] for row in rows] for rows in (golden_campaigns, expected))
+        mine, want = ([row[column] for row in table] for table in (rows, expected))
         if column in ("n_emit", "d_bures_sq", "fidelity", "loglik"):
             np.testing.assert_allclose(np.array(mine, dtype=float),
                                        np.array(want, dtype=float), rtol=1e-12, atol=0)
         else:
             assert mine == want, column
+
+
+def test_every_trace_column_matches_the_golden_campaigns(golden_campaigns):
+    _assert_trace_columns_match(golden_campaigns, "trace_golden.csv")
+
+
+def test_every_random_v_trace_column_matches_its_golden_campaigns(tmp_path_factory):
+    # The RankP campaigns with a Haar-random V composed into each transform.
+    rows = _campaign_rows(tmp_path_factory, ("rankp-nc", "rankp-b", "rankp-m"), "--random-v")
+    _assert_trace_columns_match(rows, "trace_golden_random_v.csv")
 
 
 def regularized_pure(rng):
