@@ -21,15 +21,12 @@ from .estimation import (
 from .protocols import (
     PROTOCOLS,
     MeasurementPlan,
-    TimedMeasurement,
-    TransformOperator,
     apply_unitary_freedom,
     complement_minimal,
     complement_to_basis,
     next_plan,
     normalize_with_time,
     rank_preserving_map,
-    transform_measurement,
 )
 from .quantum import (
     DensityMatrix,

@@ -1,42 +1,40 @@
 """Adaptive measurement-selection strategies on Stokes four-vectors.
 
 A rank-1 qubit element held for exposition time t is the null
-four-vector t (1, m) = (Tr M, Tr sigma M), m its unit Bloch vector. RankP
-conjugates the base set by the map sending the regularized estimator
-(Bloch vector r) to the fully mixed state: one real 4x4 transfer matrix,
-gamma Lambda(r) for the symmetric map, the Lorentz boost with velocity r
-scaled by gamma = 1/sqrt(1 - |r|^2). RankP-B pairs each element with its
-antipode t (1, -m); RankP-M divides the set by the largest eigenvalue
+four-vector t (1, m) = (Tr M, Tr sigma M), m its unit Bloch vector; the
+functions here take and return (K, 4) stacks of them. The paper's RankP
+method has three parts. rank_preserving_map is the transform sending the
+regularized estimator (Bloch vector r) to the fully mixed state: one real
+4x4 transfer matrix T, gamma Lambda(r), the Lorentz boost with velocity r
+scaled by gamma = 1/sqrt(1 - |r|^2), acting as vecs @ T.T.
+apply_unitary_freedom composes T with a unitary V. The completions:
+complement_to_basis pairs each element with its antipode t (1, -m), and
+complement_minimal divides the set by the largest eigenvalue
 mu = (S_0 + |s|)/2 of its sum S and appends the residual (|s|, -s)/mu.
-The baselines are four-vectors too: Eigen turns the MUB axes by the
-minimal rotation taking z to the estimator's Bloch direction, and Random
-reads the Bloch vector of a Haar-random ket. A plan holds four-vectors;
-its matrices are views built on demand, and the public matrix functions
-convert around the same arithmetic.
+normalize_with_time reads each four-vector's trace as its time and holds
+the plan. The baselines are four-vectors too: Eigen turns the MUB axes by
+the minimal rotation taking z to the estimator's Bloch direction, and
+Random reads the Bloch vector of a Haar-random ket. A plan's matrices are
+a view built on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .estimation import regularize_full_rank
 from .quantum import (
     INERT_WEIGHT,
     STOKES,
     DensityMatrix,
-    PovmElement,
-    as_square_complex,
     first_failure,
     from_stokes,
     haar_unitary,
     maximally_mixed,
     mub_qubit,
-    require_qubit,
     stack_checks,
     stack_is_psd,
     stack_spectrum,
@@ -49,46 +47,8 @@ PROTOCOLS = ("random", "eigen", "rankp-nc", "rankp-b", "rankp-m")
 # spectrum inversion; exposed as a knob everywhere it matters.
 DEFAULT_DELTA = 1e-4
 
-_MAP_TOL = 1e-9
 _RANK_TOL = 1e-8
 _ORTHO_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class TransformOperator:
-    """Qubit operator lmap with lmap rho lmap^dag = eye/2 for its source
-    estimator (which implies that lmap has full rank). Unpickling rebuilds
-    it through the constructor, which checks and freezes lmap again."""
-
-    lmap: np.ndarray
-    source_estimator: DensityMatrix  # already regularized to full rank
-
-    def __post_init__(self):
-        lm = as_square_complex(self.lmap)
-        require_qubit(lm.shape[0], "transform")
-        mapped = lm @ self.source_estimator.matrix @ lm.conj().T
-        defect = np.max(np.abs(mapped - np.eye(2) / 2))
-        if defect > _MAP_TOL:
-            raise ValueError(f"transform does not map estimator to eye/D: defect {defect:.3e}")
-        lm.setflags(write=False)
-        object.__setattr__(self, "lmap", lm)
-
-    def __reduce__(self):
-        return TransformOperator, (self.lmap, self.source_estimator)
-
-
-@dataclass(frozen=True)
-class TimedMeasurement:
-    """Unit-trace rank-1 projector held for time_weight exposition units,
-    checked as a one-measurement MeasurementPlan."""
-
-    projector: PovmElement
-    time_weight: float
-
-    def __post_init__(self):
-        MeasurementPlan.of_vectors(to_stokes(self.projector.matrix), [self.time_weight],
-                                   ((0,),))
-        object.__setattr__(self, "time_weight", float(self.time_weight))
 
 
 class MeasurementPlan:
@@ -101,9 +61,9 @@ class MeasurementPlan:
     four-vector is null), positive times and Tr(Ma Mb) = (1 + ma.mb)/2 = 0
     within a group. The constructor takes the (K, 2, 2) projectors and
     first checks them Hermitian and PSD; ``of_vectors`` takes four-vectors.
-    ``matrices`` and ``measurements`` (TimedMeasurement views) are built
-    on first use. ``order`` lists the measurement indices group by group,
-    and ``group_of`` the group of each entry of ``order``.
+    ``matrices`` is built on first use. ``order`` lists the measurement
+    indices group by group, and ``group_of`` the group of each entry of
+    ``order``.
     """
 
     def __init__(self, matrices, time_weights, groups):
@@ -162,12 +122,6 @@ class MeasurementPlan:
         mats.setflags(write=False)
         return mats
 
-    @cached_property
-    def measurements(self) -> tuple[TimedMeasurement, ...]:
-        """TimedMeasurement views of the plan's arrays, built on first use."""
-        return tuple(TimedMeasurement(PovmElement(m), t)
-                     for m, t in zip(self.matrices, self.time_weights.tolist()))
-
     def exposure_weight(self) -> float:
         """Total exposure per unit base time: one max-weight slot per group."""
         times = self.time_weights.tolist()
@@ -193,50 +147,25 @@ def _layout(groups: tuple[tuple[int, ...], ...]):
     return out
 
 
-def _vectors(elements) -> np.ndarray:
-    """(K, 4) four-vectors of a sequence of POVM elements."""
-    return to_stokes(np.array([e.matrix for e in elements]))
-
-
 def _transfer(lop: np.ndarray) -> np.ndarray:
     """The real 4x4 matrix acting on four-vectors as M -> lop M lop^dag:
     column b is the image of sigma_b, whose four-vector is 2 e_b."""
     return 0.5 * to_stokes(lop @ STOKES @ lop.conj().T).T
 
 
-def _with_antipodes(vecs: np.ndarray) -> np.ndarray:
-    """Each four-vector t (1, m) followed by its antipode t (1, -m), which
-    completes it to a basis held for the same time."""
-    out = np.repeat(vecs, 2, axis=0)
-    out[1::2, 1:] *= -1.0
-    return out
+def rank_preserving_map(rho_hat: DensityMatrix, delta: float = DEFAULT_DELTA) -> np.ndarray:
+    """Transfer matrix of the map sending the regularized estimator to the
+    fully mixed state: a plan's four-vectors transform as vecs @ T.T.
 
-
-def _minimal_completion(vecs: np.ndarray) -> np.ndarray:
-    """The set scaled by the largest eigenvalue mu = (S_0 + |s|)/2 of its
-    sum S, followed by the residual (|s|, -s)/mu that completes it to eye."""
-    total = vecs.sum(axis=0)
-    norm = math.hypot(*total[1:])
-    mu = (total[0] + norm) / 2
-    if mu <= 0:
-        raise ValueError("element sum has no positive eigenvalue")
-    return np.vstack([vecs, np.concatenate(([norm], -total[1:]))]) / mu
-
-
-def _timed(vecs: np.ndarray, groups) -> MeasurementPlan:
-    """The plan holding each four-vector t (1, m) as its unit-trace
-    projector held for time t, in the given groups."""
-    times = vecs[:, 0]
-    if (times <= INERT_WEIGHT).any():
-        raise ValueError("element has vanishing trace; drop it instead")
-    return MeasurementPlan.of_vectors(vecs / times[:, None], times, groups)
-
-
-def _boost(rho_hat: DensityMatrix, delta: float) -> np.ndarray:
-    """gamma Lambda(r), the transfer matrix of rank_preserving_map's lmap^dag
-    in closed form: Lambda(r) is the Lorentz boost with velocity r, the
-    Bloch vector of rho_hat mixed with eye/2 (weight delta), and
-    gamma = 1/sqrt(1 - |r|^2)."""
+    The map conjugates each element as L M L^dag with L = lmap^dag and
+    lmap = rho_reg^-1/2 / sqrt(2), the symmetric representative of the
+    family V rho_reg^-1/2 / sqrt(2): it carries no net rotation, so every
+    base element's image localizes toward the subspace orthogonal to the
+    estimator as it purifies. rho_hat is first mixed with eye/2 (weight
+    delta). On four-vectors the map is gamma Lambda(r): Lambda(r) is the
+    Lorentz boost with velocity r, the Bloch vector of rho_reg, and
+    gamma = 1/sqrt(1 - |r|^2).
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     s = (1.0 - delta) * rho_hat.stokes
@@ -249,60 +178,44 @@ def _boost(rho_hat: DensityMatrix, delta: float) -> np.ndarray:
     return gamma * out
 
 
-def rank_preserving_map(rho_hat: DensityMatrix,
-                        delta: float = DEFAULT_DELTA) -> TransformOperator:
-    """Operator mapping the regularized estimator to the fully mixed state.
-
-    The symmetric representative lmap = rho_reg^-1/2 / sqrt(2) of the family
-    V rho_reg^-1/2 / sqrt(2) carries no net rotation, so every base element's
-    image localizes toward the subspace orthogonal to the estimator as it
-    purifies. rho_hat is first mixed with eye/2 (weight delta). For
-    rho_reg = (1 + r.sigma)/2 it is sqrt(gamma) [c - (gamma / 2c) r.sigma],
-    c = sqrt((gamma + 1)/2): the boost by minus half the rapidity of r.
-    """
-    reg = regularize_full_rank(rho_hat, delta)
-    s = to_stokes(reg.matrix)
-    r = s[1:] / s[0]
-    gamma = 1.0 / math.sqrt(1.0 - r @ r)
-    c = math.sqrt((gamma + 1.0) / 2.0)
-    lmap = math.sqrt(gamma) * from_stokes(np.concatenate(([2.0 * c], -(gamma / c) * r)))
-    return TransformOperator(lmap, reg)
-
-
-def transform_measurement(op: TransformOperator, element: PovmElement) -> PovmElement:
-    """Conjugated element L M L^dag with L = lmap^dag: same rank, and
-    Tr(M_new rho_hat) = Tr(M)/2 for the operator's source estimator."""
-    return PovmElement(from_stokes(_transfer(op.lmap.conj().T) @ to_stokes(element.matrix)))
-
-
-def apply_unitary_freedom(op: TransformOperator, v: np.ndarray) -> TransformOperator:
-    """Left-multiply the map by a unitary; eye/2 is invariant under it."""
-    vm = as_square_complex(v)
-    if np.max(np.abs(vm.conj().T @ vm - np.eye(vm.shape[0]))) > 1e-10:
+def apply_unitary_freedom(transfer: np.ndarray, v) -> np.ndarray:
+    """The transfer matrix of the map left-multiplied by a unitary V, which
+    leaves eye/2 invariant: elements are conjugated by V^dag first."""
+    vm = np.asarray(v, dtype=complex)
+    if vm.shape != (2, 2):
+        raise ValueError(f"V must be a 2x2 matrix, got shape {vm.shape}")
+    if np.max(np.abs(vm.conj().T @ vm - np.eye(2))) > 1e-10:
         raise ValueError("V is not unitary within 1e-10")
-    return TransformOperator(vm @ op.lmap, op.source_estimator)
+    return transfer @ _transfer(vm.conj().T)
 
 
-def normalize_with_time(element: PovmElement) -> TimedMeasurement:
-    """Split an unnormalized element into unit-trace projector x exposition time."""
-    return _timed(_vectors([element]), ((0,),)).measurements[0]
+def complement_to_basis(vecs: np.ndarray) -> np.ndarray:
+    """Each four-vector t (1, m) followed by its antipode t (1, -m), which
+    completes it to an orthonormal basis held for the same time."""
+    out = np.repeat(vecs, 2, axis=0)
+    out[1::2, 1:] *= -1.0
+    return out
 
 
-def complement_to_basis(m: TimedMeasurement) -> MeasurementPlan:
-    """Complete a rank-1 qubit measurement to an orthonormal basis.
+def complement_minimal(vecs: np.ndarray) -> np.ndarray:
+    """The set scaled by the largest eigenvalue mu = (S_0 + |s|)/2 of its
+    sum S, followed by the one rank-1 residual (|s|, -s)/mu = eye - S/mu
+    that completes it to eye."""
+    total = vecs.sum(axis=0)
+    norm = math.hypot(*total[1:])
+    mu = (total[0] + norm) / 2
+    if mu <= 0:
+        raise ValueError("element sum has no positive eigenvalue")
+    return np.vstack([vecs, np.concatenate(([norm], -total[1:]))]) / mu
 
-    Both projectors inherit the input's time weight and share one
-    simultaneity group; the completion is the antipodal projector.
-    """
-    vecs = m.time_weight * _vectors([m.projector])
-    return _timed(_with_antipodes(vecs), ((0, 1),))
 
-
-def complement_minimal(elements) -> tuple[list[PovmElement], list[PovmElement]]:
-    """(scaled, [residual]): the set divided by its sum's largest eigenvalue
-    mu, and the one rank-1 residual eye - S/mu that completes it to eye."""
-    mats = from_stokes(_minimal_completion(_vectors(elements)))
-    return [PovmElement(m) for m in mats[:-1]], [PovmElement(mats[-1])]
+def normalize_with_time(vecs: np.ndarray, groups) -> MeasurementPlan:
+    """The plan holding each four-vector t (1, m) as its unit-trace
+    projector held for time t, in the given groups."""
+    times = vecs[:, 0]
+    if (times <= INERT_WEIGHT).any():
+        raise ValueError("element has vanishing trace; drop it instead")
+    return MeasurementPlan.of_vectors(vecs / times[:, None], times, groups)
 
 
 # The MUB axes +-z, +-x, +-y, the Bloch vectors of H, V, D, A, R, L.
@@ -310,7 +223,7 @@ _MUB_AXES = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [
                      dtype=float)
 # The base set RankP transforms: the four-vectors of mub_qubit()'s projectors,
 # whose traces (1/sqrt 2)^2 + (1/sqrt 2)^2 may differ from 1 by an ulp.
-_MUB_VECTORS = _vectors(mub_qubit().elements)
+_MUB_VECTORS = to_stokes(np.array([e.matrix for e in mub_qubit().elements]))
 _MUB_VECTORS.setflags(write=False)
 # One group per basis: H/V, D/A, R/L, and eigen's aligned pairs.
 _BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))
@@ -371,24 +284,31 @@ def next_plan(protocol: str, rho_hat: DensityMatrix, rng: np.random.Generator, *
     rankp-nc -- transformed MUB elements, one singleton group each.
     rankp-b  -- each transformed element and its antipode, one group per pair.
     rankp-m  -- minimally complemented set, singleton groups throughout.
+
+    RankP plans are the MUB four-vectors times the transposed transfer
+    matrix of rank_preserving_map (composed by apply_unitary_freedom with a
+    Haar-random V drawn from rng when random_v), completed by
+    complement_minimal (rankp-m) before inert elements are dropped or by
+    complement_to_basis (rankp-b) after, and held by normalize_with_time.
     """
     if protocol == "random":
-        return _timed(_with_antipodes(_ket_vector(haar_unitary(rng)[:, 0])[None]), ((0, 1),))
+        return normalize_with_time(complement_to_basis(_ket_vector(haar_unitary(rng)[:, 0])[None]),
+                                   ((0, 1),))
     if protocol == "eigen":
-        return _timed(_eigen_frame(rho_hat), _BASIS_PAIRS)
+        return normalize_with_time(_eigen_frame(rho_hat), _BASIS_PAIRS)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    transfer = _boost(rho_hat, delta)
+    transfer = rank_preserving_map(rho_hat, delta)
     if random_v:
-        # Left-multiplying lmap by V conjugates elements by V^dag first.
-        transfer = transfer @ _transfer(haar_unitary(rng).conj().T)
+        transfer = apply_unitary_freedom(transfer, haar_unitary(rng))
     vecs = _MUB_VECTORS @ transfer.T
     if protocol == "rankp-m":
-        vecs = _minimal_completion(vecs)
+        vecs = complement_minimal(vecs)
     vecs = vecs[vecs[:, 0] > INERT_WEIGHT]
     if protocol == "rankp-b":
-        return _timed(_with_antipodes(vecs), tuple((2 * i, 2 * i + 1) for i in range(len(vecs))))
-    return _timed(vecs, tuple((i,) for i in range(len(vecs))))
+        return normalize_with_time(complement_to_basis(vecs),
+                                   tuple((2 * i, 2 * i + 1) for i in range(len(vecs))))
+    return normalize_with_time(vecs, tuple((i,) for i in range(len(vecs))))
 
 
 def initial_plan(protocol: str, rng: np.random.Generator) -> MeasurementPlan:
@@ -402,4 +322,4 @@ def initial_plan(protocol: str, rng: np.random.Generator) -> MeasurementPlan:
         return next_plan(protocol, maximally_mixed(), rng)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    return _timed(_MUB_VECTORS, _BASIS_PAIRS)
+    return normalize_with_time(_MUB_VECTORS, _BASIS_PAIRS)

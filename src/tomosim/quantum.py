@@ -110,18 +110,20 @@ def stack_checks(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray, what: st
 
 
 def _hermitian_psd(a, what: str) -> tuple[np.ndarray, float]:
-    """a as a read-only 2x2 complex matrix, checked Hermitian and PSD, and
-    its trace. For (S_0 + s.sigma)/2 the eigenvalues are (S_0 -+ |s|)/2,
-    read, as eigvalsh reads them, from the real diagonal and the lower
-    triangle."""
+    """a as a read-only 2x2 complex matrix, checked finite, Hermitian and
+    PSD, and its trace. For (S_0 + s.sigma)/2 the eigenvalues are
+    (S_0 -+ |s|)/2, read, as eigvalsh reads them, from the real diagonal and
+    the lower triangle. The finite check comes first, as in stack_checks:
+    the others would read inf - inf as NaN."""
     m = as_square_complex(a)
     require_qubit(m.shape[0], what)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has a non-finite entry")
     (a00, a01), (a10, a11) = m.tolist()
-    defects = (2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
-    # max() would drop a NaN; the tests are negated, so that a NaN fails them.
-    defect = math.nan if math.isnan(sum(defects)) else max(defects)
+    defect = max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
     trace = a00.real + a11.real
     lowest = (trace - math.hypot(a00.real - a11.real, 2.0 * abs(a10))) / 2
+    # Negated tests, so that a NaN from overflowing entries fails them.
     if not defect <= HERMITICITY_TOL:
         raise NonHermitianError(f"{what} not Hermitian: defect {defect:.3e}")
     if not lowest >= -EIGENVALUE_CLAMP:

@@ -26,12 +26,12 @@ from tomosim.protocols import (
     complement_to_basis,
     normalize_with_time,
     rank_preserving_map,
-    transform_measurement,
 )
 from tomosim.quantum import (
     PovmElement,
     born_probability,
     fidelity,
+    from_stokes,
     mub_qubit,
     projector,
     random_bures_mixed,
@@ -131,24 +131,31 @@ def test_criterion_3_complementation_ratios(pure_campaign, mixed_campaign):
            f"B/Eigen mixed={r_b_eigen_mixed:.2f} (1.07+-0.20)")
 
 
+def mub_four_vectors():
+    """The (6, 4) four-vectors (Tr M, Tr sigma M) of the MUB projectors."""
+    return quantum.to_stokes(np.array([e.matrix for e in mub_qubit().elements]))
+
+
 def test_criterion_4_transformation_exactness():
+    # The transfer matrix next_plan applies, checked on the matrices
+    # from_stokes rebuilds: L M L^dag for each MUB element, and
+    # lmap rho_reg lmap^dag, whose four-vector the transpose maps.
     rng = np.random.default_rng(11)
-    mub = mub_qubit()
+    mub = mub_four_vectors()
     worst_map = 0.0
     worst_prob = 0.0
     ranks_ok = True
     for _ in range(1000):
         rho = random_pure_haar(rng) if rng.uniform() < 0.5 \
             else random_bures_mixed(rng)
-        op = rank_preserving_map(rho, 1e-4)
-        mapped = op.lmap @ op.source_estimator.matrix @ op.lmap.conj().T
+        transfer = rank_preserving_map(rho, 1e-4)
+        reg = regularize_full_rank(rho, 1e-4)
+        mapped = from_stokes(transfer.T @ reg.stokes)
         worst_map = max(worst_map, float(np.max(np.abs(mapped - np.eye(2) / 2))))
-        for e in mub.elements:
-            out = transform_measurement(op, e)
-            p = float(np.einsum("ij,ji->", out.matrix,
-                                op.source_estimator.matrix).real)
-            worst_prob = max(worst_prob, abs(p - e.weight / 2))
-            ranks_ok = ranks_ok and numeric_rank(out.matrix, 1e-8) == 1
+        for vec, out in zip(mub, from_stokes(mub @ transfer.T)):
+            p = float(np.einsum("ij,ji->", out, reg.matrix).real)
+            worst_prob = max(worst_prob, abs(p - vec[0] / 2))
+            ranks_ok = ranks_ok and numeric_rank(out, 1e-8) == 1
     ok = worst_map <= 1e-9 and worst_prob <= 1e-9 and ranks_ok
     report(4, ok,
            f"1000 estimators: max|L rho L - 1/D|={worst_map:.2e} (<=1e-9), "
@@ -156,21 +163,21 @@ def test_criterion_4_transformation_exactness():
 
 
 def test_criterion_5_completion_exactness():
+    # The completions next_plan applies to the transformed four-vectors,
+    # checked on the matrices from_stokes rebuilds.
     rng = np.random.default_rng(13)
-    mub = mub_qubit()
+    mub = mub_four_vectors()
     worst_m = 0.0
     worst_b = 0.0
     for _ in range(1000):
         rho = random_pure_haar(rng) if rng.uniform() < 0.5 \
             else random_bures_mixed(rng)
-        op = rank_preserving_map(rho, 1e-4)
-        transformed = [transform_measurement(op, e) for e in mub.elements]
-        scaled, extra = complement_minimal(transformed)
-        total = sum(e.matrix for e in scaled) + sum(e.matrix for e in extra)
+        transformed = mub @ rank_preserving_map(rho, 1e-4).T
+        total = from_stokes(complement_minimal(transformed)).sum(axis=0)
         worst_m = max(worst_m, float(np.max(np.abs(total - np.eye(2)))))
-        for e in transformed:
-            plan = complement_to_basis(normalize_with_time(e))
-            group_total = sum(t.projector.matrix for t in plan.measurements)
+        for vec in transformed:
+            plan = normalize_with_time(complement_to_basis(vec[None]), ((0, 1),))
+            group_total = plan.matrices.sum(axis=0)
             worst_b = max(worst_b, float(np.max(np.abs(group_total - np.eye(2)))))
     ok = worst_m <= 1e-9 and worst_b <= 1e-9
     report(5, ok,

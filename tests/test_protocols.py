@@ -1,4 +1,3 @@
-import pickle
 import warnings
 
 import numpy as np
@@ -6,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomosim import protocols, quantum
+from tomosim import quantum
 from tomosim.estimation import regularize_full_rank
 from tomosim.protocols import (
     PROTOCOLS,
     MeasurementPlan,
-    TimedMeasurement,
-    TransformOperator,
     apply_unitary_freedom,
     complement_minimal,
     complement_to_basis,
@@ -20,20 +17,22 @@ from tomosim.protocols import (
     next_plan,
     normalize_with_time,
     rank_preserving_map,
-    transform_measurement,
 )
 from tomosim.quantum import (
     DensityMatrix,
-    PovmElement,
+    from_stokes,
     haar_unitary,
     maximally_mixed,
     mub_qubit,
     projector,
     random_pure_haar,
+    to_stokes,
 )
 from conftest import numeric_rank
 
 MUB = mub_qubit()
+# The (6, 4) four-vectors of the MUB projectors.
+MUB_VECS = to_stokes(np.array([e.matrix for e in MUB.elements]))
 
 
 def bloch(mat):
@@ -44,201 +43,205 @@ def bloch(mat):
     return np.array([np.trace(mat @ s).real for s in (sx, sy, sz)])
 
 
+def transform(transfer, matrix):
+    """The element L M L^dag a transfer matrix maps M to, as a matrix."""
+    return from_stokes(transfer @ to_stokes(matrix))
+
+
+def mapped_estimator(transfer, reg):
+    """lmap rho_reg lmap^dag: the conjugation by L^dag acts on four-vectors
+    as the transpose of L's transfer matrix."""
+    return from_stokes(transfer.T @ reg.stokes)
+
+
+def conjugation_transfer(lop):
+    """The 4x4 matrix of M -> lop M lop^dag on four-vectors, column b the
+    image of sigma_b (four-vector 2 e_b)."""
+    return np.column_stack([to_stokes(lop @ s @ lop.conj().T) / 2 for s in quantum.STOKES])
+
+
 class TestRankPreservingMap:
     def test_mixed_estimator_gives_identity(self):
-        op = rank_preserving_map(maximally_mixed(), 1e-4)
-        assert np.max(np.abs(op.lmap - np.eye(2))) <= 1e-9
+        transfer = rank_preserving_map(maximally_mixed(), 1e-4)
+        assert np.max(np.abs(transfer - np.eye(4))) <= 1e-9
 
     def test_diagonal_estimator(self):
         # oracle: the map sends the estimator to eye/2; for a diagonal
         # estimator the map is diag(1/sqrt(1.8), 1/sqrt(0.2)) exactly
         rho = DensityMatrix(np.diag([0.9, 0.1]))
-        op = rank_preserving_map(rho, 1e-12)
-        mapped = op.lmap @ op.source_estimator.matrix @ op.lmap.conj().T
+        transfer = rank_preserving_map(rho, 1e-12)
+        mapped = mapped_estimator(transfer, regularize_full_rank(rho, 1e-12))
         assert np.max(np.abs(mapped - np.eye(2) / 2)) <= 1e-9
         expected = np.diag([0.7453559924999299, 2.23606797749979])
-        assert np.max(np.abs(op.lmap - expected)) <= 1e-5
+        assert np.max(np.abs(transfer - conjugation_transfer(expected))) <= 1e-5
 
     def test_rotated_estimator(self, rng):
         w = haar_unitary(rng)
         rho = DensityMatrix(w @ np.diag([0.7, 0.3]) @ w.conj().T)
-        op = rank_preserving_map(rho, 1e-12)
-        mapped = op.lmap @ op.source_estimator.matrix @ op.lmap.conj().T
+        transfer = rank_preserving_map(rho, 1e-12)
+        mapped = mapped_estimator(transfer, regularize_full_rank(rho, 1e-12))
         assert np.max(np.abs(mapped - np.eye(2) / 2)) <= 1e-12
 
     def test_invariant_sweep(self, rng):
         for _ in range(200):
             rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
-            op = rank_preserving_map(rho, 1e-4)
-            mapped = op.lmap @ op.source_estimator.matrix @ op.lmap.conj().T
+            transfer = rank_preserving_map(rho, 1e-4)
+            mapped = mapped_estimator(transfer, regularize_full_rank(rho, 1e-4))
             assert np.max(np.abs(mapped - np.eye(2) / 2)) <= 1e-9
-            assert numeric_rank(op.lmap, 1e-8) == 2
+            assert numeric_rank(transfer, 1e-8) == 4
 
 
 class TestTransformMeasurement:
     def test_identity_op_keeps_element(self):
-        op = rank_preserving_map(maximally_mixed(), 1e-4)
+        transfer = rank_preserving_map(maximally_mixed(), 1e-4)
         m = MUB.elements[2]
-        out = transform_measurement(op, m)
-        assert np.max(np.abs(out.matrix - m.matrix)) <= 1e-8
+        out = transform(transfer, m.matrix)
+        assert np.max(np.abs(out - m.matrix)) <= 1e-8
 
     def test_diagonal_estimator_d_projector(self):
         # frozen arithmetic: L M L^dag = (1/4)[[10/9, 10/3], [10/3, 10]]
         rho = DensityMatrix(np.diag([0.9, 0.1]))
-        op = rank_preserving_map(rho, 1e-12)
-        out = transform_measurement(op, PovmElement(projector(quantum.KET_D)))
+        transfer = rank_preserving_map(rho, 1e-12)
+        out = transform(transfer, projector(quantum.KET_D))
         expected = 0.25 * np.array([[10 / 9, 10 / 3], [10 / 3, 10.0]])
-        assert np.max(np.abs(out.matrix - expected)) <= 1e-9
-        assert out.weight == pytest.approx(25 / 9, abs=1e-9)
+        assert np.max(np.abs(out - expected)) <= 1e-9
+        assert np.trace(out).real == pytest.approx(25 / 9, abs=1e-9)
         # oracle from the defining property: Tr(M_new rho_reg) = Tr(M)/D
-        got = np.trace(out.matrix @ op.source_estimator.matrix).real
+        got = np.trace(out @ regularize_full_rank(rho, 1e-12).matrix).real
         assert got == pytest.approx(0.5, abs=1e-9)
 
     def test_trace_rule_and_rank_sweep(self, rng):
         for _ in range(100):
             rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
-            op = rank_preserving_map(rho, 1e-4)
-            m = PovmElement(projector(haar_unitary(rng)[:, 0]))
-            out = transform_measurement(op, m)
-            got = np.trace(out.matrix @ op.source_estimator.matrix).real
-            assert got == pytest.approx(m.weight / 2, abs=1e-9)
-            assert numeric_rank(out.matrix, 1e-8) == 1
-
+            transfer = rank_preserving_map(rho, 1e-4)
+            m = projector(haar_unitary(rng)[:, 0])
+            out = transform(transfer, m)
+            got = np.trace(out @ regularize_full_rank(rho, 1e-4).matrix).real
+            assert got == pytest.approx(np.trace(m).real / 2, abs=1e-9)
+            assert numeric_rank(out, 1e-8) == 1
 
     def test_transfer_is_scaled_lorentz_boost(self, rng):
         # On four-vectors (Tr M, Tr sigma M) the symmetric map acts as
         # gamma Lambda(r): the boost with velocity r of the regularized
         # estimator, scaled by gamma = 1/sqrt(1 - r^2).
         for _ in range(50):
-            op = rank_preserving_map(random_pure_haar(rng), 1e-4)
-            r = bloch(op.source_estimator.matrix)
+            rho = random_pure_haar(rng)
+            transfer = rank_preserving_map(rho, 1e-4)
+            r = bloch(regularize_full_rank(rho, 1e-4).matrix)
             gamma = 1.0 / np.sqrt(1.0 - r @ r)
             boost = np.block([[np.array([[gamma]]), -gamma * r[None, :]],
                               [-gamma * r[:, None],
                                np.eye(3) + gamma ** 2 / (gamma + 1) * np.outer(r, r)]])
             for e in MUB.elements:
-                got = quantum.to_stokes(transform_measurement(op, e).matrix)
-                want = gamma * boost @ quantum.to_stokes(e.matrix)
+                got = to_stokes(transform(transfer, e.matrix))
+                want = gamma * boost @ to_stokes(e.matrix)
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestUnitaryFreedom:
     def test_identity_unchanged(self):
-        op = rank_preserving_map(DensityMatrix(np.diag([0.8, 0.2])), 1e-6)
-        out = apply_unitary_freedom(op, np.eye(2))
-        assert np.allclose(out.lmap, op.lmap)
+        transfer = rank_preserving_map(DensityMatrix(np.diag([0.8, 0.2])), 1e-6)
+        out = apply_unitary_freedom(transfer, np.eye(2))
+        assert np.allclose(out, transfer)
 
     def test_random_v_keeps_mapping(self, rng):
         rho = DensityMatrix(np.diag([0.8, 0.2]))
-        op = rank_preserving_map(rho, 1e-6)
+        transfer = rank_preserving_map(rho, 1e-6)
         for _ in range(20):
-            out = apply_unitary_freedom(op, haar_unitary(rng))
-            mapped = out.lmap @ out.source_estimator.matrix @ out.lmap.conj().T
+            out = apply_unitary_freedom(transfer, haar_unitary(rng))
+            mapped = mapped_estimator(out, regularize_full_rank(rho, 1e-6))
             assert np.max(np.abs(mapped - np.eye(2) / 2)) <= 1e-9
 
     def test_probabilities_on_estimator_invariant(self, rng):
         rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
-        op = rank_preserving_map(rho, 1e-4)
+        transfer = rank_preserving_map(rho, 1e-4)
+        reg = regularize_full_rank(rho, 1e-4).matrix
         for m in MUB.elements:
-            base = transform_measurement(op, m)
-            rotated = transform_measurement(
-                apply_unitary_freedom(op, haar_unitary(rng)), m)
-            p0 = np.trace(base.matrix @ op.source_estimator.matrix).real
-            p1 = np.trace(rotated.matrix @ op.source_estimator.matrix).real
+            base = transform(transfer, m.matrix)
+            rotated = transform(apply_unitary_freedom(transfer, haar_unitary(rng)), m.matrix)
+            p0 = np.trace(base @ reg).real
+            p1 = np.trace(rotated @ reg).real
             assert p1 == pytest.approx(p0, abs=1e-9)
             assert p1 == pytest.approx(m.weight / 2, abs=1e-9)
 
     def test_rejects_non_unitary(self):
-        op = rank_preserving_map(maximally_mixed(), 1e-4)
+        transfer = rank_preserving_map(maximally_mixed(), 1e-4)
         with pytest.raises(ValueError, match="unitary"):
-            apply_unitary_freedom(op, np.diag([1.0, 2.0]))
+            apply_unitary_freedom(transfer, np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError, match="2x2"):
+            apply_unitary_freedom(transfer, np.eye(3))
 
 
 class TestNormalizeWithTime:
     def test_transformed_element_splits(self):
         rho = DensityMatrix(np.diag([0.9, 0.1]))
-        op = rank_preserving_map(rho, 1e-12)
-        out = transform_measurement(op, PovmElement(projector(quantum.KET_D)))
-        timed = normalize_with_time(out)
-        assert timed.time_weight == pytest.approx(25 / 9, abs=1e-9)
-        assert timed.projector.weight == pytest.approx(1.0, abs=1e-12)
-        recon = timed.projector.matrix * timed.time_weight
-        assert np.max(np.abs(recon - out.matrix)) <= 1e-12
+        transfer = rank_preserving_map(rho, 1e-12)
+        out = transfer @ to_stokes(projector(quantum.KET_D))
+        plan = normalize_with_time(out[None], ((0,),))
+        assert plan.time_weights[0] == pytest.approx(25 / 9, abs=1e-9)
+        assert np.trace(plan.matrices[0]).real == pytest.approx(1.0, abs=1e-12)
+        recon = plan.matrices[0] * plan.time_weights[0]
+        assert np.max(np.abs(recon - from_stokes(out))) <= 1e-12
 
     def test_untransformed_mub_weight_one(self):
-        timed = normalize_with_time(MUB.elements[0])
-        assert timed.time_weight == pytest.approx(1.0, abs=1e-12)
+        plan = normalize_with_time(MUB_VECS[:1], ((0,),))
+        assert plan.time_weights[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishing_trace_rejected(self):
         with pytest.raises(ValueError, match="vanishing"):
-            normalize_with_time(PovmElement(np.zeros((2, 2))))
-
-
-class TestTimedMeasurement:
-    @pytest.mark.parametrize("matrix, time, message", [
-        (projector(quantum.KET_H), np.nan, "time_weight must be positive"),
-        (projector(quantum.KET_H), 0.0, "time_weight must be positive"),
-        (np.diag([0.5, 0.0]), -1.0, "time_weight must be positive"),
-        (np.diag([0.5, 0.0]), 1.0, "projector must have unit trace"),
-        (np.diag([0.5, 0.5]), 1.0, "projector must be rank 1")])
-    def test_checks_in_order(self, matrix, time, message):
-        # The checks of a one-measurement plan, first failure first.
-        with pytest.raises(ValueError, match=message):
-            TimedMeasurement(PovmElement(matrix), time)
+            normalize_with_time(np.zeros((1, 4)), ((0,),))
 
 
 class TestComplementToBasis:
     def test_h_completes_to_v(self):
-        m = TimedMeasurement(PovmElement(projector(quantum.KET_H)), 2.5)
-        plan = complement_to_basis(m)
-        assert len(plan.measurements) == 2
+        vecs = 2.5 * to_stokes(projector(quantum.KET_H))[None]
+        plan = normalize_with_time(complement_to_basis(vecs), ((0, 1),))
+        assert len(plan.time_weights) == 2
         assert plan.groups == ((0, 1),)
-        mats = [t.projector.matrix for t in plan.measurements]
+        mats = plan.matrices
         assert np.max(np.abs(mats[0] + mats[1] - np.eye(2))) <= 1e-9
         assert np.max(np.abs(mats[1] - projector(quantum.KET_V))) <= 1e-9
-        assert all(t.time_weight == pytest.approx(2.5) for t in plan.measurements)
+        assert all(t == pytest.approx(2.5) for t in plan.time_weights)
 
     def test_orthonormal_completion_sweep(self, rng):
         for _ in range(100):
             v = haar_unitary(rng)[:, 0]
-            m = TimedMeasurement(PovmElement(projector(v)), 1.0)
-            plan = complement_to_basis(m)
-            total = sum(t.projector.matrix for t in plan.measurements)
+            vecs = to_stokes(projector(v))[None]
+            plan = normalize_with_time(complement_to_basis(vecs), ((0, 1),))
+            total = plan.matrices.sum(axis=0)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
-            a, b = (t.projector.matrix for t in plan.measurements)
+            a, b = plan.matrices
             assert abs(np.trace(a @ b)) <= 1e-9
 
 
 class TestComplementMinimal:
     def test_untransformed_mub_needs_nothing(self):
-        scaled, extra = complement_minimal(MUB.elements)
-        total = sum(e.matrix for e in scaled)
+        out = complement_minimal(MUB_VECS)
+        scaled, extra = out[:-1], out[-1:]
+        total = from_stokes(scaled).sum(axis=0)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-12
-        assert all(e.weight == pytest.approx(1 / 3, abs=1e-12) for e in scaled)
-        assert len(extra) == 1 and extra[0].inert
+        assert all(w == pytest.approx(1 / 3, abs=1e-12) for w in scaled[:, 0])
+        assert len(extra) == 1 and extra[0, 0] <= quantum.INERT_WEIGHT
 
     def test_synthetic_diagonal_sum(self):
         # elements summing to diag(2, 1): mu_max = 2, residual diag(0, 0.5)
-        elements = [PovmElement(np.diag([1.0, 0.0])),
-                    PovmElement(np.diag([1.0, 0.0])),
-                    PovmElement(np.diag([0.0, 1.0]))]
-        scaled, extra = complement_minimal(elements)
-        assert all(e.weight == pytest.approx(0.5) for e in scaled)
-        weights = sorted(e.weight for e in extra)
-        assert weights == pytest.approx([0.5], abs=1e-12)
-        live = [e for e in extra if not e.inert]
-        assert np.max(np.abs(live[0].matrix - np.diag([0.0, 0.5]))) <= 1e-12
-        total = sum(e.matrix for e in scaled) + sum(e.matrix for e in extra)
+        elements = to_stokes(np.array([np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
+                                       np.diag([0.0, 1.0])]))
+        out = complement_minimal(elements)
+        scaled, extra = out[:-1], out[-1:]
+        assert all(w == pytest.approx(0.5) for w in scaled[:, 0])
+        assert extra[:, 0] == pytest.approx([0.5], abs=1e-12)
+        assert np.max(np.abs(from_stokes(extra[0]) - np.diag([0.0, 0.5]))) <= 1e-12
+        total = from_stokes(out).sum(axis=0)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-9
 
     def test_transformed_set_completeness_sweep(self, rng):
         for _ in range(100):
             rho = regularize_full_rank(random_pure_haar(rng), 1e-3)
-            op = rank_preserving_map(rho, 1e-3)
-            transformed = [transform_measurement(op, e) for e in MUB.elements]
-            scaled, extra = complement_minimal(transformed)
-            assert len(extra) == 1
-            total = sum(e.matrix for e in scaled) + sum(e.matrix for e in extra)
+            transformed = MUB_VECS @ rank_preserving_map(rho, 1e-3).T
+            out = complement_minimal(transformed)
+            assert len(out) == len(transformed) + 1
+            total = from_stokes(out).sum(axis=0)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
 
 
@@ -246,7 +249,7 @@ class TestNextPlan:
     def test_eigen_diagonal_estimator_contains_computational_basis(self):
         plan = next_plan("eigen", DensityMatrix(np.diag([0.9, 0.1])),
                          np.random.default_rng(0))
-        first = [plan.measurements[i].projector.matrix for i in plan.groups[0]]
+        first = [plan.matrices[i] for i in plan.groups[0]]
         assert np.max(np.abs(sorted_diag(first) - np.eye(2))) <= 1e-12
 
     def test_eigen_frame_is_estimator_aligned_mub(self, rng):
@@ -254,11 +257,11 @@ class TestNextPlan:
         plan = next_plan("eigen", rho, rng)
         assert len(plan.groups) == 3
         for g in plan.groups:
-            total = sum(plan.measurements[i].projector.matrix for i in g)
+            total = sum(plan.matrices[i] for i in g)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
         # eigenbasis group diagonalizes the estimator
         probs = sorted(
-            np.trace(plan.measurements[i].projector.matrix @ rho.matrix).real
+            np.trace(plan.matrices[i] @ rho.matrix).real
             for i in plan.groups[0])
         assert np.allclose(probs, np.linalg.eigvalsh(rho.matrix), atol=1e-9)
 
@@ -288,18 +291,17 @@ class TestNextPlan:
         p1 = next_plan("random", maximally_mixed(), rng)
         p2 = next_plan("random", maximally_mixed(), rng)
         assert len(p1.groups) == 1
-        total = sum(t.projector.matrix for t in p1.measurements)
+        total = p1.matrices.sum(axis=0)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-9
-        assert np.max(np.abs(p1.measurements[0].projector.matrix
-                             - p2.measurements[0].projector.matrix)) > 1e-3
+        assert np.max(np.abs(p1.matrices[0] - p2.matrices[0])) > 1e-3
 
     def test_rankp_nc_mixed_estimator_recovers_mub(self, rng):
         plan = next_plan("rankp-nc", maximally_mixed(), rng, delta=1e-4)
-        assert len(plan.measurements) == 6
+        assert len(plan.time_weights) == 6
         assert plan.groups == tuple((i,) for i in range(6))
-        for timed, base in zip(plan.measurements, MUB.elements):
-            assert timed.time_weight == pytest.approx(1.0, abs=1e-6)
-            assert np.max(np.abs(timed.projector.matrix - base.matrix)) <= 1e-6
+        for time, mat, base in zip(plan.time_weights, plan.matrices, MUB.elements):
+            assert time == pytest.approx(1.0, abs=1e-6)
+            assert np.max(np.abs(mat - base.matrix)) <= 1e-6
 
     def test_rankp_time_weight_probability_rule(self, rng):
         # Tr(projector rho_reg) * time_weight = 1/D for every transformed
@@ -308,17 +310,16 @@ class TestNextPlan:
         reg = regularize_full_rank(rho, 1e-4)
 
         plan_nc = next_plan("rankp-nc", rho, rng, delta=1e-4)
-        assert len(plan_nc.measurements) == 6
-        for t in plan_nc.measurements:
-            p = np.trace(t.projector.matrix @ reg.matrix).real
-            assert p * t.time_weight == pytest.approx(0.5, abs=1e-9)
+        assert len(plan_nc.time_weights) == 6
+        for time, mat in zip(plan_nc.time_weights, plan_nc.matrices):
+            p = np.trace(mat @ reg.matrix).real
+            assert p * time == pytest.approx(0.5, abs=1e-9)
 
         plan_b = next_plan("rankp-b", rho, rng, delta=1e-4)
         assert len(plan_b.groups) == 6
         for g in plan_b.groups:
-            t = plan_b.measurements[g[0]]
-            p = np.trace(t.projector.matrix @ reg.matrix).real
-            assert p * t.time_weight == pytest.approx(0.5, abs=1e-9)
+            p = np.trace(plan_b.matrices[g[0]] @ reg.matrix).real
+            assert p * plan_b.time_weights[g[0]] == pytest.approx(0.5, abs=1e-9)
 
     def test_rankp_b_groups_sum_to_identity(self, rng):
         rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
@@ -326,29 +327,24 @@ class TestNextPlan:
         assert len(plan.groups) == 6
         for g in plan.groups:
             assert len(g) == 2
-            total = sum(plan.measurements[i].projector.matrix for i in g)
+            total = sum(plan.matrices[i] for i in g)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
-            tws = [plan.measurements[i].time_weight for i in g]
+            tws = [plan.time_weights[i] for i in g]
             assert tws[0] == pytest.approx(tws[1], rel=1e-12)
 
     def test_rankp_m_global_decomposition(self, rng):
         for _ in range(50):
             rho = regularize_full_rank(random_pure_haar(rng), 1e-3)
             plan = next_plan("rankp-m", rho, rng)
-            total = sum(t.projector.matrix * t.time_weight
-                        for t in plan.measurements)
-            # rescale by mu_max: reconstruct it from the scaled weights
-            op = rank_preserving_map(rho, 1e-3)
-            s = sum(transform_measurement(op, e).matrix for e in MUB.elements)
-            mu_max = np.linalg.eigvalsh(s)[-1]
+            total = np.einsum("k,kij->ij", plan.time_weights, plan.matrices)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
 
     def test_transformed_projectors_rank_one(self, rng):
         rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         for proto in ("rankp-nc", "rankp-b", "rankp-m"):
             plan = next_plan(proto, rho, rng)
-            for t in plan.measurements:
-                assert numeric_rank(t.projector.matrix, 1e-8) == 1
+            for mat in plan.matrices:
+                assert numeric_rank(mat, 1e-8) == 1
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
@@ -368,17 +364,11 @@ class TestNextPlan:
                 (1 - mix) * psi.matrix + mix * np.eye(2) / 2)
             plan = next_plan("rankp-nc", rho_hat, rng, delta=1e-4)
             b_hat = bloch(rho_hat.matrix)  # unnormalized: length = Bloch radius
-            overlaps = [
-                np.trace(t.projector.matrix @ rho_hat.matrix).real
-                for t in plan.measurements
-            ]
-            projections = [
-                np.dot(bloch(t.projector.matrix), b_hat)
-                for t in plan.measurements
-            ]
+            overlaps = [np.trace(mat @ rho_hat.matrix).real for mat in plan.matrices]
+            projections = [np.dot(bloch(mat), b_hat) for mat in plan.matrices]
             assert np.allclose(overlaps, (1 + np.array(projections)) / 2, atol=1e-9)
             max_overlaps.append(max(overlaps))
-            totals.append(sum(t.time_weight for t in plan.measurements))
+            totals.append(plan.time_weights.sum())
         assert totals[-1] > 6.0
         assert all(np.diff(totals) > 0)
         assert all(np.diff(max_overlaps) < 0)
@@ -440,24 +430,23 @@ class TestInitialPlan:
     def test_rankp_initial_is_pair_grouped_mub(self, rng):
         for proto in ("rankp-nc", "rankp-b", "rankp-m"):
             plan = initial_plan(proto, rng)
-            assert len(plan.measurements) == 6
+            assert len(plan.time_weights) == 6
             assert plan.groups == ((0, 1), (2, 3), (4, 5))
-            assert all(t.time_weight == pytest.approx(1.0) for t in plan.measurements)
+            assert all(t == pytest.approx(1.0) for t in plan.time_weights)
 
     def test_eigen_initial_is_computational_frame(self, rng):
         plan = initial_plan("eigen", rng)
-        first = plan.measurements[plan.groups[0][0]].projector.matrix
+        first = plan.matrices[plan.groups[0][0]]
         assert np.max(np.abs(first - np.diag([1.0, 0.0]))) <= 1e-12
 
     def test_rankp_plans_transform_the_mub_four_vectors(self, rng):
         # The MUB set RankP reads is to_stokes of mub_qubit()'s matrices,
         # bit for bit: their traces are 1 only to within an ulp.
-        mub = quantum.to_stokes(np.array([e.matrix for e in MUB.elements]))
         plan = initial_plan("rankp-nc", rng)
-        assert np.array_equal(plan.vectors, mub / mub[:, :1])
-        assert np.array_equal(plan.time_weights, mub[:, 0])
+        assert np.array_equal(plan.vectors, MUB_VECS / MUB_VECS[:, :1])
+        assert np.array_equal(plan.time_weights, MUB_VECS[:, 0])
         rho = quantum.random_bures_mixed(rng)
-        expected = mub @ protocols._boost(rho, protocols.DEFAULT_DELTA).T
+        expected = MUB_VECS @ rank_preserving_map(rho).T
         plan = next_plan("rankp-nc", rho, rng)
         assert np.array_equal(plan.vectors, expected / expected[:, :1])
         assert np.array_equal(plan.time_weights, expected[:, 0])
@@ -470,6 +459,18 @@ class TestInitialPlan:
 
 
 class TestPlanValidation:
+    @pytest.mark.parametrize("matrix, time, message", [
+        (projector(quantum.KET_H), np.nan, "time_weight must be positive"),
+        (projector(quantum.KET_H), 0.0, "time_weight must be positive"),
+        (np.diag([0.5, 0.0]), -1.0, "time_weight must be positive"),
+        (np.diag([0.5, 0.0]), 1.0, "projector must have unit trace"),
+        (np.diag([0.5, 0.5]), 1.0, "projector must be rank 1")],
+        ids=["nan-time", "zero-time", "negative-time-first", "half-trace", "rank-2"])
+    def test_one_measurement_checks_in_order(self, matrix, time, message):
+        # The checks of a one-measurement plan, first failure first.
+        with pytest.raises(ValueError, match=message):
+            MeasurementPlan([matrix], [time], ((0,),))
+
     def test_groups_must_partition(self):
         with pytest.raises(ValueError, match="partition"):
             MeasurementPlan([projector(quantum.KET_H)], [1.0], ((0, 0),))
@@ -487,17 +488,6 @@ class TestPlanValidation:
                     MeasurementPlan([[[bad, 0.0], [0.0, 0.0]]], [1.0], ((0,),))
         with pytest.raises(ValueError, match="rank 1"):
             MeasurementPlan.of_vectors([[1.0, np.nan, 0.0, 0.0]], [1.0], ((0,),))
-
-    def test_transform_operator_validates_mapping(self):
-        with pytest.raises(ValueError, match="eye/D"):
-            TransformOperator(np.eye(2), DensityMatrix(np.diag([0.9, 0.1])))
-
-    def test_pickle_rebuilds_frozen_transform(self):
-        op = rank_preserving_map(DensityMatrix(np.diag([0.8, 0.2])), 1e-4)
-        back = pickle.loads(pickle.dumps(op))
-        assert np.array_equal(back.lmap, op.lmap)
-        assert not back.lmap.flags.writeable
-        assert not back.source_estimator.matrix.flags.writeable
 
 
 def _random_plan(seed, protocol, random_v):

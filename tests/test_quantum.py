@@ -1,4 +1,5 @@
 import pickle
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from tomosim import quantum
-from tomosim.protocols import TransformOperator
 from tomosim.quantum import (
     DensityMatrix,
     PovmElement,
@@ -54,20 +54,33 @@ class TestTypes:
             rho.matrix[0, 0] = 1.0
 
     @pytest.mark.parametrize("build, entries, message", [
-        (DensityMatrix, [[np.nan, 0], [0, 1]], "eigenvalue nan"),
-        (PovmElement, [[np.nan, 0], [0, 0]], "eigenvalue nan"),
-        (PovmElement, [[np.inf, 0], [0, 0]], "eigenvalue nan"),
-        (PovmElement, [[1, np.nan], [0, 0]], "not Hermitian: defect nan"),
-        (DensityMatrix, [[1, 0], [0, complex(0, np.nan)]], "not Hermitian: defect nan")])
+        (DensityMatrix, [[np.nan, 0], [0, 1]], "density matrix has a non-finite entry"),
+        (PovmElement, [[np.nan, 0], [0, 0]], "POVM element has a non-finite entry"),
+        (PovmElement, [[np.inf, 0], [0, 0]], "POVM element has a non-finite entry"),
+        (PovmElement, [[1, np.nan], [0, 0]], "POVM element has a non-finite entry"),
+        (PovmElement, [[1, np.inf], [np.inf, 0]], "POVM element has a non-finite entry"),
+        (DensityMatrix, [[1, 0], [0, complex(0, np.nan)]],
+         "density matrix has a non-finite entry")],
+        ids=["DensityMatrix-nan", "PovmElement-nan", "PovmElement-inf",
+             "PovmElement-nan-off-diagonal", "PovmElement-hermitian-inf",
+             "DensityMatrix-imaginary-nan"])
     def test_non_finite_entries_rejected(self, build, entries, message):
-        # Every comparison with NaN is false: the checks are negated so that
-        # a NaN fails them, also where Python's max() would drop it.
-        with pytest.raises(ValueError, match=message):
-            build(np.array(entries, dtype=complex))
+        # A NaN or infinite entry is named before the Hermitian and PSD
+        # checks, which would read inf - inf as NaN: [[1, inf], [inf, 0]] is
+        # Hermitian, and its defect inf - inf is no measure of that.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                build(np.array(entries, dtype=complex))
+
+    def test_overflowing_finite_entries_fail_the_psd_check(self):
+        # Finite entries whose eigenvalues overflow read inf - inf = NaN,
+        # which the negated check rejects.
+        with pytest.raises(quantum.NotPositiveSemidefiniteError, match="eigenvalue nan"):
+            PovmElement(np.full((2, 2), 1e308))
 
     def test_non_qubit_matrices_rejected(self):
-        for build in (DensityMatrix, PovmElement,
-                      lambda m: TransformOperator(m, maximally_mixed())):
+        for build in (DensityMatrix, PovmElement):
             with pytest.raises(ValueError, match=r"only qubits \(D = 2\)"):
                 build(np.eye(3) / 3)
 

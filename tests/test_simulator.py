@@ -89,9 +89,9 @@ class TestSampleCounts:
             mine, loop = np.random.default_rng(seed), np.random.default_rng(seed)
             counts = sample_counts(plan, rho, src, base_time, mine)
             for i in (i for g in plan.groups for i in g):
-                m = plan.measurements[i]
-                mean = (src.intensity * src.efficiency * born_probability(m.projector, rho)
-                        * m.time_weight * base_time)
+                m = PovmElement(plan.matrices[i])
+                mean = (src.intensity * src.efficiency * born_probability(m, rho)
+                        * plan.time_weights[i] * base_time)
                 assert counts[i] == int(loop.poisson(mean))
             assert mine.bit_generator.state == loop.bit_generator.state
 
