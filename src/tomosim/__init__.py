@@ -30,7 +30,6 @@ from .protocols import (
 )
 from .quantum import (
     DensityMatrix,
-    Povm,
     PovmElement,
     born_probability,
     bures_sq,

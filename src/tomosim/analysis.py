@@ -43,9 +43,6 @@ class PowerLawFit:
     beta_err: float
     window: tuple[float, float]
 
-    def value(self, n: float) -> float:
-        return self.alpha * n ** self.beta
-
 
 def log_grid(n_lo: float, n_hi: float, per_decade: int = 10) -> np.ndarray:
     """Logarithmic grid anchored at N = 10^(k/per_decade) for integer k.

@@ -41,8 +41,10 @@ from .simulator import (
     Schedule,
     SourceModel,
     Trace,
+    _at_line,
     _fmt,
     _matrix_fields,
+    _numbered_lines,
     _qubit_matrix,
     read_header,
     read_records,
@@ -70,28 +72,30 @@ def write_curve_file(path, curve: ConvergenceCurve, meta: dict) -> None:
 
 
 def read_curve_file(path) -> tuple[ConvergenceCurve, dict]:
+    """Parse a curve file; returns the curve and its metadata. An error
+    names the file, and the line where it has one."""
     meta: dict[str, str] = {}
     rows = []
+    runs = 0
     header_seen = False
-    for ln in Path(path).read_text().splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln.startswith("#"):
-            key, _, value = ln[1:].strip().partition("=")
-            meta[key] = value
-        elif ln == "n,mean,std_of_mean":
-            header_seen = True
-        else:
-            rows.append([float(x) for x in ln.split(",")])
-            if len(rows[-1]) != 3:
-                raise ValueError(f"{path}: curve row {ln!r} needs 3 values")
+    for no, ln in _numbered_lines(path):
+        with _at_line(path, no):
+            if ln.startswith("#"):
+                key, _, value = ln[1:].strip().partition("=")
+                meta[key] = value
+                if key == "runs":
+                    runs = int(value)
+            elif ln == "n,mean,std_of_mean":
+                header_seen = True
+            else:
+                rows.append([float(x) for x in ln.split(",")])
+                if len(rows[-1]) != 3:
+                    raise ValueError(f"curve row {ln!r} needs 3 values")
     if not header_seen or not rows:
         raise ValueError(f"{path}: not a curve file")
     arr = np.array(rows)
     try:
-        curve = ConvergenceCurve(arr[:, 0], arr[:, 1], arr[:, 2],
-                                 runs=int(meta.get("runs", "0")))
+        curve = ConvergenceCurve(arr[:, 0], arr[:, 1], arr[:, 2], runs=runs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return curve, meta
@@ -136,20 +140,15 @@ class CampaignConfig:
 def read_state_file(path) -> DensityMatrix:
     """Explicit true state: first line D = 2, second line 8 reals (re/im
     interleaved). An error names the file and line."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(Path(path).read_text().splitlines(), 1)
-             if ln.strip()]
+    lines = _numbered_lines(path)
     if len(lines) != 2:
         raise ValueError(f"{path}: expected two lines (dimension, entries)")
     (dim_no, dim), (no, entries) = lines
-    try:
+    with _at_line(path, dim_no):
         dim = int(dim)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{dim_no}: {exc}") from None
     require_qubit(dim, f"{path}:{dim_no}")
-    try:
+    with _at_line(path, no):
         return DensityMatrix(_qubit_matrix(entries.split(",")))
-    except ValueError as exc:
-        raise ValueError(f"{path}:{no}: {exc}") from None
 
 
 def write_state_file(path, rho: DensityMatrix) -> None:
@@ -314,10 +313,11 @@ def _collect_trace_files(inputs) -> list[Trace]:
 
 def cmd_analyze(inputs, window: tuple[float, float] | None,
                 comparisons, out_dir) -> int:
-    """Fit grouped traces, emit pairwise ratios and plot-ready columns."""
+    """Fit grouped traces, emit pairwise ratios and plot-ready columns.
+    Every trace file is read and checked before any output exists."""
+    traces = _collect_trace_files(inputs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traces = _collect_trace_files(inputs)
 
     by_protocol: dict[str, list[Trace]] = {}
     for trace in traces:

@@ -222,8 +222,8 @@ class LikelihoodData:
     """A record collection plus the source intensity I.
 
     The records are held as arrays of four-vectors, times and counts
-    (_RecordArrays), which ``extended`` grows in place, so a run that
-    appends each iteration's records stacks every record once. Matrices
+    (_RecordArrays), which ``extended_arrays`` grows in place, so a run
+    that appends each iteration's records stacks every record once. Matrices
     are views: ``records`` is the MeasurementRecord tuple the data was
     built from, or, for data built from arrays, views of them built on
     first use, and ``matrices`` are built per call.
@@ -266,16 +266,12 @@ class LikelihoodData:
         self._arrays = arrays
         self._n = arrays.size
 
-    def extended(self, records) -> "LikelihoodData":
-        """This data with records appended, sharing and growing its arrays
-        (or a copy of their prefix when a longer data already grew them)."""
-        mats, times, counts = stack_records(tuple(records))
-        return self.extended_arrays(to_stokes(mats), times, counts)
-
     def extended_arrays(self, vecs: np.ndarray, times: np.ndarray,
                         counts: np.ndarray) -> "LikelihoodData":
-        """``extended`` for already checked records given as arrays, as
-        from_arrays takes them."""
+        """This data with records appended, already checked and given as
+        arrays, as from_arrays takes them: it shares and grows this data's
+        arrays, or a copy of their prefix when a longer data already grew
+        them."""
         arrays = self._arrays
         if arrays.size != self._n:
             arrays = arrays.prefix(self._n)

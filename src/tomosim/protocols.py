@@ -14,14 +14,13 @@ mu = (S_0 + |s|)/2 of its sum S and appends the residual (|s|, -s)/mu.
 normalize_with_time reads each four-vector's trace as its time and holds
 the plan. The baselines are four-vectors too: Eigen turns the MUB axes by
 the minimal rotation taking z to the estimator's Bloch direction, and
-Random reads the Bloch vector of a Haar-random ket. A plan's matrices are
-a view built on demand.
+Random reads the Bloch vector of a Haar-random ket.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -31,13 +30,9 @@ from .quantum import (
     STOKES,
     DensityMatrix,
     first_failure,
-    from_stokes,
     haar_unitary,
     maximally_mixed,
     mub_qubit,
-    stack_checks,
-    stack_is_psd,
-    stack_spectrum,
     to_stokes,
 )
 
@@ -57,30 +52,14 @@ class MeasurementPlan:
 
     The measurements are held as arrays, the (K, 4) four-vectors (1, m) of
     their unit-trace rank-1 projectors and their (K,) time weights, and
-    checked once, together, on the four-vectors: unit trace, rank 1 (the
-    four-vector is null), positive times and Tr(Ma Mb) = (1 + ma.mb)/2 = 0
-    within a group. The constructor takes the (K, 2, 2) projectors and
-    first checks them Hermitian and PSD; ``of_vectors`` takes four-vectors.
-    ``matrices`` is built on first use. ``order`` lists the measurement
-    indices group by group, and ``group_of`` the group of each entry of
-    ``order``.
+    checked once, together: unit trace, rank 1 (the four-vector is null),
+    positive times and Tr(Ma Mb) = (1 + ma.mb)/2 = 0 within a group.
+    ``order`` lists the measurement indices group by group, and
+    ``group_of`` the group of each entry of ``order``.
     """
 
-    def __init__(self, matrices, time_weights, groups):
-        mats = np.array(matrices, dtype=complex).reshape(-1, 2, 2)
-        trace, norm = stack_spectrum(mats)
-        if not stack_is_psd(mats, trace, norm):
-            raise first_failure(stack_checks(mats, trace, norm, "POVM element"))[1]
-        self._hold(to_stokes(mats), time_weights, groups)
-
-    @classmethod
-    def of_vectors(cls, vectors, time_weights, groups) -> "MeasurementPlan":
-        """The plan of (K, 4) real four-vectors of unit-trace projectors."""
-        out = object.__new__(cls)
-        out._hold(np.array(vectors, dtype=float).reshape(-1, 4), time_weights, groups)
-        return out
-
-    def _hold(self, vecs: np.ndarray, time_weights, groups) -> None:
+    def __init__(self, vectors, time_weights, groups):
+        vecs = np.array(vectors, dtype=float).reshape(-1, 4)
         times = np.array(time_weights, dtype=float).reshape(-1)
         groups = tuple(map(tuple, groups))
         if not len(vecs):
@@ -114,13 +93,6 @@ class MeasurementPlan:
         times.setflags(write=False)
         self.vectors, self.time_weights, self.groups = vecs, times, groups
         self.order, self.group_of = order, group_of
-
-    @cached_property
-    def matrices(self) -> np.ndarray:
-        """The (K, 2, 2) projectors, built on first use."""
-        mats = from_stokes(self.vectors)
-        mats.setflags(write=False)
-        return mats
 
     def exposure_weight(self) -> float:
         """Total exposure per unit base time: one max-weight slot per group."""
@@ -215,7 +187,7 @@ def normalize_with_time(vecs: np.ndarray, groups) -> MeasurementPlan:
     times = vecs[:, 0]
     if (times <= INERT_WEIGHT).any():
         raise ValueError("element has vanishing trace; drop it instead")
-    return MeasurementPlan.of_vectors(vecs / times[:, None], times, groups)
+    return MeasurementPlan(vecs / times[:, None], times, groups)
 
 
 # The MUB axes +-z, +-x, +-y, the Bloch vectors of H, V, D, A, R, L.
@@ -223,7 +195,7 @@ _MUB_AXES = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [
                      dtype=float)
 # The base set RankP transforms: the four-vectors of mub_qubit()'s projectors,
 # whose traces (1/sqrt 2)^2 + (1/sqrt 2)^2 may differ from 1 by an ulp.
-_MUB_VECTORS = to_stokes(np.array([e.matrix for e in mub_qubit().elements]))
+_MUB_VECTORS = to_stokes(np.array([e.matrix for e in mub_qubit()]))
 _MUB_VECTORS.setflags(write=False)
 # One group per basis: H/V, D/A, R/L, and eigen's aligned pairs.
 _BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))

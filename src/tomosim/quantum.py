@@ -1,6 +1,6 @@
 """Quantum domain objects and primitives of a qubit-only package.
 
-States, POVM elements/sets, the Born rule, fidelity and Bures metrics,
+States, POVM elements, the Born rule, fidelity and Bures metrics,
 the qubit mutually-unbiased-basis projector set, random-state sampling
 (Haar-uniform pure states, Bures-ensemble mixed states), and the checks
 and tolerances of the 2x2 complex matrices they are built on.
@@ -80,16 +80,6 @@ def stack_spectrum(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _defects(mats: np.ndarray) -> np.ndarray:
     """|A - A^dag| elementwise over a stack: 2 |Im a|, 2 |Im d|, |b - c*|."""
     return np.abs(mats - mats.conj().swapaxes(1, 2))
-
-
-def stack_is_psd(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray) -> bool:
-    """Whether every matrix of a stack passes _hermitian_psd's checks, given
-    its stack_spectrum: a fast test, for stack_checks to explain a failure.
-    A non-finite entry fails it."""
-    if not np.isfinite(mats).all():
-        return False
-    return not (_defects(mats).max() > HERMITICITY_TOL
-                or (trace - norm).min() < -2 * EIGENVALUE_CLAMP)
 
 
 def stack_checks(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray, what: str):
@@ -189,19 +179,6 @@ class PovmElement:
         return self.weight <= INERT_WEIGHT
 
 
-@dataclass(frozen=True)
-class Povm:
-    """Ordered set of qubit measurement operators."""
-
-    elements: tuple[PovmElement, ...]
-
-    def __post_init__(self):
-        elements = tuple(self.elements)
-        if not elements:
-            raise ValueError("POVM needs at least one element")
-        object.__setattr__(self, "elements", elements)
-
-
 def projector(vec) -> np.ndarray:
     """|v><v| for a 1D complex vector (not normalized here)."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
@@ -290,13 +267,13 @@ MUB_KETS = (KET_H, KET_V, KET_D, KET_A, KET_R, KET_L)
 MUB_LABELS = ("H", "V", "D", "A", "R", "L")
 
 
-def mub_qubit() -> Povm:
+def mub_qubit() -> tuple[PovmElement, ...]:
     """Six rank-1 projectors of the three qubit MUBs, ordered H,V,D,A,R,L.
 
     The set concatenates three orthonormal bases, so it sums to 3*eye(2)
     and is not itself a decomposition of unity.
     """
-    return Povm(tuple(PovmElement(projector(k)) for k in MUB_KETS))
+    return tuple(PovmElement(projector(k)) for k in MUB_KETS)
 
 
 def _complex_gaussians(rng: np.random.Generator, shape) -> np.ndarray:

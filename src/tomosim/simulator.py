@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -364,25 +365,62 @@ def write_trace_file(path, trace: Trace) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_trace_file(path) -> Trace:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(_TRACE_COLUMNS):
-        raise ValueError(f"{path}: not a trace file")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if not rows or any(len(r) != len(_TRACE_COLUMNS) for r in rows):
-        raise ValueError(f"{path}: malformed trace rows")
-    columns = list(zip(*rows))[3:]
+@contextmanager
+def _at_line(path, no: int):
+    """Raise a parse error of line ``no`` of file ``path`` inside the block,
+    a ValueError or an OverflowError (an integer beyond int64), as a
+    ValueError naming ``path:no``."""
     try:
-        arrays = {c: np.array([t(x) for x in col], dtype=t)
-                  for (c, t), col in zip(_ROW_TYPES.items(), columns)}
-    except OverflowError as exc:  # an integer cell beyond int64
-        raise ValueError(f"{path}: {exc}") from None
-    return Trace(rows[0][0], int(rows[0][1]), int(rows[0][2]), **arrays)
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}:{no}: {exc}") from None
+
+
+def _numbered_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line of a file, stripped."""
+    with open(path) as fh:
+        return [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+
+
+def read_trace_file(path) -> Trace:
+    """Parse a trace file. Every row holds finite numbers, the first row's
+    protocol, run_id and seed, and an n_emit no smaller than the row
+    before's; an error names the file and line."""
+    lines = _numbered_lines(path)
+    if not lines or lines[0][1] != ",".join(_TRACE_COLUMNS):
+        raise ValueError(f"{path}: not a trace file")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no trace rows")
+    label, rows, last = None, [], -math.inf
+    for no, ln in lines[1:]:
+        with _at_line(path, no):
+            cells = ln.split(",")
+            if len(cells) != len(_TRACE_COLUMNS):
+                raise ValueError(f"trace row needs {len(_TRACE_COLUMNS)} fields, "
+                                 f"got {len(cells)}")
+            row_label = (cells[0], int(cells[1]), int(cells[2]))
+            label = label or row_label
+            if row_label != label:
+                raise ValueError(f"protocol, run_id, seed {row_label} differ from the "
+                                 f"first row's {label}")
+            row = []
+            for (c, t), x in zip(_ROW_TYPES.items(), cells[3:]):
+                v = np.int64(int(x)) if t is int else float(x)
+                if not math.isfinite(v):
+                    raise ValueError(f"{c} must be finite, got {x!r}")
+                row.append(v)
+            n_emit = row[1]    # the column after iteration
+            if n_emit < last:
+                raise ValueError(f"n_emit {n_emit!r} is below the previous row's {last!r}")
+            last = n_emit
+            rows.append(row)
+    return Trace(*label, **{c: np.array(col, dtype=t)
+                            for (c, t), col in zip(_ROW_TYPES.items(), zip(*rows))})
 
 
 def _matrix_fields(m: np.ndarray) -> list[str]:
     """A matrix as row-major reals, re/im interleaved."""
-    return [_fmt(x) for z in m.reshape(-1) for x in (z.real, z.imag)]
+    return list(map(_fmt, np.asarray(m, dtype=complex).reshape(-1).view(float).tolist()))
 
 
 def _qubit_matrix(fields) -> np.ndarray:
@@ -400,41 +438,36 @@ def write_records(path, stream: RecordStream, intensity: float,
     if not len(stream):
         raise ValueError("nothing to write")
     lines = [f"2,{_fmt(intensity)},{_fmt(efficiency)}"]
-    # Each matrix as row-major reals, re/im interleaved, as _matrix_fields.
-    reals = stream.matrices.reshape(-1, 4).view(float).tolist()
-    for gid, row, t, n in zip(stream.group_ids.tolist(), reals, stream.times.tolist(),
-                              stream.counts.tolist()):
-        lines.append(",".join([str(gid), *map(_fmt, row), _fmt(t), str(n)]))
+    for gid, m, t, n in zip(stream.group_ids.tolist(), stream.matrices, stream.times.tolist(),
+                            stream.counts.tolist()):
+        lines.append(",".join([str(gid), *_matrix_fields(m), _fmt(t), str(n)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_header(path, line: str) -> tuple[int, float, float]:
-    """(dim, detected rate, efficiency) of a record stream's header line."""
-    head = line.split(",")
-    malformed = ValueError(f"malformed header in {path}: {line!r}")
-    if len(head) not in (2, 3):
-        raise malformed
-    try:
+def _parse_header(path, no: int, line: str) -> tuple[int, float, float]:
+    """(dim, detected rate, efficiency) of a record stream's header, line no."""
+    with _at_line(path, no):
+        head = line.split(",")
+        if len(head) not in (2, 3):
+            raise ValueError(f"malformed header: {line!r}")
         dim, intensity = int(head[0]), float(head[1])
         efficiency = float(head[2]) if len(head) == 3 else 1.0
-    except ValueError:
-        raise malformed from None
-    require_qubit(dim, path)
-    if not 0.0 < intensity < math.inf:
-        raise ValueError(f"{path}: intensity must be positive and finite, got {intensity!r}")
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError(f"{path}: detector efficiency must be in (0, 1], got {efficiency!r}")
+        if not 0.0 < intensity < math.inf:
+            raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
+        if not 0.0 < efficiency <= 1.0:
+            raise ValueError(f"detector efficiency must be in (0, 1], got {efficiency!r}")
+    require_qubit(dim, f"{path}:{no}")
     return dim, intensity, efficiency
 
 
 def read_header(path) -> tuple[int, float, float]:
     """A record stream's (dim, detected rate I * eff, detector efficiency eff)."""
     with open(path) as fh:
-        for ln in fh:
+        for no, ln in enumerate(fh, 1):
             if ln.strip():
-                return _parse_header(path, ln.strip())
-    raise ValueError(f"empty record file {path}")
+                return _parse_header(path, no, ln.strip())
+    raise ValueError(f"{path}: empty record file")
 
 
 def read_records(path) -> tuple[RecordStream, int, float]:
@@ -442,21 +475,18 @@ def read_records(path) -> tuple[RecordStream, int, float]:
 
     Every line is parsed and every record checked, together, before the
     stream is returned; an error names the file and line."""
-    with open(path) as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    lines = _numbered_lines(path)
     if not lines:
-        raise ValueError(f"empty record file {path}")
-    dim, intensity, _ = _parse_header(path, lines[0][1])
+        raise ValueError(f"{path}: empty record file")
+    dim, intensity, _ = _parse_header(path, *lines[0])
     cells = []
     for no, ln in lines[1:]:
-        parts = ln.split(",")
-        try:
+        with _at_line(path, no):
+            parts = ln.split(",")
             if len(parts) != 11:
                 raise ValueError(f"malformed record line (expected 11 fields): {ln!r}")
             cells.append((np.int64(int(parts[0])), _qubit_matrix(parts[1:-2]),
                           float(parts[-2]), np.int64(int(parts[-1]))))
-        except (ValueError, OverflowError) as exc:    # OverflowError: beyond int64
-            raise ValueError(f"{path}:{no}: {exc}") from None
     gids, mats, times, counts = zip(*cells) if cells else ((), (), (), ())
     mats, times, counts = checked_records(
         np.array(mats), times, np.array(counts, dtype=np.int64),

@@ -133,7 +133,7 @@ def test_criterion_3_complementation_ratios(pure_campaign, mixed_campaign):
 
 def mub_four_vectors():
     """The (6, 4) four-vectors (Tr M, Tr sigma M) of the MUB projectors."""
-    return quantum.to_stokes(np.array([e.matrix for e in mub_qubit().elements]))
+    return quantum.to_stokes(np.array([e.matrix for e in mub_qubit()]))
 
 
 def test_criterion_4_transformation_exactness():
@@ -177,7 +177,7 @@ def test_criterion_5_completion_exactness():
         worst_m = max(worst_m, float(np.max(np.abs(total - np.eye(2)))))
         for vec in transformed:
             plan = normalize_with_time(complement_to_basis(vec[None]), ((0, 1),))
-            group_total = plan.matrices.sum(axis=0)
+            group_total = from_stokes(plan.vectors).sum(axis=0)
             worst_b = max(worst_b, float(np.max(np.abs(group_total - np.eye(2)))))
     ok = worst_m <= 1e-9 and worst_b <= 1e-9
     report(5, ok,
@@ -193,7 +193,7 @@ def test_criterion_6_mle_suite():
     for _ in range(100):
         rho = random_bures_mixed(rng)
         recs = [MeasurementRecord(e, 1.0, int(rng.poisson(
-            1500.0 * born_probability(e, rho)))) for e in mub.elements]
+            1500.0 * born_probability(e, rho)))) for e in mub]
         lls = []
         mle_estimate(LikelihoodData(tuple(recs), 1500.0), logliks=lls)
         monotone_ok = monotone_ok and bool(np.all(np.diff(lls) >= -1e-9))
@@ -202,7 +202,7 @@ def test_criterion_6_mle_suite():
     for _ in range(100):
         rho = regularize_full_rank(random_bures_mixed(rng), 0.02)
         recs = [MeasurementRecord(e, 1.0, int(round(
-            10 ** 7 * born_probability(e, rho)))) for e in mub.elements]
+            10 ** 7 * born_probability(e, rho)))) for e in mub]
         est = mle_estimate(LikelihoodData(tuple(recs), 10 ** 7.0))
         worst_fid = min(worst_fid, fidelity(est, rho))
 

@@ -220,7 +220,7 @@ def test_eigen_plan_attains_the_gill_massar_constant(seed, angle):
     assert asymptotic_constant(plan, rho) == pytest.approx(9 / 4, rel=0, abs=1e-12)
     vecs = plan.vectors.copy()
     vecs[2:] = _turned(vecs[2:], vecs[0, 1:], angle)
-    turned = MeasurementPlan.of_vectors(vecs, plan.time_weights, plan.groups)
+    turned = MeasurementPlan(vecs, plan.time_weights, plan.groups)
     assert asymptotic_constant(turned, rho) == pytest.approx(9 / 4, rel=0, abs=1e-12)
 
 

@@ -289,6 +289,74 @@ class TestTraceFileRoundTrip:
             read_trace_file(p)
 
 
+def _good_trace(path, protocol="eigen", run_id=0):
+    """Write a five-row trace following d = 2.25 / N; returns its lines."""
+    n = np.geomspace(1e2, 1e4, 5)
+    write_trace_file(path, Trace(protocol=protocol, run_id=run_id, seed=1,
+                                 iteration=np.arange(5), n_emit=n, n_det=np.round(n).astype(int),
+                                 d_bures_sq=2.25 / n, fidelity=1 - 1.125 / n,
+                                 loglik=np.zeros(5)))
+    return path.read_text().splitlines()
+
+
+class TestTraceFileChecks:
+    # Each corrupt trace fails `analyze`, naming its file and line, before
+    # any output exists, where the good trace beside it would be fitted.
+    def analyze_fails(self, tmp_path, capsys, lines, where):
+        good = tmp_path / "trace_eigen_000.csv"
+        _good_trace(good)
+        bad = tmp_path / "trace_eigen_001.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["analyze", str(good), str(bad), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert not (tmp_path / "rep").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"tomosim: {bad}:{where}: ")
+        return err[len(f"tomosim: {bad}:{where}: "):].rstrip("\n")
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("iteration", "x", "invalid literal for int() with base 10: 'x'"),
+        ("n_det", "9" * 30, "Python int too large to convert to C long"),
+        ("n_emit", "inf", "n_emit must be finite, got 'inf'"),
+        ("d_bures_sq", "nan", "d_bures_sq must be finite, got 'nan'"),
+        ("loglik", "-inf", "loglik must be finite, got '-inf'"),
+        ("protocol", "rankp-b",
+         "protocol, run_id, seed ('rankp-b', 1, 1) differ from the first row's ('eigen', 1, 1)"),
+        ("run_id", "2",
+         "protocol, run_id, seed ('eigen', 2, 1) differ from the first row's ('eigen', 1, 1)"),
+        ("seed", "4",
+         "protocol, run_id, seed ('eigen', 1, 4) differ from the first row's ('eigen', 1, 1)"),
+        ("n_emit", "50", "n_emit 50.0 is below the previous row's 100.0")])
+    def test_bad_cell_in_row_three_fails(self, tmp_path, capsys, column, value, message):
+        lines = _good_trace(tmp_path / "src.csv", run_id=1)
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[2] = ",".join(cells)
+        assert self.analyze_fails(tmp_path, capsys, lines, 3) == message
+
+    def test_short_row_fails(self, tmp_path, capsys):
+        lines = _good_trace(tmp_path / "src.csv")
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        assert self.analyze_fails(tmp_path, capsys, lines, 3) == \
+            "trace row needs 9 fields, got 8"
+
+    def test_swapped_n_emit_fails(self, tmp_path, capsys):
+        lines = _good_trace(tmp_path / "src.csv")
+        rows = [ln.split(",") for ln in lines]
+        rows[2][4], rows[3][4] = rows[3][4], rows[2][4]
+        err = self.analyze_fails(tmp_path, capsys, [",".join(r) for r in rows], 4)
+        assert err.startswith("n_emit ") and "is below the previous row's" in err
+
+    def test_repeated_n_emit_is_read(self, tmp_path):
+        # A replay's cumulative N does not grow over a group of t = 0 records.
+        lines = _good_trace(tmp_path / "t.csv")
+        rows = [ln.split(",") for ln in lines]
+        rows[3][4] = rows[2][4]
+        (tmp_path / "t.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+        back = read_trace_file(tmp_path / "t.csv")
+        assert back.n_emit[1] == back.n_emit[2]
+
+
 class TestCurveFileRoundTrip:
     def test_round_trip(self, tmp_path):
         n = np.geomspace(1e2, 1e4, 21)
@@ -308,8 +376,20 @@ class TestCurveFileRoundTrip:
     def test_short_row_rejected(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("n,mean,std_of_mean\n1\n")
-        with pytest.raises(ValueError, match="needs 3 values"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: .*needs 3 values"):
             read_curve_file(p)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("# runs=2\nn,mean,std_of_mean\n1,2,0\nx,1,0\n", 4,
+         "could not convert string to float: 'x'"),
+        ("# runs=x\nn,mean,std_of_mean\n1,2,0\n", 1,
+         "invalid literal for int() with base 10: 'x'")], ids=["row", "runs"])
+    def test_unparsed_cell_names_its_line(self, tmp_path, text, line, message):
+        p = tmp_path / "c.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_curve_file(p)
+        assert str(exc.value) == f"{p}:{line}: {message}"
 
     @pytest.mark.parametrize("rows", ["nan,1,0\n", "1,nan,0\n", "inf,1,0\ninf,1,0\n"],
                              ids=["nan-n", "nan-mean", "inf-n"])
@@ -528,8 +608,9 @@ class TestEnvironmentDefaults:
         assert args.out == str(tmp_path / "envout")
 
 
-# Fuzzing: every reader turns malformed text into a ValueError (which the
-# CLI reports as a tomosim: message), never another exception.
+# Fuzzing: every reader turns malformed text into a ValueError whose
+# message starts with the file's path (which the CLI reports as a tomosim:
+# message), never another exception.
 _TOKENS = ("0", "1", "2", "3", "-1", "0.5", "1e3", "nan", "inf", "-inf", "x", "",
            "1e400", "9" * 30)
 # Rows of equal length, so that parsing gets past the ragged-row checks.
@@ -560,5 +641,5 @@ def test_readers_raise_only_value_error(tmp_path_factory, reader, data):
     path.write_text(text, encoding="utf-8")
     try:
         reader(path)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        assert str(exc).startswith(str(path))

@@ -53,7 +53,7 @@ def spy_line_search(monkeypatch) -> list:
 def mub_records(rho_true, intensity, time=1.0):
     """Noiseless expected counts (rounded) for the full MUB set."""
     recs = []
-    for e in mub_qubit().elements:
+    for e in mub_qubit():
         p = born_probability(e, rho_true)
         recs.append(MeasurementRecord(e, time, int(round(intensity * p * time))))
     return LikelihoodData(tuple(recs), intensity)
@@ -102,7 +102,7 @@ class TestLogLikelihood:
     def test_duplicate_records_double_the_sum(self, rng):
         rho = random_bures_mixed(rng)
         recs = []
-        for i, e in enumerate(mub_qubit().elements):
+        for i, e in enumerate(mub_qubit()):
             recs.append(MeasurementRecord(e, 0.5 + 0.25 * i, 3 + 2 * i))
         single = LikelihoodData(tuple(recs), 25.0)
         double = LikelihoodData(tuple(recs + recs), 25.0)
@@ -165,7 +165,7 @@ class TestMleEstimate:
         for _ in range(100):
             rho = random_bures_mixed(rng)
             recs = []
-            for e in mub_qubit().elements:
+            for e in mub_qubit():
                 mean = 2000.0 * born_probability(e, rho)
                 recs.append(MeasurementRecord(e, 1.0, int(rng.poisson(mean))))
             data = LikelihoodData(tuple(recs), 2000.0)
@@ -177,7 +177,7 @@ class TestMleEstimate:
     def test_estimate_validity(self, rng):
         rho = random_bures_mixed(rng)
         recs = []
-        for e in mub_qubit().elements:
+        for e in mub_qubit():
             recs.append(MeasurementRecord(
                 e, 1.0, int(rng.poisson(500.0 * born_probability(e, rho)))))
         est = mle_estimate(LikelihoodData(tuple(recs), 500.0))
@@ -195,7 +195,7 @@ class TestMleEstimate:
         for _ in range(100):
             rho = random_bures_mixed(rng)
             recs = []
-            for e in mub_qubit().elements:
+            for e in mub_qubit():
                 mean = 300.0 * born_probability(e, rho)
                 recs.append(MeasurementRecord(e, 1.0, int(rng.poisson(mean))))
             data = LikelihoodData(tuple(recs), 300.0)
@@ -244,7 +244,7 @@ class TestMleEstimate:
         """MUB counts of a Bures state at t = 1, I = 1000, and their optimum."""
         rng = np.random.default_rng(2)
         rho = random_bures_mixed(rng)
-        elements = mub_qubit().elements
+        elements = mub_qubit()
         counts = [int(rng.poisson(1000.0 * born_probability(e, rho))) for e in elements]
         data = LikelihoodData(tuple(
             MeasurementRecord(e, 1.0, n) for e, n in zip(elements, counts)), 1000.0)
@@ -399,7 +399,7 @@ def datasets(draw):
     rho = (random_pure_haar if draw(st.booleans()) else random_bures_mixed)(rng)
     t = 10.0 ** rng.uniform(-1, 1)
     recs = tuple(MeasurementRecord(e, t, int(rng.poisson(1000.0 * born_probability(e, rho) * t)))
-                 for e in mub_qubit().elements)
+                 for e in mub_qubit())
     return LikelihoodData(recs, 1000.0), rng
 
 
@@ -458,7 +458,7 @@ def bures_records(elements, seed):
     return recs
 
 
-@pytest.mark.parametrize("elements", [lambda rng: mub_qubit().elements, haar_projectors],
+@pytest.mark.parametrize("elements", [lambda rng: mub_qubit(), haar_projectors],
                          ids=["mub", "haar"])
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2 ** 32 - 1))

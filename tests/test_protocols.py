@@ -1,4 +1,4 @@
-import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from tomosim.protocols import (
 )
 from tomosim.quantum import (
     DensityMatrix,
+    PovmElement,
     from_stokes,
     haar_unitary,
     maximally_mixed,
@@ -32,7 +33,7 @@ from conftest import numeric_rank
 
 MUB = mub_qubit()
 # The (6, 4) four-vectors of the MUB projectors.
-MUB_VECS = to_stokes(np.array([e.matrix for e in MUB.elements]))
+MUB_VECS = to_stokes(np.array([e.matrix for e in MUB]))
 
 
 def bloch(mat):
@@ -94,7 +95,7 @@ class TestRankPreservingMap:
 class TestTransformMeasurement:
     def test_identity_op_keeps_element(self):
         transfer = rank_preserving_map(maximally_mixed(), 1e-4)
-        m = MUB.elements[2]
+        m = MUB[2]
         out = transform(transfer, m.matrix)
         assert np.max(np.abs(out - m.matrix)) <= 1e-8
 
@@ -132,7 +133,7 @@ class TestTransformMeasurement:
             boost = np.block([[np.array([[gamma]]), -gamma * r[None, :]],
                               [-gamma * r[:, None],
                                np.eye(3) + gamma ** 2 / (gamma + 1) * np.outer(r, r)]])
-            for e in MUB.elements:
+            for e in MUB:
                 got = to_stokes(transform(transfer, e.matrix))
                 want = gamma * boost @ to_stokes(e.matrix)
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
@@ -156,7 +157,7 @@ class TestUnitaryFreedom:
         rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         transfer = rank_preserving_map(rho, 1e-4)
         reg = regularize_full_rank(rho, 1e-4).matrix
-        for m in MUB.elements:
+        for m in MUB:
             base = transform(transfer, m.matrix)
             rotated = transform(apply_unitary_freedom(transfer, haar_unitary(rng)), m.matrix)
             p0 = np.trace(base @ reg).real
@@ -179,8 +180,9 @@ class TestNormalizeWithTime:
         out = transfer @ to_stokes(projector(quantum.KET_D))
         plan = normalize_with_time(out[None], ((0,),))
         assert plan.time_weights[0] == pytest.approx(25 / 9, abs=1e-9)
-        assert np.trace(plan.matrices[0]).real == pytest.approx(1.0, abs=1e-12)
-        recon = plan.matrices[0] * plan.time_weights[0]
+        mat = from_stokes(plan.vectors[0])
+        assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
+        recon = mat * plan.time_weights[0]
         assert np.max(np.abs(recon - from_stokes(out))) <= 1e-12
 
     def test_untransformed_mub_weight_one(self):
@@ -198,7 +200,7 @@ class TestComplementToBasis:
         plan = normalize_with_time(complement_to_basis(vecs), ((0, 1),))
         assert len(plan.time_weights) == 2
         assert plan.groups == ((0, 1),)
-        mats = plan.matrices
+        mats = from_stokes(plan.vectors)
         assert np.max(np.abs(mats[0] + mats[1] - np.eye(2))) <= 1e-9
         assert np.max(np.abs(mats[1] - projector(quantum.KET_V))) <= 1e-9
         assert all(t == pytest.approx(2.5) for t in plan.time_weights)
@@ -208,9 +210,8 @@ class TestComplementToBasis:
             v = haar_unitary(rng)[:, 0]
             vecs = to_stokes(projector(v))[None]
             plan = normalize_with_time(complement_to_basis(vecs), ((0, 1),))
-            total = plan.matrices.sum(axis=0)
-            assert np.max(np.abs(total - np.eye(2))) <= 1e-9
-            a, b = plan.matrices
+            a, b = from_stokes(plan.vectors)
+            assert np.max(np.abs(a + b - np.eye(2))) <= 1e-9
             assert abs(np.trace(a @ b)) <= 1e-9
 
 
@@ -249,20 +250,19 @@ class TestNextPlan:
     def test_eigen_diagonal_estimator_contains_computational_basis(self):
         plan = next_plan("eigen", DensityMatrix(np.diag([0.9, 0.1])),
                          np.random.default_rng(0))
-        first = [plan.matrices[i] for i in plan.groups[0]]
+        first = [from_stokes(plan.vectors[i]) for i in plan.groups[0]]
         assert np.max(np.abs(sorted_diag(first) - np.eye(2))) <= 1e-12
 
     def test_eigen_frame_is_estimator_aligned_mub(self, rng):
         rho = regularize_full_rank(random_pure_haar(rng), 1e-2)
         plan = next_plan("eigen", rho, rng)
         assert len(plan.groups) == 3
+        mats = from_stokes(plan.vectors)
         for g in plan.groups:
-            total = sum(plan.matrices[i] for i in g)
+            total = sum(mats[i] for i in g)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
         # eigenbasis group diagonalizes the estimator
-        probs = sorted(
-            np.trace(plan.matrices[i] @ rho.matrix).real
-            for i in plan.groups[0])
+        probs = sorted(np.trace(mats[i] @ rho.matrix).real for i in plan.groups[0])
         assert np.allclose(probs, np.linalg.eigvalsh(rho.matrix), atol=1e-9)
 
     def test_eigen_frame_moves_continuously_with_the_estimate(self, rng):
@@ -291,15 +291,15 @@ class TestNextPlan:
         p1 = next_plan("random", maximally_mixed(), rng)
         p2 = next_plan("random", maximally_mixed(), rng)
         assert len(p1.groups) == 1
-        total = p1.matrices.sum(axis=0)
+        total = from_stokes(p1.vectors).sum(axis=0)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-9
-        assert np.max(np.abs(p1.matrices[0] - p2.matrices[0])) > 1e-3
+        assert np.max(np.abs(from_stokes(p1.vectors[0] - p2.vectors[0]))) > 1e-3
 
     def test_rankp_nc_mixed_estimator_recovers_mub(self, rng):
         plan = next_plan("rankp-nc", maximally_mixed(), rng, delta=1e-4)
         assert len(plan.time_weights) == 6
         assert plan.groups == tuple((i,) for i in range(6))
-        for time, mat, base in zip(plan.time_weights, plan.matrices, MUB.elements):
+        for time, mat, base in zip(plan.time_weights, from_stokes(plan.vectors), MUB):
             assert time == pytest.approx(1.0, abs=1e-6)
             assert np.max(np.abs(mat - base.matrix)) <= 1e-6
 
@@ -311,23 +311,24 @@ class TestNextPlan:
 
         plan_nc = next_plan("rankp-nc", rho, rng, delta=1e-4)
         assert len(plan_nc.time_weights) == 6
-        for time, mat in zip(plan_nc.time_weights, plan_nc.matrices):
+        for time, mat in zip(plan_nc.time_weights, from_stokes(plan_nc.vectors)):
             p = np.trace(mat @ reg.matrix).real
             assert p * time == pytest.approx(0.5, abs=1e-9)
 
         plan_b = next_plan("rankp-b", rho, rng, delta=1e-4)
         assert len(plan_b.groups) == 6
         for g in plan_b.groups:
-            p = np.trace(plan_b.matrices[g[0]] @ reg.matrix).real
+            p = np.trace(from_stokes(plan_b.vectors[g[0]]) @ reg.matrix).real
             assert p * plan_b.time_weights[g[0]] == pytest.approx(0.5, abs=1e-9)
 
     def test_rankp_b_groups_sum_to_identity(self, rng):
         rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         plan = next_plan("rankp-b", rho, rng)
         assert len(plan.groups) == 6
+        mats = from_stokes(plan.vectors)
         for g in plan.groups:
             assert len(g) == 2
-            total = sum(plan.matrices[i] for i in g)
+            total = sum(mats[i] for i in g)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
             tws = [plan.time_weights[i] for i in g]
             assert tws[0] == pytest.approx(tws[1], rel=1e-12)
@@ -336,14 +337,14 @@ class TestNextPlan:
         for _ in range(50):
             rho = regularize_full_rank(random_pure_haar(rng), 1e-3)
             plan = next_plan("rankp-m", rho, rng)
-            total = np.einsum("k,kij->ij", plan.time_weights, plan.matrices)
+            total = np.einsum("k,kij->ij", plan.time_weights, from_stokes(plan.vectors))
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
 
     def test_transformed_projectors_rank_one(self, rng):
         rho = regularize_full_rank(random_pure_haar(rng), 1e-4)
         for proto in ("rankp-nc", "rankp-b", "rankp-m"):
             plan = next_plan(proto, rho, rng)
-            for mat in plan.matrices:
+            for mat in from_stokes(plan.vectors):
                 assert numeric_rank(mat, 1e-8) == 1
 
     def test_unknown_protocol_rejected(self):
@@ -364,8 +365,9 @@ class TestNextPlan:
                 (1 - mix) * psi.matrix + mix * np.eye(2) / 2)
             plan = next_plan("rankp-nc", rho_hat, rng, delta=1e-4)
             b_hat = bloch(rho_hat.matrix)  # unnormalized: length = Bloch radius
-            overlaps = [np.trace(mat @ rho_hat.matrix).real for mat in plan.matrices]
-            projections = [np.dot(bloch(mat), b_hat) for mat in plan.matrices]
+            mats = from_stokes(plan.vectors)
+            overlaps = [np.trace(mat @ rho_hat.matrix).real for mat in mats]
+            projections = [np.dot(bloch(mat), b_hat) for mat in mats]
             assert np.allclose(overlaps, (1 + np.array(projections)) / 2, atol=1e-9)
             max_overlaps.append(max(overlaps))
             totals.append(plan.time_weights.sum())
@@ -384,7 +386,7 @@ def definition_plan(protocol, rho, v, delta):
     to an orthonormal basis."""
     w, u = np.linalg.eigh((1.0 - delta) * rho.matrix + delta * np.eye(2) / 2)
     lop = (v @ (u * w ** -0.5) @ u.conj().T / np.sqrt(2)).conj().T
-    elements = [lop @ e.matrix @ lop.conj().T for e in MUB.elements]
+    elements = [lop @ e.matrix @ lop.conj().T for e in MUB]
     if protocol == "rankp-m":
         lam, vecs = np.linalg.eigh(sum(elements))
         elements = [e / lam[-1] for e in elements] + [
@@ -416,8 +418,8 @@ def test_rankp_plans_match_matrix_definition(protocol, random_v, seed, pure):
     tol = 1e-11 * plan.time_weights.max()
     np.testing.assert_allclose(plan.time_weights, np.trace(want, axis1=1, axis2=2).real,
                                rtol=0, atol=tol)
-    np.testing.assert_allclose(plan.time_weights[:, None, None] * plan.matrices, want,
-                               rtol=0, atol=tol)
+    np.testing.assert_allclose(plan.time_weights[:, None, None] * from_stokes(plan.vectors),
+                               want, rtol=0, atol=tol)
 
 
 def sorted_diag(mats):
@@ -436,7 +438,7 @@ class TestInitialPlan:
 
     def test_eigen_initial_is_computational_frame(self, rng):
         plan = initial_plan("eigen", rng)
-        first = plan.matrices[plan.groups[0][0]]
+        first = from_stokes(plan.vectors[plan.groups[0][0]])
         assert np.max(np.abs(first - np.diag([1.0, 0.0]))) <= 1e-12
 
     def test_rankp_plans_transform_the_mub_four_vectors(self, rng):
@@ -469,25 +471,40 @@ class TestPlanValidation:
     def test_one_measurement_checks_in_order(self, matrix, time, message):
         # The checks of a one-measurement plan, first failure first.
         with pytest.raises(ValueError, match=message):
-            MeasurementPlan([matrix], [time], ((0,),))
+            MeasurementPlan([to_stokes(matrix)], [time], ((0,),))
 
     def test_groups_must_partition(self):
         with pytest.raises(ValueError, match="partition"):
-            MeasurementPlan([projector(quantum.KET_H)], [1.0], ((0, 0),))
+            MeasurementPlan([to_stokes(projector(quantum.KET_H))], [1.0], ((0, 0),))
 
     def test_grouped_projectors_must_be_orthogonal(self):
+        vecs = to_stokes(np.array([projector(quantum.KET_H), projector(quantum.KET_D)]))
         with pytest.raises(ValueError, match="not orthogonal"):
-            MeasurementPlan([projector(quantum.KET_H), projector(quantum.KET_D)], [1.0, 1.0],
-                            ((0, 1),))
+            MeasurementPlan(vecs, [1.0, 1.0], ((0, 1),))
 
     def test_non_finite_projector_rejected(self):
-        for bad in (np.nan, np.inf):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="POVM element has a non-finite entry"):
-                    MeasurementPlan([[[bad, 0.0], [0.0, 0.0]]], [1.0], ((0,),))
         with pytest.raises(ValueError, match="rank 1"):
-            MeasurementPlan.of_vectors([[1.0, np.nan, 0.0, 0.0]], [1.0], ((0,),))
+            MeasurementPlan([[1.0, np.nan, 0.0, 0.0]], [1.0], ((0,),))
+
+
+def matrix_failure(vecs, groups):
+    """What the matrix definitions find wrong with four-vectors of
+    unit-trace projectors held in groups: "rank 1" for the first matrix
+    from_stokes builds that is not rank 1 by eigvalsh (|lowest| above 1e-8
+    of the highest eigenvalue), else (a, b) for the first pair sharing a
+    group with |Tr Ma Mb| > 1e-8, else None. Every matrix must first build
+    a PovmElement (Hermitian, PSD) of unit trace."""
+    mats = from_stokes(vecs)
+    for mat in mats:
+        assert PovmElement(mat).weight == pytest.approx(1.0, abs=1e-9)
+        low, high = np.linalg.eigvalsh(mat)
+        if abs(low) > 1e-8 * high:
+            return "rank 1"
+    for g in groups:
+        for a, b in combinations(g, 2):
+            if abs(np.trace(mats[a] @ mats[b])) > 1e-8:
+                return a, b
+    return None
 
 
 def _random_plan(seed, protocol, random_v):
@@ -499,17 +516,11 @@ def _random_plan(seed, protocol, random_v):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), protocol=st.sampled_from(PROTOCOLS),
        random_v=st.booleans())
-def test_matrix_constructor_rebuilds_every_plan(seed, protocol, random_v):
-    # The matrix checks (Hermitian, PSD) and the four-vector checks pass
-    # the same plans: a plan's matrix view rebuilds it.
+def test_every_plan_passes_the_matrix_checks(seed, protocol, random_v):
+    # Every plan's projectors, as matrices, are Hermitian, PSD, of unit
+    # trace and rank 1, and orthogonal within their groups.
     plan = _random_plan(seed, protocol, random_v)
-    again = MeasurementPlan(plan.matrices, plan.time_weights, plan.groups)
-    np.testing.assert_allclose(again.vectors, plan.vectors, rtol=0, atol=1e-15)
-    assert np.array_equal(again.time_weights, plan.time_weights)
-    assert again.groups == plan.groups
-    assert np.array_equal(again.order, plan.order)
-    assert np.array_equal(again.group_of, plan.group_of)
-    assert again.exposure_weight() == plan.exposure_weight()
+    assert matrix_failure(plan.vectors, plan.groups) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -519,7 +530,7 @@ def test_matrix_constructor_rebuilds_every_plan(seed, protocol, random_v):
 def test_four_vector_checks_fail_as_the_matrix_checks(seed, protocol, pick, defect, size):
     # A four-vector perturbed off rank 1 (shortened Bloch vector, still PSD)
     # or off orthogonality within its group (Bloch vector turned by an
-    # angle) raises what its matrix raises.
+    # angle) fails the plan's checks where the matrix definitions fail.
     plan = _random_plan(seed, protocol, False)
     vecs = plan.vectors.copy()
     if defect == "rank":
@@ -533,9 +544,11 @@ def test_four_vector_checks_fail_as_the_matrix_checks(seed, protocol, pick, defe
         axis = np.cross(m, [1.0, 0.0, 0.0] if abs(m[0]) < 0.9 else [0.0, 1.0, 0.0])
         axis /= np.linalg.norm(axis)
         vecs[b, 1:] = m * np.cos(size) + np.cross(axis, m) * np.sin(size)
-    with pytest.raises(ValueError) as from_vectors:
-        MeasurementPlan.of_vectors(vecs, plan.time_weights, plan.groups)
-    with pytest.raises(ValueError) as from_matrices:
-        MeasurementPlan(quantum.from_stokes(vecs), plan.time_weights, plan.groups)
-    assert str(from_vectors.value) == str(from_matrices.value)
-    assert ("rank 1" if defect == "rank" else "not orthogonal") in str(from_vectors.value)
+    with pytest.raises(ValueError) as failed:
+        MeasurementPlan(vecs, plan.time_weights, plan.groups)
+    want = matrix_failure(vecs, plan.groups)
+    if defect == "rank":
+        assert want == "rank 1" and str(failed.value) == "projector must be rank 1"
+    else:
+        assert want == (a, b)
+        assert str(failed.value).startswith(f"grouped projectors {a},{b} not orthogonal")

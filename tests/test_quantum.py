@@ -213,11 +213,10 @@ class TestFidelityAndBures:
 
 class TestMub:
     def test_first_element_is_h_projector(self):
-        povm = mub_qubit()
-        assert np.allclose(povm.elements[0].matrix, np.diag([1.0, 0.0]))
+        assert np.allclose(mub_qubit()[0].matrix, np.diag([1.0, 0.0]))
 
     def test_sums_to_three_identities(self):
-        total = sum(e.matrix for e in mub_qubit().elements)
+        total = sum(e.matrix for e in mub_qubit())
         assert np.max(np.abs(total - 3 * np.eye(2))) <= 1e-12
 
     def test_cross_basis_overlaps_are_half(self):

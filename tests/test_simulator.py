@@ -15,11 +15,13 @@ from tomosim.quantum import (
     DensityMatrix,
     PovmElement,
     born_probability,
+    from_stokes,
     maximally_mixed,
     projector,
     pure_state,
     random_bures_mixed,
     random_pure_haar,
+    to_stokes,
 )
 from tomosim import quantum
 from tomosim.simulator import (
@@ -39,7 +41,7 @@ SRC = SourceModel(1000.0)
 
 
 def h_plan(weight=1.0):
-    return MeasurementPlan([projector(quantum.KET_H)], [weight], ((0,),))
+    return MeasurementPlan([to_stokes(projector(quantum.KET_H))], [weight], ((0,),))
 
 
 class TestSampleCounts:
@@ -59,7 +61,8 @@ class TestSampleCounts:
     def test_group_total_is_poisson_sum(self, rng):
         # basis pair on the mixed state: the exposure total has mean I*t
         rho = maximally_mixed()
-        plan = MeasurementPlan([projector(quantum.KET_H), projector(quantum.KET_V)],
+        plan = MeasurementPlan(to_stokes(np.array([projector(quantum.KET_H),
+                                                   projector(quantum.KET_V)])),
                                [1.0, 1.0], ((0, 1),))
         totals = [sample_counts(plan, rho, SRC, 1.0, rng).sum() for _ in range(2000)]
         mean = np.mean(totals)
@@ -83,13 +86,14 @@ class TestSampleCounts:
             plan = next_plan(protocol, random_bures_mixed(rng), rng,
                              random_v=seed % 2 == 1)
             if seed % 3 == 0:  # groups listing their members out of index order
-                plan = MeasurementPlan(plan.matrices, plan.time_weights,
+                plan = MeasurementPlan(plan.vectors, plan.time_weights,
                                        tuple(g[::-1] for g in plan.groups[::-1]))
             base_time = 0.01 * (seed + 1)
             mine, loop = np.random.default_rng(seed), np.random.default_rng(seed)
             counts = sample_counts(plan, rho, src, base_time, mine)
+            mats = from_stokes(plan.vectors)
             for i in (i for g in plan.groups for i in g):
-                m = PovmElement(plan.matrices[i])
+                m = PovmElement(mats[i])
                 mean = (src.intensity * src.efficiency * born_probability(m, rho)
                         * plan.time_weights[i] * base_time)
                 assert counts[i] == int(loop.poisson(mean))
@@ -251,8 +255,10 @@ class TestRunArrays:
         from tomosim.estimation import LikelihoodData, MeasurementRecord
         h, v = PovmElement(projector(quantum.KET_H)), PovmElement(projector(quantum.KET_V))
         first = LikelihoodData((MeasurementRecord(h, 1.0, 3),), 100.0)
-        newer = first.extended((MeasurementRecord(v, 2.0, 5),))
-        branch = first.extended((MeasurementRecord(v, 0.5, 7), MeasurementRecord(h, 0.0, 0)))
+        hs, vs = to_stokes(h.matrix), to_stokes(v.matrix)
+        newer = first.extended_arrays(vs[None], np.array([2.0]), np.array([5]))
+        branch = first.extended_arrays(np.array([vs, hs]), np.array([0.5, 0.0]),
+                                       np.array([7, 0]))
         assert list(newer.arrays()[2]) == [1.0, 2.0]
         assert list(newer.arrays()[3]) == [3.0, 5.0]
         assert list(branch.arrays()[2]) == [1.0, 0.5]    # t = 0 records carry nothing
@@ -260,7 +266,7 @@ class TestRunArrays:
         assert len(branch.records) == 3
         assert not np.shares_memory(newer.arrays()[2], branch.arrays()[2])
         with pytest.raises(ValueError, match="normal float"):
-            first.extended((MeasurementRecord(v, 1e-320, 0),))
+            first.extended_arrays(vs[None], np.array([1e-320]), np.array([0]))
 
     def test_n_det_matches_the_golden_campaigns(self, golden_campaigns):
         # Every trace row's n_det of two five-protocol campaigns: the same
