@@ -47,7 +47,6 @@ from .simulator import (
     SourceModel,
     Trace,
     emitted_copies,
-    read_header,
     read_records,
     replay_counts,
     run_tomography,

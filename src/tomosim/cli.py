@@ -46,7 +46,6 @@ from .simulator import (
     _matrix_fields,
     _numbered_lines,
     _qubit_matrix,
-    read_header,
     read_records,
     read_trace_file,
     replay_counts,
@@ -155,22 +154,21 @@ def write_state_file(path, rho: DensityMatrix) -> None:
     Path(path).write_text("2\n" + ",".join(_matrix_fields(rho.matrix)) + "\n")
 
 
-def _true_state(cfg: CampaignConfig, run_idx: int) -> DensityMatrix:
-    """Per-run true state; runs share states across protocols."""
-    if cfg.states in ("pure", "bures"):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, run_idx)))
-        if cfg.states == "pure":
-            return random_pure_haar(rng)
-        return random_bures_mixed(rng)
-    return read_state_file(cfg.states)
+def _true_states(cfg: CampaignConfig) -> list[DensityMatrix]:
+    """The true state of each run; runs share states across protocols, and
+    a state file is read once, for every run."""
+    if cfg.states not in ("pure", "bures"):
+        return [read_state_file(cfg.states)] * cfg.runs
+    draw = random_pure_haar if cfg.states == "pure" else random_bures_mixed
+    return [draw(np.random.default_rng(
+                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, r))))
+            for r in range(cfg.runs)]
 
 
-def _run_one(cfg: CampaignConfig, protocol: str,
-             run_idx: int) -> tuple[Trace, RecordStream, list[int]]:
+def _run_one(cfg: CampaignConfig, protocol: str, run_idx: int,
+             rho_true: DensityMatrix) -> tuple[Trace, RecordStream, list[int]]:
     """A run's trace, its record stream and the iteration count of each of
     its estimator calls."""
-    rho_true = _true_state(cfg, run_idx)
     # One substream per (master seed, run index), shared by all protocols:
     # paired noise across protocols tightens ratio comparisons.
     run_seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, run_idx))
@@ -199,6 +197,7 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
         mle_stats.update({p: {"mle_calls": 0, "mle_iters": 0, "mle_cap_hits": 0}
                           for p in cfg.protocols})
     cap = MleOptions().max_iter
+    states = _true_states(cfg)
 
     def finish(p: str, r: int, trace: Trace, records: RecordStream, iters: list[int]) -> None:
         results[p][r] = trace
@@ -212,13 +211,13 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
 
     if workers <= 1 or len(jobs) == 1:
         for p, r in jobs:
-            finish(p, r, *_run_one(cfg, p, r))
+            finish(p, r, *_run_one(cfg, p, r, states[r]))
     else:
         # Imported here: a serial campaign does not pay for the import.
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_one, cfg, p, r): (p, r) for p, r in jobs}
+            futures = {pool.submit(_run_one, cfg, p, r, states[r]): (p, r) for p, r in jobs}
             for fut in as_completed(futures):
                 finish(*futures[fut], *fut.result())
     return results
@@ -272,8 +271,7 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
         name = f"{protocol}_{trace.run_id:03d}.csv"
         write_trace_file(out / f"trace_{name}", trace)
         if records:
-            write_records(out / f"records_{name}", stream,
-                          cfg.source.intensity * cfg.source.efficiency, cfg.source.efficiency)
+            write_records(out / f"records_{name}", stream)
 
     mle_stats: dict[str, dict[str, int]] = {}
     results = run_campaign(cfg, workers=workers, on_run=flush, mle_stats=mle_stats)
@@ -298,30 +296,37 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
 # Analyze
 
 
-def _collect_trace_files(inputs) -> list[Trace]:
-    paths: list[Path] = []
-    for item in inputs:
-        p = Path(item)
-        if p.is_dir():
-            paths.extend(sorted(p.glob("trace_*.csv")))
-        else:
-            paths.append(p)
+def _collect_trace_files(inputs) -> dict[str, list[Trace]]:
+    """The traces of the input files and input directories' trace_*.csv by
+    protocol, each file read once however often it is named (errors name it
+    as first given). Two campaign traces of one run, the same protocol,
+    run_id and seed >= 0, are rejected, naming both files; replay traces
+    (seed -1) are not, as their run_id numbers streams within one replay."""
+    paths: dict[Path, Path] = {}
+    for p in map(Path, inputs):
+        for path in sorted(p.glob("trace_*.csv")) if p.is_dir() else [p]:
+            paths.setdefault(path.resolve(), path)
     if not paths:
         raise ValueError("no trace files found among inputs")
-    return [read_trace_file(p) for p in paths]
+    by_protocol, runs = {}, {}
+    for path in paths.values():
+        trace = read_trace_file(path)
+        run = (trace.protocol, trace.run_id, trace.seed)
+        if trace.seed >= 0 and run in runs:
+            raise ValueError(f"{runs[run]} and {path} hold the same run (protocol "
+                             f"{run[0]!r}, run_id {run[1]}, seed {run[2]})")
+        runs[run] = path
+        by_protocol.setdefault(trace.protocol, []).append(trace)
+    return by_protocol
 
 
 def cmd_analyze(inputs, window: tuple[float, float] | None,
                 comparisons, out_dir) -> int:
     """Fit grouped traces, emit pairwise ratios and plot-ready columns.
     Every trace file is read and checked before any output exists."""
-    traces = _collect_trace_files(inputs)
+    by_protocol = _collect_trace_files(inputs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    by_protocol: dict[str, list[Trace]] = {}
-    for trace in traces:
-        by_protocol.setdefault(trace.protocol, []).append(trace)
 
     report: list[str] = []
     fits = {}
@@ -380,13 +385,12 @@ def cmd_replay(record_files, n0: float | None, out_dir,
     if n0 is not None and not 0.0 < n0 < math.inf:
         raise ValueError(f"--n0 must be positive and finite, got {n0!r}")
     # Every stream is read and checked before any output exists.
-    streams = [(read_records(path), read_header(path)[2]) for path in record_files]
+    streams = [read_records(path)[0] for path in record_files]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clipped: list[Trace] = []
-    for i, (path, ((stream, _, intensity), efficiency)) in enumerate(zip(record_files, streams)):
-        trace = replace(replay_counts(stream, intensity, n0, points_per_decade=points_per_decade,
-                                      efficiency=efficiency), run_id=i)
+    for i, (path, stream) in enumerate(zip(record_files, streams)):
+        trace = replace(replay_counts(stream, n0, points_per_decade=points_per_decade), run_id=i)
         write_trace_file(out / f"replay_{i:03d}.csv", trace)
         keep = trace.n_emit <= trace.n_emit[-1] / 4
         if not np.any(keep):

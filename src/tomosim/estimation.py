@@ -125,6 +125,23 @@ def checked_records(mats, times, counts, where=lambda i: f"record {i}"):
     return mats, times, counts
 
 
+def check_exposure(intensity: float, live_times: np.ndarray) -> None:
+    """Check the estimator's limits on an intensity and the times of the
+    records with t > 0: the intensity positive and finite, and the Poisson
+    means I*t normal floats whose sum is finite, or G and log(I p t)
+    overflow or underflow deep inside the estimator."""
+    if not 0 < intensity < math.inf:
+        raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
+    least = float(live_times.min()) if live_times.size else math.inf
+    if not intensity * least >= sys.float_info.min:
+        raise ValueError("intensity * record time must be a normal float, "
+                         f"got {intensity!r} * {least!r}")
+    total = float(live_times.sum())
+    if not math.isfinite(intensity * total):
+        raise ValueError("intensity * total record time must be finite, "
+                         f"got {intensity!r} * {total!r}")
+
+
 class _RecordArrays:
     """A growing record stream as arrays: each record's four-vector
     (Tr M_k, m_k) (M_k = (Tr M_k + m_k.sigma)/2), time and counts. A full
@@ -248,20 +265,8 @@ class LikelihoodData:
     def _hold(self, intensity: float, arrays: _RecordArrays, vecs, times, counts) -> None:
         """Append checked records to arrays and keep all its records as this
         data's."""
-        if not 0 < intensity < math.inf:
-            raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
         arrays.extend(vecs, times, counts)
-        # Poisson means I*t must stay normal floats, or G and log(I p t)
-        # overflow or underflow deep inside the estimator.
-        live = arrays.views(arrays.size)[1]
-        least = float(live.min()) if live.size else math.inf
-        if not intensity * least >= sys.float_info.min:
-            raise ValueError("intensity * record time must be a normal float, "
-                             f"got {intensity!r} * {least!r}")
-        total = float(live.sum())
-        if not math.isfinite(intensity * total):
-            raise ValueError("intensity * total record time must be finite, "
-                             f"got {intensity!r} * {total!r}")
+        check_exposure(intensity, arrays.views(arrays.size)[1])
         self.intensity = intensity
         self._arrays = arrays
         self._n = arrays.size

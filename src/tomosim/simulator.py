@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from contextlib import contextmanager
+from itertools import accumulate
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -21,6 +22,7 @@ import numpy as np
 from .estimation import (
     LikelihoodData,
     MeasurementRecord,
+    check_exposure,
     checked_records,
     mle_estimate,
 )
@@ -89,27 +91,38 @@ class GroupedRecord(NamedTuple):
 class RecordStream(Sequence):
     """A chronological record stream as arrays: each record's exposure-group
     id, unit-trace (K, 2, 2) matrix, time and counts, checked once, together,
-    as MeasurementRecord checks one. Indexing and iteration give GroupedRecord
-    views, built on demand. Unpickling rebuilds a stream through the
-    constructor."""
+    as MeasurementRecord checks one; plus the detected rate I * eff its
+    counts follow, held to the estimator's limits on I * t, and the
+    detector efficiency eff in (0, 1]. Indexing and iteration give
+    GroupedRecord views, built on demand. Unpickling rebuilds a stream
+    through the constructor."""
 
     group_ids: np.ndarray
     matrices: np.ndarray
     times: np.ndarray
     counts: np.ndarray
+    rate: float
+    efficiency: float
 
     def __post_init__(self):
         gids = np.array(self.group_ids, dtype=np.int64).reshape(-1)
         records = checked_records(self.matrices, self.times, self.counts)
         if gids.size != records[1].size:
             raise ValueError(f"{gids.size} group ids for {records[1].size} records")
+        rate, efficiency, times = float(self.rate), float(self.efficiency), records[1]
+        # The estimator's limits on I * t, met by every prefix if by the whole.
+        check_exposure(rate, times[times > 0])
+        if not 0.0 < efficiency <= 1.0:
+            raise ValueError(f"detector efficiency must be in (0, 1], got {efficiency!r}")
         for name, value in zip(("group_ids", "matrices", "times", "counts"),
                                (gids, *map(np.array, records))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "efficiency", efficiency)
 
     def __reduce__(self):
-        return RecordStream, (self.group_ids, self.matrices, self.times, self.counts)
+        return RecordStream, tuple(getattr(self, f.name) for f in fields(self))
 
     def __len__(self) -> int:
         return self.times.size
@@ -229,6 +242,7 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     call.
     """
     rng = np.random.default_rng(seed)
+    rate = src.intensity * src.efficiency
 
     batches = []
     data = None
@@ -260,7 +274,7 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
         # Counts arrive at the detected rate I * eff; N_emit stays on I.
         # Each iteration's data extends the last one's arrays.
         vecs = to_stokes(mats)
-        data = (LikelihoodData.from_arrays(src.intensity * src.efficiency, vecs, times, counts)
+        data = (LikelihoodData.from_arrays(rate, vecs, times, counts)
                 if data is None else data.extended_arrays(vecs, times, counts))
         rho_hat, loglik = _estimate(data, mle_iters)
         rows.append(_row(iteration, n_emit, n_det, rho_true, rho_hat, loglik))
@@ -268,7 +282,8 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
             break
         budget *= sched.growth
         iteration += 1
-    return _trace(protocol, rows), RecordStream(*map(np.concatenate, zip(*batches)))
+    stream = RecordStream(*map(np.concatenate, zip(*batches)), rate, src.efficiency)
+    return _trace(protocol, rows), stream
 
 
 def _estimate(data: LikelihoodData, mle_iters: list | None = None) -> tuple[DensityMatrix, float]:
@@ -288,34 +303,30 @@ def _row(iteration: int, n_emit: float, n_det: int, reference: DensityMatrix,
     return (iteration, n_emit, n_det, 2.0 - 2.0 * np.sqrt(f), f, loglik)
 
 
-def replay_counts(stream: RecordStream, intensity: float,
-                  n0: float | None = None, *, points_per_decade: int = 10,
-                  efficiency: float = 1.0) -> Trace:
+def replay_counts(stream: RecordStream, n0: float | None = None, *,
+                  points_per_decade: int = 10) -> Trace:
     """Re-estimate on growing prefixes of a recorded count stream.
 
-    The counts arrive at the detected rate ``intensity``, which is the
-    source intensity I times the detector ``efficiency``; N counts emitted
-    copies, I * t. Distances are measured against the final assessment,
-    the estimate at N0 (defaults to the full stream), instead of an
-    unknown true state. Prefixes are cut at exposure-group boundaries on
-    a logarithmic N grid.
+    The counts arrive at the stream's detected rate, the source intensity
+    I times the stream's detector efficiency; N counts emitted copies,
+    I * t. Distances are measured against the final assessment, the
+    estimate at N0 (defaults to the full stream), instead of an unknown
+    true state. Prefixes are cut at exposure-group boundaries on a
+    logarithmic N grid.
     """
     if not len(stream):
         raise ValueError("empty record stream")
     ends = stream.group_ends()
     vecs = to_stokes(stream.matrices)
-    emitted = intensity / efficiency
-    cum_n: list[float] = []
-    running = 0.0
-    for t in np.maximum.reduceat(stream.times, np.append(0, ends[:-1])).tolist():
-        running += emitted * t
-        cum_n.append(running)
+    emitted = stream.rate / stream.efficiency
+    group_times = np.maximum.reduceat(stream.times, np.append(0, ends[:-1])).tolist()
+    cum_n = list(accumulate(emitted * t for t in group_times))
     n_det = np.cumsum(stream.counts)[ends - 1].tolist()
 
     def prefix(idx: int) -> LikelihoodData:
         """The data of the first idx + 1 groups."""
         stop = ends[idx]
-        return LikelihoodData.from_arrays(intensity, vecs[:stop],
+        return LikelihoodData.from_arrays(stream.rate, vecs[:stop],
                                           stream.times[:stop], stream.counts[:stop])
 
     n0 = cum_n[-1] if n0 is None else float(n0)
@@ -431,13 +442,11 @@ def _qubit_matrix(fields) -> np.ndarray:
     return (reals[0::2] + 1j * reals[1::2]).reshape(2, 2)
 
 
-def write_records(path, stream: RecordStream, intensity: float,
-                  efficiency: float = 1.0) -> None:
-    """Write a record stream whose counts follow the detected rate
-    ``intensity``, the source intensity times ``efficiency``."""
+def write_records(path, stream: RecordStream) -> None:
+    """Write a record stream, its detected rate and efficiency in the header."""
     if not len(stream):
         raise ValueError("nothing to write")
-    lines = [f"2,{_fmt(intensity)},{_fmt(efficiency)}"]
+    lines = [f"2,{_fmt(stream.rate)},{_fmt(stream.efficiency)}"]
     for gid, m, t, n in zip(stream.group_ids.tolist(), stream.matrices, stream.times.tolist(),
                             stream.counts.tolist()):
         lines.append(",".join([str(gid), *_matrix_fields(m), _fmt(t), str(n)]))
@@ -445,40 +454,23 @@ def write_records(path, stream: RecordStream, intensity: float,
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_header(path, no: int, line: str) -> tuple[int, float, float]:
-    """(dim, detected rate, efficiency) of a record stream's header, line no."""
-    with _at_line(path, no):
-        head = line.split(",")
-        if len(head) not in (2, 3):
-            raise ValueError(f"malformed header: {line!r}")
-        dim, intensity = int(head[0]), float(head[1])
-        efficiency = float(head[2]) if len(head) == 3 else 1.0
-        if not 0.0 < intensity < math.inf:
-            raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
-        if not 0.0 < efficiency <= 1.0:
-            raise ValueError(f"detector efficiency must be in (0, 1], got {efficiency!r}")
-    require_qubit(dim, f"{path}:{no}")
-    return dim, intensity, efficiency
-
-
-def read_header(path) -> tuple[int, float, float]:
-    """A record stream's (dim, detected rate I * eff, detector efficiency eff)."""
-    with open(path) as fh:
-        for no, ln in enumerate(fh, 1):
-            if ln.strip():
-                return _parse_header(path, no, ln.strip())
-    raise ValueError(f"{path}: empty record file")
-
-
 def read_records(path) -> tuple[RecordStream, int, float]:
-    """Parse a record stream; returns (records, dim, detected rate I * eff).
+    """Parse a record stream; returns (stream, dim, the stream's rate).
 
     Every line is parsed and every record checked, together, before the
-    stream is returned; an error names the file and line."""
+    stream is returned; an error names the file and line, the header's
+    for its rate and efficiency."""
     lines = _numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty record file")
-    dim, intensity, _ = _parse_header(path, *lines[0])
+    head_no, line = lines[0]
+    with _at_line(path, head_no):
+        head = line.split(",")
+        if len(head) not in (2, 3):
+            raise ValueError(f"malformed header: {line!r}")
+        dim, rate = int(head[0]), float(head[1])
+        efficiency = float(head[2]) if len(head) == 3 else 1.0
+    require_qubit(dim, f"{path}:{head_no}")
     cells = []
     for no, ln in lines[1:]:
         with _at_line(path, no):
@@ -491,8 +483,6 @@ def read_records(path) -> tuple[RecordStream, int, float]:
     mats, times, counts = checked_records(
         np.array(mats), times, np.array(counts, dtype=np.int64),
         where=lambda i: f"{path}:{lines[1 + i][0]}")
-    try:    # the estimator's limits on I * t, met by every prefix if by the whole
-        LikelihoodData.from_arrays(intensity, to_stokes(mats), times, counts)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return RecordStream(gids, mats, times, counts), dim, intensity
+    with _at_line(path, head_no):
+        stream = RecordStream(gids, mats, times, counts, rate, efficiency)
+    return stream, dim, stream.rate

@@ -39,10 +39,10 @@ def main(out: Path) -> None:
         rho = FAMILIES[family](rng)
         _, records = run_tomography(protocol, rho, SourceModel(INTENSITY),
                                     SCHEDULE, 2000 + k)
-        write_records(out / name, records, INTENSITY)
+        write_records(out / name, records)
         # Replay what was written, so the expected values belong to the file.
-        grouped, _, intensity = read_records(out / name)
-        trace = replay_counts(grouped, intensity)
+        grouped, _, _ = read_records(out / name)
+        trace = replay_counts(grouped)
         rows += [f"{name},{i},{_fmt(ll)}" for i, ll in zip(trace.iteration, trace.loglik)]
     (out / "corpus_loglik.csv").write_text("\n".join(rows) + "\n")
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from tomosim.cli import (
     CampaignConfig,
     _run_one,
+    _true_states,
     cmd_simulate,
     main,
     read_curve_file,
@@ -25,6 +26,7 @@ from tomosim.cli import (
     write_trace_file,
 )
 import tomosim
+from tomosim import cli
 from tomosim.analysis import ConvergenceCurve
 from tomosim.estimation import MleOptions
 from tomosim.quantum import maximally_mixed, pure_state, random_bures_mixed
@@ -33,7 +35,6 @@ from tomosim.simulator import (
     Schedule,
     SourceModel,
     Trace,
-    read_header,
     read_records,
     run_tomography,
     write_records,
@@ -126,8 +127,9 @@ class TestSimulateCommand:
         assert one["estimator"] == two["estimator"]
         cfg = CampaignConfig(protocols=("eigen", "rankp-m"), runs=2, seed=5,
                              schedule=Schedule(n_max=3000), out_dir=out1)
+        states = _true_states(cfg)
         for protocol in cfg.protocols:
-            iters = [n for run in range(2) for n in _run_one(cfg, protocol, run)[2]]
+            iters = [n for run in range(2) for n in _run_one(cfg, protocol, run, states[run])[2]]
             rows = sum(read_trace_file(out1 / f"trace_{protocol}_{run:03d}.csv").iteration.size
                        for run in range(2))
             assert one["estimator"][protocol] == {
@@ -232,14 +234,38 @@ class TestSimulateCommand:
         assert not (tmp_path / "sim").exists()
 
     def test_worker_records_come_back_frozen(self, tmp_path):
-        # Records a worker process returns arrive pickled.
+        # Records a worker process returns arrive pickled, with their
+        # stream's detected rate and efficiency.
         cfg = CampaignConfig(protocols=("eigen",), states="bures", runs=2, seed=3,
-                             schedule=Schedule(50, 1.3, 500), out_dir=tmp_path)
+                             schedule=Schedule(50, 1.3, 500),
+                             source=SourceModel(1000.0, 0.8), out_dir=tmp_path)
         streams = []
         run_campaign(cfg, workers=2, on_run=lambda p, trace, recs: streams.append(recs))
         assert len(streams) == 2
         rec = streams[0][0].record
         assert not rec.element.matrix.flags.writeable
+        assert [(s.rate, s.efficiency) for s in streams] == [(1000.0 * 0.8, 0.8)] * 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_state_file_read_once(self, tmp_path, monkeypatch, workers):
+        # Read by the config's check and once more for all runs: a state
+        # file removed after the first run leaves the campaign running.
+        state = tmp_path / "state.txt"
+        write_state_file(state, random_bures_mixed(np.random.default_rng(2)))
+        reads = []
+        read = cli.read_state_file
+        monkeypatch.setattr(cli, "read_state_file", lambda p: reads.append(p) or read(p))
+        cfg = CampaignConfig(protocols=("eigen", "rankp-nc"), states=str(state), runs=3,
+                             schedule=Schedule(50, 1.3, 500), out_dir=tmp_path)
+        done = []
+
+        def on_run(protocol, trace, records):
+            state.unlink(missing_ok=True)
+            done.append(protocol)
+
+        traces = run_campaign(cfg, workers=workers, on_run=on_run)
+        assert len(done) == 6 and all(len(t) == 3 for t in traces.values())
+        assert len(reads) <= 2
 
     def test_missing_state_file_fails(self, tmp_path, capsys):
         rc = main(["simulate", "--states", str(tmp_path / "nope.txt"),
@@ -452,6 +478,41 @@ class TestAnalyzeCommand:
         rc = main(["analyze", str(tmp_path / "void"), "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_file_named_twice_is_read_once(self, tmp_path):
+        # A directory plus one of its own traces, also by another spelling
+        # of its path, is the directory alone.
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim, n_max="2e3")) == 0
+        assert main(["analyze", str(sim), "--out", str(tmp_path / "one")]) == 0
+        twice = [str(sim / "trace_eigen_000.csv"),
+                 str(sim / ".." / "sim" / "trace_eigen_001.csv")]
+        assert main(["analyze", str(sim), *twice, "--out", str(tmp_path / "two")]) == 0
+        report = (tmp_path / "one" / "report.txt").read_text()
+        assert "fit.eigen.runs = 2" in report
+        assert (tmp_path / "two" / "report.txt").read_text() == report
+
+    def test_copies_of_one_run_fail_before_any_output(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim, n_max="2e3", extra=("--records",))) == 0
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes((sim / "trace_eigen_001.csv").read_bytes())
+        capsys.readouterr()
+        assert main(["analyze", str(sim), str(copy), "--out", str(tmp_path / "ana")]) == 1
+        assert capsys.readouterr().err == (
+            f"tomosim: {sim / 'trace_eigen_001.csv'} and {copy} hold the same run "
+            "(protocol 'eigen', run_id 1, seed 5)\n")
+        assert not (tmp_path / "ana").exists()
+        # Replay traces are not runs of a campaign: two replays of the same
+        # streams share (replay, run_id, -1) and are analyzed together.
+        streams = sorted(map(str, sim.glob("records_*.csv")))
+        for rep in ("rep1", "rep2"):
+            assert main(["replay", *streams, "--out", str(tmp_path / rep)]) == 0
+        replays = [str(tmp_path / rep / f"replay_00{i}.csv") for rep in ("rep1", "rep2")
+                   for i in range(2)]
+        assert main(["analyze", *replays, "--fit-window", "100:1000",
+                     "--out", str(tmp_path / "ana")]) == 0
+        assert "fit.replay.runs = 4" in (tmp_path / "ana" / "report.txt").read_text()
+
 
 class TestReplayCommand:
     def make_records(self, tmp_path, n_runs=1, n_max=3 * 10 ** 4):
@@ -461,7 +522,7 @@ class TestReplayCommand:
             _, records = run_tomography("eigen", rho, SourceModel(1000.0),
                                         Schedule(100, 1.25, n_max), 100 + i)
             p = tmp_path / f"records_{i}.csv"
-            write_records(p, records, 1000.0)
+            write_records(p, records)
             paths.append(p)
         return paths
 
@@ -518,9 +579,8 @@ class TestReplayCommand:
         assert [p.name for p in streams] == ["records_eigen_000.csv", "records_eigen_001.csv"]
         assert main(["replay", *map(str, streams), "--out", str(tmp_path / "rep")]) == 0
         for run, stream in enumerate(streams):
-            _, _, intensity = read_records(stream)
-            assert intensity == 800.0
-            assert read_header(stream) == (2, 800.0, 0.8)
+            back, dim, rate = read_records(stream)
+            assert (dim, rate, back.rate, back.efficiency) == (2, 800.0, 800.0, 0.8)
             trace = read_trace_file(sim / f"trace_eigen_{run:03d}.csv")
             replayed = read_trace_file(tmp_path / "rep" / f"replay_{run:03d}.csv")
             assert replayed.n_det[-1] == trace.n_det[-1]
@@ -591,6 +651,19 @@ class TestReplayCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"tomosim: {bad}:4: {message}")
         assert not (tmp_path / "rep").exists()
+
+    def test_each_record_file_opened_once(self, tmp_path, monkeypatch):
+        paths = {str(p) for p in self.make_records(tmp_path, n_runs=2, n_max=2 * 10 ** 3)}
+        opened = []
+        real_open = open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        assert main(["replay", *sorted(paths), "--out", str(tmp_path / "rep")]) == 0
+        assert sorted(p for p in opened if p in paths) == sorted(paths)
 
     def test_malformed_records_fail(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

@@ -41,10 +41,10 @@ def test_corpus_covers_every_protocol_and_family():
 
 @pytest.mark.parametrize("stream", sorted(EXPECTED))
 def test_loglik_not_below_frozen_optimum(stream):
-    grouped, _, intensity = read_records(DATA / stream)
+    grouped, _, _ = read_records(DATA / stream)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)    # max_iter on pure states
-        trace = replay_counts(grouped, intensity)
+        trace = replay_counts(grouped)
     iterations, frozen = zip(*EXPECTED[stream])
     assert tuple(trace.iteration) == iterations
     shortfall = [f - ll for f, ll in zip(frozen, trace.loglik)]

@@ -1,5 +1,7 @@
 import csv
+import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -343,12 +345,12 @@ class TestReplayCounts:
 
     def test_final_prefix_distance_zero(self):
         _, records = self.make_trace()
-        rep = replay_counts(records, SRC.intensity)
+        rep = replay_counts(records)
         assert rep.d_bures_sq[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_prefix_at_n0_is_reference(self):
         tr, records = self.make_trace()
-        rep = replay_counts(records, SRC.intensity, n0=tr.n_emit[-1])
+        rep = replay_counts(records, n0=tr.n_emit[-1])
         assert rep.d_bures_sq[-1] == 0.0
 
     def test_median_distance_decreases(self):
@@ -356,7 +358,7 @@ class TestReplayCounts:
         firsts, lasts = [], []
         for seed in (31, 32, 33, 34, 35):
             _, records = self.make_trace(seed=seed)
-            rep = replay_counts(records, SRC.intensity)
+            rep = replay_counts(records)
             d = rep.d_bures_sq[:-1]  # drop the exact zero
             n = rep.n_emit[:-1]
             split = np.searchsorted(n, np.sqrt(n[0] * n[-1]))
@@ -375,18 +377,18 @@ class TestReplayCounts:
         _, records = self.make_trace()
         mle_estimate = simulator.mle_estimate
         monkeypatch.setattr(simulator, "mle_estimate", counted)
-        rep = replay_counts(records, SRC.intensity)
+        rep = replay_counts(records)
         assert len(calls) == len(rep.n_emit)
         assert calls.count(max(calls)) == 1
 
     def test_n_grid_is_increasing(self):
         _, records = self.make_trace()
-        rep = replay_counts(records, SRC.intensity)
+        rep = replay_counts(records)
         assert all(np.diff(rep.n_emit) > 0)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            replay_counts(RecordStream([], [], [], []), 100.0)
+            replay_counts(RecordStream([], [], [], [], 100.0, 1.0))
 
 
 class TestRecordIO:
@@ -394,7 +396,7 @@ class TestRecordIO:
         rho = random_pure_haar(rng)
         _, records = run_tomography("rankp-m", rho, SRC, Schedule(100, 1.3, 5000), 17)
         path = tmp_path / "records.csv"
-        write_records(path, records, SRC.intensity)
+        write_records(path, records)
         back, dim, intensity = read_records(path)
         assert dim == 2
         assert intensity == SRC.intensity
@@ -404,14 +406,20 @@ class TestRecordIO:
             assert r1.time == r2.time
             assert r1.counts == r2.counts
             assert np.array_equal(r1.element.matrix, r2.element.matrix)
+        assert (back.rate, back.efficiency) == (SRC.intensity, 1.0)
+        # A rate and an efficiency that only 17 digits carry bit for bit.
+        odd = replace(records, rate=SRC.intensity / 3, efficiency=0.1 + 0.2)
+        write_records(path, odd)
+        back = read_records(path)[0]
+        assert (back.rate, back.efficiency) == (odd.rate, odd.efficiency)
 
     def test_rewrite_identical_bytes(self, tmp_path, rng):
         rho = random_pure_haar(rng)
         _, records = run_tomography("eigen", rho, SRC, Schedule(100, 1.3, 2000), 23)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records(p1, records, SRC.intensity)
-        back, _, intensity = read_records(p1)
-        write_records(p2, back, intensity)
+        write_records(p1, records)
+        back, _, _ = read_records(p1)
+        write_records(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_malformed_header_rejected(self, tmp_path):
@@ -435,7 +443,30 @@ class TestRecordIO:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError,
                                    match="^record 0: POVM element has a non-finite entry$"):
-                    RecordStream([0], [matrix], [1.0], [3])
+                    RecordStream([0], [matrix], [1.0], [3], 100.0, 1.0)
+
+    @pytest.mark.parametrize("rate, efficiency, time, message", [
+        (np.nan, 1.0, 1.0, "intensity must be positive and finite, got nan"),
+        (np.inf, 1.0, 1.0, "intensity must be positive and finite, got inf"),
+        (0.0, 1.0, 1.0, "intensity must be positive and finite, got 0.0"),
+        (-5.0, 1.0, 1.0, "intensity must be positive and finite, got -5.0"),
+        (800.0, np.nan, 1.0, "detector efficiency must be in (0, 1], got nan"),
+        (800.0, np.inf, 1.0, "detector efficiency must be in (0, 1], got inf"),
+        (800.0, 0.0, 1.0, "detector efficiency must be in (0, 1], got 0.0"),
+        (800.0, -0.5, 1.0, "detector efficiency must be in (0, 1], got -0.5"),
+        (800.0, 1.5, 1.0, "detector efficiency must be in (0, 1], got 1.5"),
+        (1000.0, 1.0, 1e306,
+         "intensity * total record time must be finite, got 1000.0 * 1e+306"),
+        (1e-320, 1.0, 1.0,
+         "intensity * record time must be a normal float, got 1e-320 * 1.0")],
+        ids=["rate-nan", "rate-inf", "rate-zero", "rate-negative", "efficiency-nan",
+             "efficiency-inf", "efficiency-zero", "efficiency-negative", "efficiency-1.5",
+             "time-overflow", "rate-subnormal"])
+    def test_stream_checks_rate_and_efficiency(self, rate, efficiency, time, message):
+        # The record with t = 0 is left out of the least I * t.
+        projector = [[1, 0], [0, 0]]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RecordStream([0, 0], [projector, projector], [time, 0.0], [3, 0], rate, efficiency)
 
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
