@@ -296,20 +296,27 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
 # Analyze
 
 
+def _distinct_files(paths) -> list:
+    """The paths, one per file however often it is named, in order of first
+    mention and as first given."""
+    first = {}
+    for path in paths:
+        first.setdefault(Path(path).resolve(), path)
+    return list(first.values())
+
+
 def _collect_trace_files(inputs) -> dict[str, list[Trace]]:
     """The traces of the input files and input directories' trace_*.csv by
     protocol, each file read once however often it is named (errors name it
     as first given). Two campaign traces of one run, the same protocol,
     run_id and seed >= 0, are rejected, naming both files; replay traces
     (seed -1) are not, as their run_id numbers streams within one replay."""
-    paths: dict[Path, Path] = {}
-    for p in map(Path, inputs):
-        for path in sorted(p.glob("trace_*.csv")) if p.is_dir() else [p]:
-            paths.setdefault(path.resolve(), path)
+    paths = _distinct_files(path for p in map(Path, inputs)
+                            for path in (sorted(p.glob("trace_*.csv")) if p.is_dir() else [p]))
     if not paths:
         raise ValueError("no trace files found among inputs")
     by_protocol, runs = {}, {}
-    for path in paths.values():
+    for path in paths:
         trace = read_trace_file(path)
         run = (trace.protocol, trace.run_id, trace.seed)
         if trace.seed >= 0 and run in runs:
@@ -380,10 +387,13 @@ def cmd_replay(record_files, n0: float | None, out_dir,
     Each stream is re-estimated on growing prefixes; distances are taken
     to the assessment at N0. The curve plunges to zero at N0 by
     construction, so the averaged curve keeps only points with N <= N0/4;
-    the per-stream trace files keep every point.
+    the per-stream trace files keep every point. Each record file is read
+    once however often it is named, and replay_NNN.csv numbers the files
+    by first mention.
     """
     if n0 is not None and not 0.0 < n0 < math.inf:
         raise ValueError(f"--n0 must be positive and finite, got {n0!r}")
+    record_files = _distinct_files(record_files)
     # Every stream is read and checked before any output exists.
     streams = [read_records(path)[0] for path in record_files]
     out = Path(out_dir)

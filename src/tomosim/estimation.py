@@ -125,18 +125,19 @@ def checked_records(mats, times, counts, where=lambda i: f"record {i}"):
     return mats, times, counts
 
 
-def check_exposure(intensity: float, live_times: np.ndarray) -> None:
-    """Check the estimator's limits on an intensity and the times of the
-    records with t > 0: the intensity positive and finite, and the Poisson
-    means I*t normal floats whose sum is finite, or G and log(I p t)
-    overflow or underflow deep inside the estimator."""
+def check_exposure(intensity: float, times: np.ndarray) -> None:
+    """Check the estimator's limits on an intensity and checked record
+    times: the intensity positive and finite, and the Poisson means I*t of
+    the records with t > 0 normal floats whose sum is finite, or G and
+    log(I p t) overflow or underflow deep inside the estimator. Records
+    with t = 0 add nothing to the likelihood, so they meet no limit."""
     if not 0 < intensity < math.inf:
         raise ValueError(f"intensity must be positive and finite, got {intensity!r}")
-    least = float(live_times.min()) if live_times.size else math.inf
+    least = float(np.min(times, where=times > 0, initial=math.inf))
     if not intensity * least >= sys.float_info.min:
         raise ValueError("intensity * record time must be a normal float, "
                          f"got {intensity!r} * {least!r}")
-    total = float(live_times.sum())
+    total = float(times.sum())
     if not math.isfinite(intensity * total):
         raise ValueError("intensity * total record time must be finite, "
                          f"got {intensity!r} * {total!r}")
@@ -148,13 +149,12 @@ class _RecordArrays:
     buffer grows to hold one more batch of the size just appended: a run
     appends one plan's records per iteration, so the slack stays below one
     plan. A prefix of the buffers is the arrays of the data holding its
-    first n records; the estimator reads their live records (t > 0), which
-    are the prefix itself unless a record with t = 0 lies in it.
+    first n records, those with t = 0 among them: such a record has n = 0,
+    so it adds exact zeros to every sum the estimator takes.
     """
 
     def __init__(self):
         self.size = 0
-        self.first_dead = math.inf    # index of the first record with t = 0
         self._vecs = np.empty((0, 4))
         self._times = np.empty(0)
         self._counts = np.empty(0)
@@ -172,9 +172,6 @@ class _RecordArrays:
         self._vecs[start:stop] = vecs
         self._times[start:stop] = times
         self._counts[start:stop] = counts
-        # Checked times are >= 0, so a zero marks a record with t = 0.
-        if self.first_dead == math.inf and not times.all():
-            self.first_dead = start + int(np.argmin(times))
         self.size = stop
 
     _BUFFERS = ("_vecs", "_times", "_counts")
@@ -193,21 +190,11 @@ class _RecordArrays:
         for name in self._BUFFERS:
             setattr(out, name, getattr(self, name)[:n].copy())
         out.size = n
-        out.first_dead = self.first_dead if self.first_dead < n else math.inf
         return out
 
     def records(self, n: int):
-        """(four-vectors, times, counts) of the first n records, live or not."""
+        """(four-vectors, times, counts) of the first n records, as views."""
         return self._vecs[:n], self._times[:n], self._counts[:n]
-
-    def views(self, n: int):
-        """(four-vectors, times, counts) of the live records among the
-        first n: views, or copies if one has t = 0."""
-        out = self.records(n)
-        if self.first_dead < n:
-            live = self._times[:n] > 0
-            out = tuple(a[live] for a in out)
-        return out
 
     def span(self, n: int, bloch_pos: np.ndarray) -> np.ndarray | None:
         """None when the counted Bloch vectors bloch_pos among the first n
@@ -243,7 +230,9 @@ class LikelihoodData:
     that appends each iteration's records stacks every record once. Matrices
     are views: ``records`` is the MeasurementRecord tuple the data was
     built from, or, for data built from arrays, views of them built on
-    first use, and ``matrices`` are built per call.
+    first use, and ``matrices`` are built per call. Every record is kept,
+    those with t = 0 too: the limits on I * t (check_exposure) hold for the
+    records with t > 0.
     """
 
     def __init__(self, records, intensity: float):
@@ -266,7 +255,7 @@ class LikelihoodData:
         """Append checked records to arrays and keep all its records as this
         data's."""
         arrays.extend(vecs, times, counts)
-        check_exposure(intensity, arrays.views(arrays.size)[1])
+        check_exposure(intensity, arrays.records(arrays.size)[1])
         self.intensity = intensity
         self._arrays = arrays
         self._n = arrays.size
@@ -292,14 +281,14 @@ class LikelihoodData:
                      for m, t, n in zip(from_stokes(vecs), times.tolist(), counts.tolist()))
 
     def arrays(self):
-        """(traces, Bloch vectors, times, counts) of the live records,
-        views of the arrays this data shares."""
-        vecs, times, counts = self._arrays.views(self._n)
+        """(traces, Bloch vectors, times, counts) of the records, views of
+        the arrays this data shares."""
+        vecs, times, counts = self._arrays.records(self._n)
         return vecs[:, 0], vecs[:, 1:], times, counts
 
     def matrices(self) -> np.ndarray:
-        """The (K, 2, 2) matrices of the live records, built per call."""
-        return from_stokes(self._arrays.views(self._n)[0])
+        """The (K, 2, 2) matrices of the records, built per call."""
+        return from_stokes(self._arrays.records(self._n)[0])
 
 
 @dataclass(frozen=True)
@@ -316,28 +305,22 @@ def _probabilities(mats: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def _loglik(p: np.ndarray, times: np.ndarray, counts: np.ndarray,
-            intensity: float) -> float:
-    out = -(intensity * p * times)
-    pos = counts > 0
-    if np.any(pos):
-        p_used = np.maximum(p[pos], PROB_CLAMP)
-        out[pos] = counts[pos] * np.log(intensity * p_used * times[pos]) \
-            - intensity * p_used * times[pos]
-    return float(out.sum())
-
-
 def log_likelihood(data: LikelihoodData, rho: DensityMatrix) -> float:
     """Poissonian log-likelihood, dropping the state-independent ln(n!) term.
 
-    Conventions: records with t=0 contribute 0; records with n=0 contribute
-    -I p t; records with n>0 and p <= PROB_CLAMP use the clamped p.
+    Conventions: records with t=0 (n=0 then) contribute exact zeros;
+    records with n=0 contribute -I p t; records with n>0 and
+    p <= PROB_CLAMP use the clamped p. Data with no t > 0 gives 0.
     """
     _, _, times, counts = data.arrays()
-    if not times.size:
+    if not times.any():
         return 0.0
     p = _probabilities(data.matrices(), rho.matrix)
-    return _loglik(p, times, counts, data.intensity)
+    intensity, pos = data.intensity, counts > 0
+    means = intensity * np.maximum(p[pos], PROB_CLAMP) * times[pos]
+    out = -(intensity * p * times)
+    out[pos] = counts[pos] * np.log(means) - means
+    return float(out.sum())
 
 
 def _support_isqrt(g: np.ndarray):
@@ -394,13 +377,12 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     """
     opts = opts or MleOptions()
     _, _, times, counts = data.arrays()
-    if not times.size:
+    if not times.any():
         raise ValueError("need at least one record with positive time")
     if counts.sum() == 0:
         rho0 = maximally_mixed()
         if logliks is not None:
-            logliks.append(_loglik(_probabilities(data.matrices(), rho0.matrix),
-                                   times, counts, data.intensity))
+            logliks.append(log_likelihood(data, rho0))
         return rho0
     lik = _Likelihood(data)
     solved = _newton_solve(lik, opts.max_iter) if lik.solvable else None
@@ -420,7 +402,7 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
 
 
 class _Likelihood:
-    """The arrays of one estimator call: the live records' traces, Bloch
+    """The arrays of one estimator call: the records' traces, Bloch
     vectors m_k (M_k = (Tr M_k + m_k.sigma)/2), times and counts, views of
     the data's arrays; the counted records' (n_k > 0) I t_k, m_k, n_k and
     the products of the m_k's components, stacked once; and the exposure
@@ -482,8 +464,8 @@ class _Likelihood:
         Bloch vector r, with p_k = (Tr M_k + m_k.r)/2 clamped below at
         PROB_CLAMP in the logs, and the exposure term sum_k I t_k p_k over
         every record in closed form, (I sum t_k Tr M_k + I sum t_k m_k.r)/2:
-        the value _loglik gives while every p_k lies in [0, 1] and every
-        counted one above PROB_CLAMP."""
+        the value log_likelihood gives while every p_k lies in [0, 1] and
+        every counted one above PROB_CLAMP."""
         p = 0.5 * (self.traces_pos + self.bloch_pos @ r)
         logs = np.log(self.rates_pos * np.maximum(p, PROB_CLAMP))
         return float(self.counts_pos @ logs) - 0.5 * (self.exposure + self.drift @ r), p, logs
@@ -505,28 +487,22 @@ class _Likelihood:
         step, decrement = _solve_spd(hess + self.pad, grad @ self.span)
         return noise, None if step is None else self.span @ step, decrement
 
-    def counted(self, p: np.ndarray):
-        """The counted p_k, clamped at PROB_CLAMP, and their ln(I p_k t_k)."""
-        p_pos = np.maximum(p[self.pos], PROB_CLAMP)
-        return p_pos, np.log(self.intensity * p_pos * self.times_pos)
-
-    def terms(self, p: np.ndarray):
-        """(log-likelihood, and counted() at p): one log per counted record
-        serves both the value and the Newton step's round-off."""
-        p_pos, logs = self.counted(p)
-        out = -(self.intensity * p * self.times)
-        out[self.pos] = self.counts_pos * logs - self.intensity * p_pos * self.times_pos
-        return float(out.sum()), p_pos, logs
-
     def loglik(self, p: np.ndarray) -> float:
-        return self.terms(p)[0]
+        """The log-likelihood log_likelihood gives at every record's p_k,
+        read from the counted records' arrays stacked once."""
+        means = self.intensity * np.maximum(p[self.pos], PROB_CLAMP) * self.times_pos
+        out = -(self.intensity * p * self.times)
+        out[self.pos] = self.counts_pos * np.log(means) - means
+        return float(out.sum())
 
-    def newton(self, p_pos: np.ndarray, logs: np.ndarray):
-        """The line search's Newton trial: (n_k/p_k over the counted
-        records, the log-likelihood's round-off, the step s and decrement
-        g.s that step() defines, by a general solve) at the counted
-        probabilities p_pos and their logs from counted(); s and g.s are
-        None when H is singular."""
+    def newton(self, p: np.ndarray):
+        """The line search's Newton trial at every record's p_k: (n_k/p_k
+        over the counted records, with p_k clamped at PROB_CLAMP, the
+        log-likelihood's round-off, the step s and decrement g.s that
+        step() defines, by a general solve); s and g.s are None when H is
+        singular."""
+        p_pos = np.maximum(p[self.pos], PROB_CLAMP)
+        logs = np.log(self.intensity * p_pos * self.times_pos)
         ratios = self.counts_pos / p_pos
         noise = _ROUNDOFF * (np.dot(self.counts_pos, np.abs(logs)) + self.total_rate)
         if self.span is not None:
@@ -539,13 +515,14 @@ class _Likelihood:
             return ratios, noise, None, None
         return ratios, noise, step, grad @ step
 
-    def converged(self, p, noise, r_new, decrement) -> bool:
-        """The end rule on interior optima. With every counted p_k above
-        PROB_CLAMP the negated log-likelihood is self-concordant, so no
-        state in the ball lies more than the decrement above the current
-        one: at or below the round-off, the call has converged."""
+    def converged(self, p_pos, noise, r_new, decrement) -> bool:
+        """The end rule on interior optima, given the counted p_k, clamped
+        at PROB_CLAMP or not, and a Newton point r_new. With every counted
+        p_k above PROB_CLAMP the negated log-likelihood is self-concordant,
+        so no state in the ball lies more than the decrement above the
+        current one: at or below the round-off, the call has converged."""
         return (r_new @ r_new < 1.0 and decrement <= noise
-                and bool(np.all(p[self.pos] > PROB_CLAMP)))
+                and bool(np.all(p_pos > PROB_CLAMP)))
 
 
 # Row and column of the six distinct entries of a symmetric 3x3 matrix, in
@@ -594,10 +571,9 @@ def _newton_solve(lik: _Likelihood, max_iter: int):
         if step is None:
             return None
         r_new = r + step
-        inside = r_new @ r_new < 1.0
-        if inside and decrement <= noise and p.min() > PROB_CLAMP:
-            return r, lls, False    # the end rule of _Likelihood.converged
-        if inside:
+        if lik.converged(p, noise, r_new, decrement):
+            return r, lls, False
+        if r_new @ r_new < 1.0:
             t, cuts = 1.0, 0
         else:
             cuts += 1
@@ -663,10 +639,10 @@ def _line_search(lik: _Likelihood, max_iter: int, logliks: list | None):
         # dropped when H is singular or r + s leaves the open unit ball. One
         # that gains at least _NEWTON_GAIN of the decrement is taken alone;
         # one that gains less seeds the line search below if it ascends.
-        ratios, noise, step_b, decrement = lik.newton(*lik.counted(p))
+        ratios, noise, step_b, decrement = lik.newton(p)
         if step_b is not None:
             r_new = np.einsum("aji,ij->a", _PAULI, rho).real + step_b
-            if lik.converged(p, noise, r_new, decrement):
+            if lik.converged(p[lik.pos], noise, r_new, decrement):
                 break    # interior optimum, within round-off
             if r_new @ r_new >= 1.0:
                 step_b = None

@@ -109,9 +109,9 @@ class RecordStream(Sequence):
         records = checked_records(self.matrices, self.times, self.counts)
         if gids.size != records[1].size:
             raise ValueError(f"{gids.size} group ids for {records[1].size} records")
-        rate, efficiency, times = float(self.rate), float(self.efficiency), records[1]
+        rate, efficiency = float(self.rate), float(self.efficiency)
         # The estimator's limits on I * t, met by every prefix if by the whole.
-        check_exposure(rate, times[times > 0])
+        check_exposure(rate, records[1])
         if not 0.0 < efficiency <= 1.0:
             raise ValueError(f"detector efficiency must be in (0, 1], got {efficiency!r}")
         for name, value in zip(("group_ids", "matrices", "times", "counts"),

@@ -547,6 +547,28 @@ class TestReplayCommand:
         assert rc == 1
         assert "no points survive clipping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("again", ["records_0.csv", "sub/../records_0.csv"])
+    def test_a_file_named_twice_replays_once(self, tmp_path, again):
+        paths = self.make_records(tmp_path, n_runs=2, n_max=2 * 10 ** 3)
+        (tmp_path / "sub").mkdir()
+        rc = main(["replay", str(paths[0]), str(tmp_path / again), "--out",
+                   str(tmp_path / "rep")])
+        assert rc == 0
+        assert (tmp_path / "rep" / "replay_report.txt").read_text() == "replay.files = 1\n"
+        assert sorted(p.name for p in (tmp_path / "rep").glob("replay_*.csv")) == [
+            "replay_000.csv"]
+        # Numbered by first mention: the second file named is replay_001.
+        rc = main(["replay", str(paths[1]), str(paths[0]), str(tmp_path / again),
+                   str(paths[1]), "--out", str(tmp_path / "both")])
+        assert rc == 0
+        assert "replay.files = 2" in (tmp_path / "both" / "replay_report.txt").read_text()
+        for i, path in enumerate(paths[::-1]):
+            replayed = (tmp_path / "both" / f"replay_{i:03d}.csv").read_text()
+            main(["replay", str(path), "--out", str(tmp_path / f"alone{i}")])
+            assert replayed.replace("replay,1,", "replay,0,") == (
+                tmp_path / f"alone{i}" / "replay_000.csv").read_text()
+        assert not (tmp_path / "both" / "replay_002.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
     def test_n0_not_positive_and_finite_fails(self, tmp_path, capsys, value):
         path = self.make_records(tmp_path, n_max=2 * 10 ** 3)[0]

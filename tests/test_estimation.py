@@ -487,6 +487,59 @@ def test_mle_reaches_boundary_optimum_of_haar_data():
     assert log_likelihood(data, mle_estimate(data)) >= feasible - 1e-9
 
 
+class TestZeroTimeRecords:
+    """A record held for t = 0 has n = 0 and adds exact zeros to the
+    likelihood, its sums and its derivatives: placed between the MUB
+    records, such records change no estimate or log-likelihood beyond
+    round-off."""
+
+    ZERO_TIME = (H_PROJ, D_PROJ, PovmElement(projector([0.6, 0.8j])))
+
+    @classmethod
+    def padded(cls, data):
+        """data with a t = 0 record after each of its records."""
+        recs = []
+        for i, rec in enumerate(data.records):
+            recs += [rec, MeasurementRecord(cls.ZERO_TIME[i % 3], 0.0, 0)]
+        return LikelihoodData(tuple(recs), data.intensity)
+
+    @pytest.mark.parametrize("rho, line_search", [
+        (random_bures_mixed(np.random.default_rng(5)), False),
+        (random_pure_haar(np.random.default_rng(5)), True)],
+        ids=["interior", "boundary"])
+    def test_estimate_and_loglik_unchanged(self, monkeypatch, rho, line_search):
+        data = mub_records(rho, 1000.0)
+        padded = self.padded(data)
+        assert len(padded.records) == 2 * len(data.records)
+        calls = spy_line_search(monkeypatch)
+        lls, lls_padded = [], []
+        est = mle_estimate(data, logliks=lls)
+        est_padded = mle_estimate(padded, logliks=lls_padded)
+        # The interior optimum ends in the Newton loop, the one on the
+        # sphere in the line search.
+        assert len(calls) == (2 if line_search else 0)
+        assert lls_padded[-1] == pytest.approx(lls[-1], rel=1e-12)
+        # On the sphere the likelihood is flat to its round-off over about
+        # sqrt(round-off / N) ~ 1e-7 of arc: the zeros the t = 0 records add
+        # regroup its sums, and the line search, which ends once no step
+        # ascends above the round-off, stops within that arc.
+        np.testing.assert_allclose(to_stokes(est_padded.matrix), to_stokes(est.matrix),
+                                   rtol=1e-12, atol=1e-7 if line_search else 1e-12)
+        assert fidelity(est_padded, est) == pytest.approx(1.0, abs=1e-12)
+        for state in (est, rho, maximally_mixed()):
+            assert log_likelihood(padded, state) == pytest.approx(
+                log_likelihood(data, state), rel=1e-12)
+
+    def test_zero_counts_loglik_unchanged(self):
+        data = LikelihoodData(
+            (MeasurementRecord(H_PROJ, 1.0, 0), MeasurementRecord(V_PROJ, 2.0, 0)), 10.0)
+        lls, lls_padded = [], []
+        for d, out in ((data, lls), (self.padded(data), lls_padded)):
+            assert np.array_equal(mle_estimate(d, logliks=out).matrix, np.eye(2) / 2)
+        assert lls_padded == pytest.approx(lls, rel=1e-12)
+        assert lls == [-15.0]
+
+
 class TestRegularizeFullRank:
     def test_mixed_state_unchanged(self):
         rho = maximally_mixed()

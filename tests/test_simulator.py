@@ -231,15 +231,14 @@ class TestRunArrays:
         final = datas[-1].arrays()
         for data in datas:
             traces, bloch, times, counts = data.arrays()
-            live = [r for r in data.records if r.time > 0]
-            mats = np.array([r.element.matrix for r in live])
+            mats = np.array([r.element.matrix for r in data.records])
             # The arrays hold the four-vectors (Tr M, Tr sigma M), and the
             # records are their views M = (Tr M + m.sigma)/2.
             vecs = np.column_stack([traces, bloch])
             assert np.array_equal(mats, quantum.from_stokes(vecs))
             np.testing.assert_allclose(quantum.to_stokes(mats), vecs, rtol=0, atol=1e-15)
-            assert np.array_equal(times, [r.time for r in live])
-            assert np.array_equal(counts, [r.counts for r in live])
+            assert np.array_equal(times, [r.time for r in data.records])
+            assert np.array_equal(counts, [r.counts for r in data.records])
             for mine, run in zip((traces, bloch, times, counts), final):
                 assert np.shares_memory(mine, run)
 
@@ -263,7 +262,7 @@ class TestRunArrays:
                                        np.array([7, 0]))
         assert list(newer.arrays()[2]) == [1.0, 2.0]
         assert list(newer.arrays()[3]) == [3.0, 5.0]
-        assert list(branch.arrays()[2]) == [1.0, 0.5]    # t = 0 records carry nothing
+        assert list(branch.arrays()[2]) == [1.0, 0.5, 0.0]    # t = 0 records are kept
         assert list(first.arrays()[3]) == [3.0]
         assert len(branch.records) == 3
         assert not np.shares_memory(newer.arrays()[2], branch.arrays()[2])
@@ -389,6 +388,31 @@ class TestReplayCounts:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             replay_counts(RecordStream([], [], [], [], 100.0, 1.0))
+
+    def test_zero_time_group_changes_no_row(self, tmp_path):
+        # A group of t = 0 records added to a record file mid-stream: it
+        # adds no emitted copies, so its prefix repeats the n_emit of the
+        # one before and is never picked; every later prefix holds it, and
+        # every row is the one without it, the group index past it shifted.
+        _, records = self.make_trace()
+        path = tmp_path / "records.csv"
+        write_records(path, records)
+        lines = path.read_text().splitlines()
+        ends = records.group_ends()
+        cut = int(ends[len(ends) // 2 - 1])    # records up to a group's end
+        lines[1 + cut:1 + cut] = ["999,1,0,0,0,0,0,0,0,0,0", "999,0,0,0,0,0,0,1,0,0,0"]
+        path.write_text("\n".join(lines) + "\n")
+        padded = read_records(path)[0]
+        assert len(padded) == len(records) + 2 and not padded.times[cut:cut + 2].any()
+
+        rep, rep_padded = replay_counts(records), replay_counts(padded)
+        assert np.array_equal(rep_padded.iteration,
+                              rep.iteration + (rep.iteration >= len(ends) // 2))
+        assert np.array_equal(rep_padded.n_emit, rep.n_emit)
+        assert np.array_equal(rep_padded.n_det, rep.n_det)
+        for column in ("d_bures_sq", "fidelity", "loglik"):
+            np.testing.assert_allclose(getattr(rep_padded, column), getattr(rep, column),
+                                       rtol=1e-12, atol=1e-15)
 
 
 class TestRecordIO:
