@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Plot aggregated convergence-curve files against the reference bounds.
 
-Reads curve_*.csv files produced by `tomosim simulate` (or plot_*.csv from
-`tomosim analyze`) and renders a log-log figure with the 9/(4N) and
-1/sqrt(N) guide lines. Requires matplotlib (not a core dependency).
+Reads the curve_*.csv files that `tomosim simulate` writes (and a replay's
+replay_curve.csv) and renders a log-log figure with two guide lines: the
+mixed-state bound 9/(4N) and 1/sqrt(N), the rate of a non-adaptive scheme
+on pure states. Requires matplotlib (not a core dependency).
 """
 
 import argparse

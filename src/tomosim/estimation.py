@@ -21,12 +21,11 @@ from .quantum import (
     DensityMatrix,
     NotPositiveSemidefiniteError,
     PovmElement,
+    as_four_vectors,
     first_failure,
     from_stokes,
     hermitize,
     maximally_mixed,
-    stack_checks,
-    stack_spectrum,
     to_stokes,
     trace_norm,
 )
@@ -99,19 +98,27 @@ def stack_records(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([r.time for r in records], dtype=float), counts)
 
 
-def checked_records(mats, times, counts, where=lambda i: f"record {i}"):
-    """Stacked records, (K, 2, 2) matrices, times and integer counts, as
-    arrays, checked together as PovmElement and MeasurementRecord check
-    one; an error names its record i as ``where(i)``."""
-    mats = np.asarray(mats, dtype=complex).reshape(-1, 2, 2)
+def checked_records(vecs, times, counts, where=lambda i: f"record {i}"):
+    """Stacked records, (K, 4) four-vectors (Tr M, Tr sigma M), times and
+    integer counts, as arrays, checked together as PovmElement and
+    MeasurementRecord check one: M = (v_0 + m.sigma)/2 has the eigenvalues
+    (v_0 -+ |m|)/2. An error names its record i as ``where(i)``."""
+    vecs = as_four_vectors(vecs)
     times, counts = np.asarray(times, dtype=float), np.asarray(counts)
-    if not times.shape == counts.shape == (len(mats),):
-        raise ValueError(f"{len(mats)} records but times of shape {times.shape} "
+    if not times.shape == counts.shape == (len(vecs),):
+        raise ValueError(f"{len(vecs)} records but times of shape {times.shape} "
                          f"and counts of shape {counts.shape}")
     if counts.size and counts.dtype.kind not in "iu":
         raise ValueError("record counts must be integers")
-    trace, norm = stack_spectrum(mats)
-    failure = first_failure(stack_checks(mats, trace, norm, "POVM element") + [
+    trace = vecs[:, 0]
+    # The finite check comes first: the others would read inf - inf as NaN.
+    with np.errstate(invalid="ignore", over="ignore"):
+        lowest = (trace - np.linalg.norm(vecs[:, 1:], axis=1)) / 2
+    failure = first_failure([
+        (~np.isfinite(vecs).all(axis=1),
+         lambda i: ValueError("POVM element has a non-finite entry")),
+        (~(lowest >= -EIGENVALUE_CLAMP),
+         lambda i: ValueError(f"POVM element has eigenvalue {lowest[i]:.3e}")),
         (np.abs(trace - 1.0) > 1e-9, lambda i: ValueError(
             f"record element must have unit trace, got {float(trace[i])!r}")),
         (~((times >= 0) & (times < math.inf)), lambda i: ValueError(
@@ -122,7 +129,7 @@ def checked_records(mats, times, counts, where=lambda i: f"record {i}"):
     ])
     if failure is not None:
         raise ValueError(f"{where(failure[0])}: {failure[1]}")
-    return mats, times, counts
+    return vecs, times, counts
 
 
 def check_exposure(intensity: float, times: np.ndarray) -> None:

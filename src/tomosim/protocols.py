@@ -29,6 +29,7 @@ from .quantum import (
     INERT_WEIGHT,
     STOKES,
     DensityMatrix,
+    as_four_vectors,
     first_failure,
     haar_unitary,
     maximally_mixed,
@@ -59,7 +60,7 @@ class MeasurementPlan:
     """
 
     def __init__(self, vectors, time_weights, groups):
-        vecs = np.array(vectors, dtype=float).reshape(-1, 4)
+        vecs = as_four_vectors(vectors)
         times = np.array(time_weights, dtype=float).reshape(-1)
         groups = tuple(map(tuple, groups))
         if not len(vecs):

@@ -51,6 +51,15 @@ def trace_norm(a) -> float:
     return float(s.sum())
 
 
+def as_four_vectors(vecs) -> np.ndarray:
+    """A copy of vecs as a (K, 4) float array of four-vectors; any other
+    shape of non-empty input, a (K, 2, 2) matrix stack say, is rejected."""
+    v = np.asarray(vecs)
+    if v.size and (v.ndim != 2 or v.shape[1] != 4):
+        raise ValueError(f"expected (K, 4) four-vectors, got shape {v.shape}")
+    return np.array(v, dtype=float).reshape(-1, 4)
+
+
 def require_qubit(dim: int, source) -> None:
     """Reject a matrix, state or record stream that is not a qubit (D = 2)."""
     if dim != 2:
@@ -70,41 +79,12 @@ def first_failure(checks) -> tuple[int, ValueError] | None:
     return next((i, error(i)) for mask, error in checks if mask[i])
 
 
-def stack_spectrum(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S_0, |s|) of each matrix of a (K, 2, 2) stack, read as
-    _hermitian_psd reads one."""
-    a, c, d = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
-    return a.real + d.real, np.hypot(a.real - d.real, 2.0 * np.abs(c))
-
-
-def _defects(mats: np.ndarray) -> np.ndarray:
-    """|A - A^dag| elementwise over a stack: 2 |Im a|, 2 |Im d|, |b - c*|."""
-    return np.abs(mats - mats.conj().swapaxes(1, 2))
-
-
-def stack_checks(mats: np.ndarray, trace: np.ndarray, norm: np.ndarray, what: str):
-    """_hermitian_psd's checks over a stack, given its stack_spectrum, as
-    (failing rows, error of row i) pairs for first_failure, after a check
-    that every entry is finite: the others read inf - inf as NaN."""
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
-        defect = _defects(mats).max(axis=(1, 2))
-        lowest = (trace - norm) / 2
-    return [
-        (~finite, lambda i: ValueError(f"{what} has a non-finite entry")),
-        (~(defect <= HERMITICITY_TOL),
-         lambda i: NonHermitianError(f"{what} not Hermitian: defect {defect[i]:.3e}")),
-        (~(lowest >= -EIGENVALUE_CLAMP),
-         lambda i: NotPositiveSemidefiniteError(f"{what} has eigenvalue {lowest[i]:.3e}")),
-    ]
-
-
 def _hermitian_psd(a, what: str) -> tuple[np.ndarray, float]:
     """a as a read-only 2x2 complex matrix, checked finite, Hermitian and
     PSD, and its trace. For (S_0 + s.sigma)/2 the eigenvalues are
     (S_0 -+ |s|)/2, read, as eigvalsh reads them, from the real diagonal and
-    the lower triangle. The finite check comes first, as in stack_checks:
-    the others would read inf - inf as NaN."""
+    the lower triangle. The finite check comes first: the others would
+    read inf - inf as NaN."""
     m = as_square_complex(a)
     require_qubit(m.shape[0], what)
     if not np.isfinite(m).all():

@@ -33,6 +33,7 @@ from .protocols import (
     next_plan,
 )
 from .quantum import (
+    HERMITICITY_TOL,
     DensityMatrix,
     PovmElement,
     fidelity,
@@ -90,15 +91,15 @@ class GroupedRecord(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class RecordStream(Sequence):
     """A chronological record stream as arrays: each record's exposure-group
-    id, unit-trace (K, 2, 2) matrix, time and counts, checked once, together,
-    as MeasurementRecord checks one; plus the detected rate I * eff its
-    counts follow, held to the estimator's limits on I * t, and the
-    detector efficiency eff in (0, 1]. Indexing and iteration give
-    GroupedRecord views, built on demand. Unpickling rebuilds a stream
-    through the constructor."""
+    id, the (K, 4) four-vector (Tr M, Tr sigma M) of its unit-trace element
+    M, its time and counts, checked once, together, as MeasurementRecord
+    checks one; plus the detected rate I * eff its counts follow, held to
+    the estimator's limits on I * t, and the detector efficiency eff in
+    (0, 1]. Indexing and iteration give GroupedRecord views, built on
+    demand. Unpickling rebuilds a stream through the constructor."""
 
     group_ids: np.ndarray
-    matrices: np.ndarray
+    vectors: np.ndarray
     times: np.ndarray
     counts: np.ndarray
     rate: float
@@ -106,7 +107,7 @@ class RecordStream(Sequence):
 
     def __post_init__(self):
         gids = np.array(self.group_ids, dtype=np.int64).reshape(-1)
-        records = checked_records(self.matrices, self.times, self.counts)
+        records = checked_records(self.vectors, self.times, self.counts)
         if gids.size != records[1].size:
             raise ValueError(f"{gids.size} group ids for {records[1].size} records")
         rate, efficiency = float(self.rate), float(self.efficiency)
@@ -114,7 +115,7 @@ class RecordStream(Sequence):
         check_exposure(rate, records[1])
         if not 0.0 < efficiency <= 1.0:
             raise ValueError(f"detector efficiency must be in (0, 1], got {efficiency!r}")
-        for name, value in zip(("group_ids", "matrices", "times", "counts"),
+        for name, value in zip(("group_ids", "vectors", "times", "counts"),
                                (gids, *map(np.array, records))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -129,7 +130,8 @@ class RecordStream(Sequence):
 
     def __getitem__(self, i: int) -> GroupedRecord:
         return GroupedRecord(int(self.group_ids[i]), MeasurementRecord(
-            PovmElement(self.matrices[i]), float(self.times[i]), int(self.counts[i])))
+            PovmElement(from_stokes(self.vectors[i])), float(self.times[i]),
+            int(self.counts[i])))
 
     def group_ends(self) -> np.ndarray:
         """One past the last record of each exposure group, in order."""
@@ -263,17 +265,16 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
         base_time = budget / (src.intensity * exposure)
         (gids, vecs, times, counts), detected, group_id = _measure_plan(
             plan, rho_true, src, base_time, rng, group_id)
-        # The stream keeps the records' matrices, which a record file
-        # carries, and the estimator reads their four-vectors, so a replay
-        # of the written stream re-estimates bit for bit.
-        mats = from_stokes(vecs)
-        batches.append((gids, mats, times, counts))
+        # One round trip through 2x2 matrices rounds the plan's four-vectors
+        # as the golden traces were made, so traces keep their bytes; the
+        # stream, and a file written from it, hold what the estimator reads.
+        vecs = to_stokes(from_stokes(vecs))
+        batches.append((gids, vecs, times, counts))
         n_det += detected
         n_emit += emitted_copies(base_time * exposure, src)
 
         # Counts arrive at the detected rate I * eff; N_emit stays on I.
         # Each iteration's data extends the last one's arrays.
-        vecs = to_stokes(mats)
         data = (LikelihoodData.from_arrays(rate, vecs, times, counts)
                 if data is None else data.extended_arrays(vecs, times, counts))
         rho_hat, loglik = _estimate(data, mle_iters)
@@ -312,12 +313,11 @@ def replay_counts(stream: RecordStream, n0: float | None = None, *,
     I * t. Distances are measured against the final assessment, the
     estimate at N0 (defaults to the full stream), instead of an unknown
     true state. Prefixes are cut at exposure-group boundaries on a
-    logarithmic N grid.
+    logarithmic N grid from the first group with N > 0.
     """
-    if not len(stream):
-        raise ValueError("empty record stream")
+    if not stream.times.any():
+        raise ValueError("empty record stream: it needs a record with positive time")
     ends = stream.group_ends()
-    vecs = to_stokes(stream.matrices)
     emitted = stream.rate / stream.efficiency
     group_times = np.maximum.reduceat(stream.times, np.append(0, ends[:-1])).tolist()
     cum_n = list(accumulate(emitted * t for t in group_times))
@@ -326,15 +326,16 @@ def replay_counts(stream: RecordStream, n0: float | None = None, *,
     def prefix(idx: int) -> LikelihoodData:
         """The data of the first idx + 1 groups."""
         stop = ends[idx]
-        return LikelihoodData.from_arrays(stream.rate, vecs[:stop],
+        return LikelihoodData.from_arrays(stream.rate, stream.vectors[:stop],
                                           stream.times[:stop], stream.counts[:stop])
 
+    first = next(i for i, n in enumerate(cum_n) if n > 0)
     n0 = cum_n[-1] if n0 is None else float(n0)
-    ref_idx = max(i for i, n in enumerate(cum_n) if n <= n0 or i == 0)
+    ref_idx = max(i for i, n in enumerate(cum_n) if n <= n0 or i == first)
     ref_state, ref_loglik = _estimate(prefix(ref_idx))
 
-    span = math.log10(cum_n[ref_idx] / cum_n[0]) if cum_n[ref_idx] > cum_n[0] else 0.0
-    targets = np.geomspace(cum_n[0], cum_n[ref_idx],
+    span = math.log10(cum_n[ref_idx] / cum_n[first])
+    targets = np.geomspace(cum_n[first], cum_n[ref_idx],
                            num=max(2, int(span * points_per_decade) + 1))
     picks = sorted({min(bisect_left(cum_n, t), ref_idx) for t in targets} | {ref_idx})
 
@@ -355,10 +356,11 @@ def replay_counts(stream: RecordStream, n0: float | None = None, *,
 # Trace files: a header line of the trace columns, then one line per row.
 #
 # Record streams: one exposure record per line,
-#   group_id, 8 projector reals (row-major, re/im interleaved), time, counts
+#   group_id, the element's four-vector v0, v1, v2, v3, time, counts
 # preceded by a header line carrying D = 2, the detected rate I * eff the
 # counts follow and, optionally, the detector efficiency eff (1 if absent).
-# State files share the matrix codec.
+# Older files' lines, still read, hold the element's 2x2 matrix as 8 reals
+# (row-major, re/im interleaved), the matrix codec of state files.
 
 def _fmt(x: float) -> str:
     x = float(x)
@@ -447,9 +449,9 @@ def write_records(path, stream: RecordStream) -> None:
     if not len(stream):
         raise ValueError("nothing to write")
     lines = [f"2,{_fmt(stream.rate)},{_fmt(stream.efficiency)}"]
-    for gid, m, t, n in zip(stream.group_ids.tolist(), stream.matrices, stream.times.tolist(),
-                            stream.counts.tolist()):
-        lines.append(",".join([str(gid), *_matrix_fields(m), _fmt(t), str(n)]))
+    for gid, v, t, n in zip(stream.group_ids.tolist(), stream.vectors.tolist(),
+                            stream.times.tolist(), stream.counts.tolist()):
+        lines.append(",".join([str(gid), *map(_fmt, v), _fmt(t), str(n)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -459,7 +461,9 @@ def read_records(path) -> tuple[RecordStream, int, float]:
 
     Every line is parsed and every record checked, together, before the
     stream is returned; an error names the file and line, the header's
-    for its rate and efficiency."""
+    for its rate and efficiency. Older files' 11-field matrix lines are
+    checked Hermitian, as one stack once all are parsed, and read as
+    four-vectors. A stream needs a record with positive time."""
     lines = _numbered_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty record file")
@@ -471,18 +475,34 @@ def read_records(path) -> tuple[RecordStream, int, float]:
         dim, rate = int(head[0]), float(head[1])
         efficiency = float(head[2]) if len(head) == 3 else 1.0
     require_qubit(dim, f"{path}:{head_no}")
-    cells = []
+    cells, legacy = [], {}
     for no, ln in lines[1:]:
         with _at_line(path, no):
             parts = ln.split(",")
-            if len(parts) != 11:
-                raise ValueError(f"malformed record line (expected 11 fields): {ln!r}")
-            cells.append((np.int64(int(parts[0])), _qubit_matrix(parts[1:-2]),
-                          float(parts[-2]), np.int64(int(parts[-1]))))
-    gids, mats, times, counts = zip(*cells) if cells else ((), (), (), ())
-    mats, times, counts = checked_records(
-        np.array(mats), times, np.array(counts, dtype=np.int64),
+            if len(parts) == 11:
+                legacy[len(cells)] = _qubit_matrix(parts[1:-2])
+                vec = (math.nan,) * 4    # set from the matrix below
+            elif len(parts) == 7:
+                vec = tuple(map(float, parts[1:-2]))
+            else:
+                raise ValueError(f"malformed record line (expected 7 or 11 fields): {ln!r}")
+            cells.append((np.int64(int(parts[0])), vec, float(parts[-2]),
+                          np.int64(int(parts[-1]))))
+    gids, vecs, times, counts = zip(*cells) if cells else ((), (), (), ())
+    vecs = np.array(vecs, dtype=float).reshape(-1, 4)
+    if legacy:
+        rows, mats = list(legacy), np.array(list(legacy.values()))
+        defect = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        if defect.max() > HERMITICITY_TOL:
+            k = int(np.argmax(defect > HERMITICITY_TOL))
+            raise ValueError(f"{path}:{lines[1 + rows[k]][0]}: POVM element not "
+                             f"Hermitian: defect {defect[k]:.3e}")
+        vecs[rows] = to_stokes(mats)
+    vecs, times, counts = checked_records(
+        vecs, times, np.array(counts, dtype=np.int64),
         where=lambda i: f"{path}:{lines[1 + i][0]}")
+    if not times.any():
+        raise ValueError(f"{path}: need at least one record with positive time")
     with _at_line(path, head_no):
-        stream = RecordStream(gids, mats, times, counts, rate, efficiency)
+        stream = RecordStream(gids, vecs, times, counts, rate, efficiency)
     return stream, dim, stream.rate

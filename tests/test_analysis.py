@@ -234,6 +234,24 @@ def test_every_plan_obeys_the_gill_massar_bound(seed, random_v):
         assert asymptotic_constant(plan, rho) >= 9 / 4 - 1e-12
 
 
+def test_unitary_freedom_leaves_the_nc_and_m_constants_at_small_delta():
+    # At delta -> 0 the transformed MUB set of rankp-nc and rankp-m is
+    # isotropic at I/2, so the predicted constant does not depend on V;
+    # rankp-b's does, which keeps the comparison meaningful.
+    rng = np.random.default_rng(424242)
+    moved = dict.fromkeys(("rankp-nc", "rankp-m", "rankp-b"), 0.0)
+    for _ in range(20):
+        rho = random_bures_mixed(rng)
+        for protocol in moved:
+            identity_v = asymptotic_constant(next_plan(protocol, rho, rng, delta=1e-10), rho)
+            for _ in range(10):
+                plan = next_plan(protocol, rho, rng, delta=1e-10, random_v=True)
+                moved[protocol] = max(moved[protocol],
+                                      abs(asymptotic_constant(plan, rho) / identity_v - 1))
+    assert moved["rankp-nc"] <= 1e-12 and moved["rankp-m"] <= 1e-12, moved
+    assert moved["rankp-b"] > 1e-3, moved
+
+
 class TestAsymptoticConstant:
     def test_one_basis_informs_no_estimate(self):
         rng = np.random.default_rng(3)

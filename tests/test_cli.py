@@ -662,7 +662,10 @@ class TestReplayCommand:
         ("0,1,0,0,0,0,0,-0.5,0,1,5", "POVM element has eigenvalue -5.000e-01"),
         ("0,1,0,0,0,0,0,0,0,1,-5", "record counts must be a non-negative integer"),
         ("0,1,0,0,0,0,0,0,0,0,5", "zero exposition time cannot register counts"),
-        ("0,1,0,0,0,0,0,0", "malformed record line (expected 11 fields)")])
+        ("0,1,0,0.5,0,0,0,0,0,1,5", "POVM element not Hermitian: defect 5.000e-01"),
+        # a four-vector line: the element (1 + 1.5 sigma_z)/2
+        ("0,1,0,0,1.5,1,5", "POVM element has eigenvalue -2.500e-01"),
+        ("0,1,0,0,0,0,0,0", "malformed record line (expected 7 or 11 fields)")])
     def test_bad_record_fails_before_any_output(self, tmp_path, capsys, line, message):
         # The good stream comes first: every file is checked before any
         # output of the replay exists.
@@ -672,6 +675,40 @@ class TestReplayCommand:
         rc = main(["replay", str(good), str(bad), "--out", str(tmp_path / "rep")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"tomosim: {bad}:4: {message}")
+        assert not (tmp_path / "rep").exists()
+
+    def test_leading_zero_time_group_replays(self, tmp_path, capsys):
+        # A first exposure group held for t = 0 emits no copies: the N grid
+        # starts at the first group with N > 0, and every row is the one of
+        # the file without that group, its iteration index shifted by one.
+        path = self.make_records(tmp_path, n_max=2 * 10 ** 3)[0]
+        head, *lines = path.read_text().splitlines()
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n".join([head, "-1,1,0,0,0,0,0,0,0,0,0", *lines]) + "\n")
+        assert main(["replay", str(path), "--out", str(tmp_path / "rep")]) == 0
+        assert main(["replay", str(padded), "--out", str(tmp_path / "rep_padded")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rep = read_trace_file(tmp_path / "rep" / "replay_000.csv")
+        rep_padded = read_trace_file(tmp_path / "rep_padded" / "replay_000.csv")
+        assert np.array_equal(rep_padded.iteration, rep.iteration + 1)
+        assert np.array_equal(rep_padded.n_emit, rep.n_emit)
+        assert np.array_equal(rep_padded.n_det, rep.n_det)
+        for column in ("d_bures_sq", "fidelity", "loglik"):
+            np.testing.assert_allclose(getattr(rep_padded, column), getattr(rep, column),
+                                       rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("records", ["-1,1,0,0,0,0,0,0,0,0,0\n", "-1,1,0,0,1,0,0\n", ""],
+                             ids=["matrix-line", "four-vector-line", "header-only"])
+    def test_stream_without_exposure_fails_before_any_output(self, tmp_path, capsys, records):
+        # The good stream comes first: every file is checked before any
+        # output of the replay exists.
+        good = self.make_records(tmp_path, n_max=2 * 10 ** 3)[0]
+        bad = tmp_path / "unexposed.csv"
+        bad.write_text(f"2,1000\n{records}")
+        rc = main(["replay", str(good), str(bad), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"tomosim: {bad}: need at least one record with positive time\n")
         assert not (tmp_path / "rep").exists()
 
     def test_each_record_file_opened_once(self, tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 
 from tomosim.estimation import LikelihoodData, log_likelihood, mle_estimate
 from tomosim.protocols import PROTOCOLS
-from tomosim.simulator import read_records, replay_counts
+from tomosim.simulator import read_records, replay_counts, write_records, write_trace_file
 from conftest import bloch_ball_optimum
 
 DATA = Path(__file__).parent / "data"
@@ -63,3 +63,15 @@ def test_default_call_reaches_optimum_of_short_stop_prefix():
     optimum = bloch_ball_optimum(records, intensity)
     assert optimum is not None, "optimum on the sphere"
     assert abs(ll - optimum) <= 1e-6
+
+
+def test_rewritten_corpus_replays_to_the_same_trace(tmp_path):
+    # The corpus holds an older file's 11-field matrix lines; write_records
+    # rewrites them as 7-field four-vector lines, which replay the same.
+    legacy = read_records(DATA / "corpus_eigen_bures.csv")[0]
+    write_records(tmp_path / "rewritten.csv", legacy)
+    rewritten = read_records(tmp_path / "rewritten.csv")[0]
+    for stream, name in ((legacy, "legacy"), (rewritten, "rewritten")):
+        write_trace_file(tmp_path / f"{name}_trace.csv", replay_counts(stream))
+    assert (tmp_path / "legacy_trace.csv").read_bytes() == (
+        tmp_path / "rewritten_trace.csv").read_bytes()

@@ -482,6 +482,15 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="not orthogonal"):
             MeasurementPlan(vecs, [1.0, 1.0], ((0, 1),))
 
+    @pytest.mark.parametrize("vectors", [
+        np.eye(2)[None], projector(quantum.KET_H)[None], [1.0, 0.0, 0.0, 1.0],
+        [[1.0, 0.0], [0.0, 1.0]]], ids=["identity-stack", "projector-stack", "flat", "two-columns"])
+    def test_only_four_vectors_taken(self, vectors):
+        # A (K, 2, 2) matrix stack holds 4K numbers too; it is rejected, not
+        # read as four-vectors (eye(2) would read as |0><0|).
+        with pytest.raises(ValueError, match=r"^expected \(K, 4\) four-vectors, got shape"):
+            MeasurementPlan(vectors, [1.0], ((0,),))
+
     def test_non_finite_projector_rejected(self):
         with pytest.raises(ValueError, match="rank 1"):
             MeasurementPlan([[1.0, np.nan, 0.0, 0.0]], [1.0], ((0,),))

@@ -446,6 +446,33 @@ class TestRecordIO:
         write_records(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_seven_field_file_round_trips_bit_for_bit(self, tmp_path, rng):
+        # Records are written as group id, four-vector, time and counts, and
+        # read back to the very arrays the run's estimator read.
+        _, records = run_tomography("rankp-m", random_bures_mixed(rng), SourceModel(1000.0, 0.8),
+                                    Schedule(100, 1.3, 3000), 29, random_v=True)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_records(p1, records)
+        head, *lines = p1.read_text().splitlines()
+        assert head == "2,800,0.80000000000000004"
+        assert {len(line.split(",")) for line in lines} == {7}
+        back = read_records(p1)[0]
+        for name in ("group_ids", "vectors", "times", "counts"):
+            want, got = getattr(records, name), getattr(back, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        write_records(p2, back)
+        assert p2.read_bytes() == p1.read_bytes()
+
+    def test_matrix_lines_read_as_four_vectors(self, tmp_path):
+        # An older file's 11-field line carries the element's 2x2 matrix; it
+        # reads as the four-vector to_stokes gives, beside a 7-field line.
+        p = tmp_path / "old.csv"
+        p.write_text("2,1000\n0,0.5,0,0.5,0,0.5,0,0.5,0,1,3\n0,0.5,0,-0.5,0,-0.5,0,0.5,0,1,2\n"
+                     "1,1,0,0,1,2,4\n")
+        back = read_records(p)[0]
+        assert back.vectors.tolist() == [[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 0, 1]]
+        assert back.times.tolist() == [1, 1, 2] and back.counts.tolist() == [3, 2, 4]
+
     def test_malformed_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("not,a,header\n")
@@ -459,15 +486,15 @@ class TestRecordIO:
             read_records(p)
 
     def test_non_finite_stream_matrix_rejected(self):
-        # Rejected by name before the Hermitian and PSD checks, which would
-        # read inf - inf as NaN, and without a numpy warning on the way.
-        for matrix in ([[np.nan, 0], [0, 0]], [[np.inf, 0], [0, 0]], [[1, 0], [0, -np.inf]],
-                       [[1, complex(0, np.inf)], [0, 0]]):
+        # Rejected by name before the PSD check, which would read inf - inf
+        # as NaN, and without a numpy warning on the way.
+        for vector in ([np.nan, 0, 0, 0], [np.inf, 0, 0, 0], [1, 0, 0, -np.inf],
+                       [1, np.inf, 0, 0], [np.inf, 0, np.inf, 0]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError,
                                    match="^record 0: POVM element has a non-finite entry$"):
-                    RecordStream([0], [matrix], [1.0], [3], 100.0, 1.0)
+                    RecordStream([0], [vector], [1.0], [3], 100.0, 1.0)
 
     @pytest.mark.parametrize("rate, efficiency, time, message", [
         (np.nan, 1.0, 1.0, "intensity must be positive and finite, got nan"),
@@ -488,9 +515,17 @@ class TestRecordIO:
              "time-overflow", "rate-subnormal"])
     def test_stream_checks_rate_and_efficiency(self, rate, efficiency, time, message):
         # The record with t = 0 is left out of the least I * t.
-        projector = [[1, 0], [0, 0]]
+        projector = [1, 0, 0, 1]    # |0><0|
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RecordStream([0, 0], [projector, projector], [time, 0.0], [3, 0], rate, efficiency)
+
+    @pytest.mark.parametrize("vectors", [[[[1, 0], [0, 0]]], [1, 0, 0, 1], [[1, 0], [0, 1]]],
+                             ids=["matrix-stack", "flat", "two-columns"])
+    def test_stream_takes_only_four_vectors(self, vectors):
+        # A (K, 2, 2) matrix stack holds 4K numbers too; it is rejected, not
+        # read as four-vectors (|0><0| would read as the I/2 four-vector).
+        with pytest.raises(ValueError, match=r"^expected \(K, 4\) four-vectors, got shape"):
+            RecordStream([0], vectors, [1.0], [3], 100.0, 1.0)
 
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
