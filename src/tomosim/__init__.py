@@ -16,7 +16,6 @@ from .estimation import (
     MleOptions,
     log_likelihood,
     mle_estimate,
-    regularize_full_rank,
 )
 from .protocols import (
     PROTOCOLS,
@@ -31,7 +30,6 @@ from .protocols import (
 from .quantum import (
     DensityMatrix,
     PovmElement,
-    born_probability,
     bures_sq,
     fidelity,
     haar_unitary,
@@ -46,7 +44,6 @@ from .simulator import (
     Schedule,
     SourceModel,
     Trace,
-    emitted_copies,
     read_records,
     replay_counts,
     run_tomography,

@@ -43,7 +43,6 @@ from .simulator import (
     Trace,
     _at_line,
     _fmt,
-    _matrix_fields,
     _numbered_lines,
     _qubit_matrix,
     read_records,
@@ -148,10 +147,6 @@ def read_state_file(path) -> DensityMatrix:
     require_qubit(dim, f"{path}:{dim_no}")
     with _at_line(path, no):
         return DensityMatrix(_qubit_matrix(entries.split(",")))
-
-
-def write_state_file(path, rho: DensityMatrix) -> None:
-    Path(path).write_text("2\n" + ",".join(_matrix_fields(rho.matrix)) + "\n")
 
 
 def _true_states(cfg: CampaignConfig) -> list[DensityMatrix]:
@@ -444,8 +439,10 @@ def _parse_positive_int(text: str) -> int:
 
 
 def _parse_window(text: str) -> tuple[float, float]:
-    n1, _, n2 = text.partition(":")
-    return float(n1), float(n2)
+    n1, n2 = map(float, text.partition(":")[::2])
+    if not 0.0 < n1 < n2 < math.inf:
+        raise argparse.ArgumentTypeError(f"must be N1:N2 with 0 < N1 < N2 finite, got {text!r}")
+    return n1, n2
 
 
 def _default_out() -> str:

@@ -772,13 +772,3 @@ def _check_counts_on_support(mats, counts, basis, support):
                     f"out-of-support weight {leak:.3e}"
                 )
 
-
-def regularize_full_rank(rho: DensityMatrix, delta: float) -> DensityMatrix:
-    """Mix with the fully mixed state: (1-delta) rho + delta eye/2.
-
-    Guarantees every eigenvalue is >= delta/2, which the rank-preserving
-    transformation needs before inverting the spectrum.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    return DensityMatrix((1.0 - delta) * rho.matrix + delta * np.eye(2) / 2)

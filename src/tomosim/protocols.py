@@ -55,8 +55,8 @@ class MeasurementPlan:
     their unit-trace rank-1 projectors and their (K,) time weights, and
     checked once, together: unit trace, rank 1 (the four-vector is null),
     positive times and Tr(Ma Mb) = (1 + ma.mb)/2 = 0 within a group.
-    ``order`` lists the measurement indices group by group, and
-    ``group_of`` the group of each entry of ``order``.
+    The groups list the measurement indices in index order, and
+    ``group_of`` holds the group of each measurement.
     """
 
     def __init__(self, vectors, time_weights, groups):
@@ -67,9 +67,7 @@ class MeasurementPlan:
             raise ValueError("a plan needs at least one measurement")
         if times.size != len(vecs):
             raise ValueError(f"{len(vecs)} projectors but {times.size} time weights")
-        order, group_of, pairs = _layout(groups)
-        if order.size != len(vecs):
-            raise ValueError("groups must partition the measurement indices")
+        group_of, pairs = _layout(groups, len(vecs))
         trace = vecs[:, 0]
         norm = np.sqrt(np.einsum("ka,ka->k", vecs[:, 1:], vecs[:, 1:]))
         # Rank 1 is a null four-vector: the eigenvalues are (S_0 +- |s|)/2.
@@ -92,8 +90,7 @@ class MeasurementPlan:
                                  f"orthogonal (|Tr Ma Mb| = {overlaps[k]:.3e})")
         vecs.setflags(write=False)
         times.setflags(write=False)
-        self.vectors, self.time_weights, self.groups = vecs, times, groups
-        self.order, self.group_of = order, group_of
+        self.vectors, self.time_weights, self.groups, self.group_of = vecs, times, groups, group_of
 
     def exposure_weight(self) -> float:
         """Total exposure per unit base time: one max-weight slot per group."""
@@ -102,17 +99,15 @@ class MeasurementPlan:
 
 
 @lru_cache(maxsize=64)
-def _layout(groups: tuple[tuple[int, ...], ...]):
-    """(order, group_of, pairs) of a plan's groups: the measurement indices
-    group by group, the group of each, and the index arrays (a, b) of the
-    pairs sharing a group, None if there are none; read-only, and kept for
-    the next plan of the same shape."""
-    order = [i for g in groups for i in g]
-    if sorted(order) != list(range(len(order))):
-        raise ValueError("groups must partition the measurement indices")
+def _layout(groups: tuple[tuple[int, ...], ...], size: int):
+    """(group_of, pairs) of a plan's groups of its size measurements: the
+    group of each measurement and the index arrays (a, b) of the pairs
+    sharing a group, None if there are none; read-only, and kept for the
+    next plan of the same shape."""
+    if [i for g in groups for i in g] != list(range(size)):
+        raise ValueError("groups must partition the measurement indices in index order")
     pairs = [ab for g in groups for ab in combinations(g, 2)]
-    out = (np.array(order, dtype=np.intp),
-           np.array([j for j, g in enumerate(groups) for _ in g], dtype=np.int64),
+    out = (np.array([j for j, g in enumerate(groups) for _ in g], dtype=np.int64),
            np.array(pairs, dtype=np.intp).T if pairs else None)
     for a in out:
         if a is not None:

@@ -1,7 +1,7 @@
 """Quantum domain objects and primitives of a qubit-only package.
 
-States, POVM elements, the Born rule, fidelity and Bures metrics,
-the qubit mutually-unbiased-basis projector set, random-state sampling
+States, POVM elements, fidelity and Bures metrics, the qubit
+mutually-unbiased-basis projector set, random-state sampling
 (Haar-uniform pure states, Bures-ensemble mixed states), and the checks
 and tolerances of the 2x2 complex matrices they are built on.
 """
@@ -119,9 +119,6 @@ class DensityMatrix:
     def __reduce__(self):
         return DensityMatrix, (self.matrix,)
 
-    def purity(self) -> float:
-        return float((self.matrix @ self.matrix).trace().real)
-
     @cached_property
     def det(self) -> float:
         """det of a qubit state, rounded once from its exact value; computed
@@ -154,10 +151,6 @@ class PovmElement:
     def __reduce__(self):
         return PovmElement, (self.matrix,)
 
-    @property
-    def inert(self) -> bool:
-        return self.weight <= INERT_WEIGHT
-
 
 def projector(vec) -> np.ndarray:
     """|v><v| for a 1D complex vector (not normalized here)."""
@@ -172,12 +165,6 @@ def pure_state(vec) -> DensityMatrix:
     # The outer product leaves ~1e-18 imaginary parts on the diagonal and
     # off-diagonals that are not exact conjugates.
     return DensityMatrix(hermitize(projector(v)))
-
-
-def born_probability(element: PovmElement, rho: DensityMatrix) -> float:
-    """Outcome probability Tr(M rho), clamped to [0, Tr M]."""
-    p = float((element.matrix @ rho.matrix).trace().real)
-    return min(max(p, 0.0), element.weight)
 
 
 # Stokes basis (1, sigma_x, sigma_y, sigma_z): a qubit operator is
@@ -244,7 +231,6 @@ KET_R = _SQ2 * np.array([1.0, 1.0j], dtype=complex)
 KET_L = _SQ2 * np.array([1.0, -1.0j], dtype=complex)
 
 MUB_KETS = (KET_H, KET_V, KET_D, KET_A, KET_R, KET_L)
-MUB_LABELS = ("H", "V", "D", "A", "R", "L")
 
 
 def mub_qubit() -> tuple[PovmElement, ...]:

@@ -49,6 +49,9 @@ from .quantum import (
 from .estimation import log_likelihood  # noqa: F401
 from .quantum import bures_sq  # noqa: F401
 
+# The largest mean numpy's Generator.poisson takes: int64 max less 10 sqrt of it.
+POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -66,7 +69,8 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Geometric per-iteration budget of expected emitted copies."""
+    """Geometric per-iteration budget of expected emitted copies; every
+    Poisson mean stays below n_max * growth, held below POISSON_MAX."""
 
     initial_budget: int = 100
     growth: float = 1.25
@@ -79,6 +83,9 @@ class Schedule:
             raise ValueError("growth must be >= 1 and finite")
         if not self.initial_budget < self.n_max < math.inf:
             raise ValueError("n_max must exceed initial_budget and be finite")
+        if not self.n_max * self.growth < POISSON_MAX:
+            raise ValueError(f"n_max * growth = {self.n_max!r} * {self.growth!r} must be "
+                             f"below {POISSON_MAX:.4g}, the largest Poisson mean numpy draws")
 
 
 class GroupedRecord(NamedTuple):
@@ -186,46 +193,29 @@ def sample_counts(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceMod
     (time_weight_i * base_time), p_i = Tr(M_i rho) clamped to [0, Tr M_i].
 
     The Born rule is read on four-vectors, Tr(M rho) = (v_0 + v.r)/2 for
-    M's four-vector (v_0, v) and rho's (1, r). The draws are taken in the
-    order the plan's groups list their members, all by one rng.poisson
-    call, which draws as one call per measurement would. Members of a
-    simultaneity group are sampled by one such draw each from the shared
-    exposure; independent Poisson outcomes are the thinning of the group
-    total.
+    M's four-vector (v_0, v) and rho's (1, r). The draws are taken in index
+    order, all by one rng.poisson call, which draws as one call per
+    measurement would. Members of a simultaneity group are sampled by one
+    such draw each from the shared exposure; independent Poisson outcomes
+    are the thinning of the group total. A base time that is not positive
+    and finite, as an extreme intensity gives, is an error naming it.
     """
-    if base_time <= 0:
-        raise ValueError("base_time must be positive")
-    order = plan.order
-    vecs = plan.vectors[order]
-    p = 0.5 * (vecs @ rho_true.stokes)
-    p = np.minimum(np.maximum(p, 0.0), vecs[:, 0])
-    means = src.intensity * src.efficiency * p * plan.time_weights[order] * base_time
-    counts = np.empty(len(order), dtype=np.int64)
-    counts[order] = rng.poisson(means)
-    return counts
-
-
-def emitted_copies(total_time: float, src: SourceModel) -> float:
-    """Expected copies emitted during total_time: I * total_time.
-
-    Group exposures contribute their duration once, however many
-    projectors they read out; the caller accounts for that via
-    MeasurementPlan.exposure_weight().
-    """
-    if total_time < 0:
-        raise ValueError("total_time must be >= 0")
-    return src.intensity * total_time
+    if not 0.0 < base_time < math.inf:
+        raise ValueError(f"base_time must be positive and finite, got {base_time!r} "
+                         f"at intensity {src.intensity!r}")
+    p = 0.5 * (plan.vectors @ rho_true.stokes)
+    p = np.minimum(np.maximum(p, 0.0), plan.vectors[:, 0])
+    return rng.poisson(src.intensity * src.efficiency * p * plan.time_weights * base_time)
 
 
 def _measure_plan(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceModel,
                   base_time: float, rng: np.random.Generator, next_group_id: int):
-    """Sample every group of a plan; returns its records in group order as
+    """Sample every group of a plan; returns its records in index order as
     arrays (group ids, four-vectors, times, counts), the detected total and
     the next free group id."""
     counts = sample_counts(plan, rho_true, src, base_time, rng)
-    order = plan.order
-    records = (next_group_id + plan.group_of, plan.vectors[order],
-               plan.time_weights[order] * base_time, counts[order])
+    records = (next_group_id + plan.group_of, plan.vectors,
+               plan.time_weights * base_time, counts)
     return records, int(counts.sum()), next_group_id + len(plan.groups)
 
 
@@ -271,7 +261,7 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
         vecs = to_stokes(from_stokes(vecs))
         batches.append((gids, vecs, times, counts))
         n_det += detected
-        n_emit += emitted_copies(base_time * exposure, src)
+        n_emit += src.intensity * (base_time * exposure)
 
         # Counts arrive at the detected rate I * eff; N_emit stays on I.
         # Each iteration's data extends the last one's arrays.
@@ -431,13 +421,8 @@ def read_trace_file(path) -> Trace:
                             for (c, t), col in zip(_ROW_TYPES.items(), zip(*rows))})
 
 
-def _matrix_fields(m: np.ndarray) -> list[str]:
-    """A matrix as row-major reals, re/im interleaved."""
-    return list(map(_fmt, np.asarray(m, dtype=complex).reshape(-1).view(float).tolist()))
-
-
 def _qubit_matrix(fields) -> np.ndarray:
-    """The 2x2 matrix that _matrix_fields wrote as 8 reals."""
+    """A 2x2 matrix from its 8 row-major reals, re/im interleaved."""
     reals = np.array([float(x) for x in fields])
     if reals.size != 8 or not np.isfinite(reals).all():
         raise ValueError(f"expected 8 finite matrix reals, got {fields!r}")

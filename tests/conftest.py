@@ -1,13 +1,40 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from tomosim.quantum import as_square_complex
+from tomosim.quantum import DensityMatrix, PovmElement, as_square_complex
+from tomosim.simulator import _fmt
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def born_probability(element: PovmElement, rho: DensityMatrix) -> float:
+    """Outcome probability Tr(M rho), clamped to [0, Tr M]."""
+    p = float((element.matrix @ rho.matrix).trace().real)
+    return min(max(p, 0.0), element.weight)
+
+
+def regularize_full_rank(rho: DensityMatrix, delta: float) -> DensityMatrix:
+    """Mix with the fully mixed state: (1-delta) rho + delta eye/2.
+
+    Guarantees every eigenvalue is >= delta/2, which the rank-preserving
+    transformation needs before inverting the spectrum.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    return DensityMatrix((1.0 - delta) * rho.matrix + delta * np.eye(2) / 2)
+
+
+def write_state_file(path, rho: DensityMatrix) -> None:
+    """A state file as ``tomosim simulate --states`` reads it: D = 2, then
+    the matrix as 8 row-major reals, re/im interleaved."""
+    reals = rho.matrix.reshape(-1).view(float).tolist()
+    Path(path).write_text("2\n" + ",".join(map(_fmt, reals)) + "\n")
 
 
 def numeric_rank(a, tol: float) -> int:

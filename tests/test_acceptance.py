@@ -19,7 +19,6 @@ from tomosim.estimation import (
     LikelihoodData,
     MeasurementRecord,
     mle_estimate,
-    regularize_full_rank,
 )
 from tomosim.protocols import (
     complement_minimal,
@@ -29,7 +28,6 @@ from tomosim.protocols import (
 )
 from tomosim.quantum import (
     PovmElement,
-    born_probability,
     fidelity,
     from_stokes,
     mub_qubit,
@@ -38,7 +36,7 @@ from tomosim.quantum import (
     random_pure_haar,
 )
 from tomosim.simulator import Schedule, SourceModel
-from conftest import numeric_rank
+from conftest import born_probability, numeric_rank, regularize_full_rank
 
 RUNS = 50
 N_MAX = 10 ** 6

@@ -22,13 +22,13 @@ from tomosim.cli import (
     read_trace_file,
     run_campaign,
     write_curve_file,
-    write_state_file,
     write_trace_file,
 )
 import tomosim
 from tomosim import cli
 from tomosim.analysis import ConvergenceCurve
 from tomosim.estimation import MleOptions
+from tomosim.protocols import PROTOCOLS
 from tomosim.quantum import maximally_mixed, pure_state, random_bures_mixed
 from tomosim import quantum
 from tomosim.simulator import (
@@ -39,6 +39,7 @@ from tomosim.simulator import (
     run_tomography,
     write_records,
 )
+from conftest import write_state_file
 
 
 def simulate_args(out, protocols="eigen", runs=2, n_max="3e3", seed=5, extra=()):
@@ -220,6 +221,35 @@ class TestSimulateCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"tomosim: {state}:{line}: {message}\n"
         assert not (tmp_path / "sim").exists()
+
+    def test_poisson_limit_fails_before_any_output(self, tmp_path, capsys):
+        # Every Poisson mean stays below n_max * growth; numpy draws from
+        # means up to 9.223e18 only.
+        rc = main(["simulate", "--protocol", "eigen", "--runs", "1", "--n-max", "1e20",
+                   "--growth", "1e10", "--workers", "1", "--out", str(tmp_path / "sim")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "tomosim: n_max * growth = 100000000000000000000 * 10000000000.0 must be below "
+            "9.223e+18, the largest Poisson mean numpy draws\n")
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("intensity", ["1e-308", "1e305"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_extreme_intensity_fails_naming_it(self, tmp_path, capsys, protocol, intensity):
+        # A base time budget / (I * exposure) that leaves the positive
+        # finite floats ends the run with a message naming I: at I = 1e-308
+        # the first one overflows; at I = 1e305 I * exposure overflows once
+        # a RankP plan's times grow, and the runs that stay clear complete.
+        rc = main(simulate_args(tmp_path / "sim", protocols=protocol, runs=1, n_max="1e4",
+                                extra=("--intensity", intensity)))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "lam value" not in err
+        if intensity == "1e-308" or rc != 0:
+            assert rc == 1
+            assert re.fullmatch(r"tomosim: base_time must be positive and finite, got "
+                                rf"(inf|0\.0) at intensity {re.escape(repr(float(intensity)))}\n",
+                                err)
 
     def test_non_finite_count_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -474,6 +504,16 @@ class TestAnalyzeCommand:
         fields = dict(line.split(" = ") for line in report.strip().splitlines())
         assert float(fields["ratio.rankp-b_vs_eigen"]) == pytest.approx(1.5, abs=1e-9)
 
+    @pytest.mark.parametrize("window", ["1e2:inf", "nan:1e3", "5:1", "7:7", "0:10", "-1:10"])
+    def test_fit_window_checked_when_parsed(self, tmp_path, capsys, window):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(tmp_path), "--compare", "eigen:random",
+                  f"--fit-window={window}", "--out", str(tmp_path / "ana")])
+        assert exc.value.code == 2
+        assert (f"--fit-window: must be N1:N2 with 0 < N1 < N2 finite, got {window!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ana").exists()
+
     def test_missing_inputs_fail(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "void"), "--out", str(tmp_path)])
         assert rc == 1
@@ -612,6 +652,17 @@ class TestReplayCommand:
         assert main(["analyze", *replays, "--fit-window", "100:2000",
                      "--out", str(tmp_path / "ana")]) == 0
         assert "fit.replay.beta = " in (tmp_path / "ana" / "report.txt").read_text()
+
+    @pytest.mark.parametrize("window", ["5:1", "1e2:inf"])
+    def test_fit_window_checked_when_parsed(self, tmp_path, capsys, window):
+        paths = self.make_records(tmp_path, n_max=2 * 10 ** 3)
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(paths[0]), "--fit-window", window,
+                  "--out", str(tmp_path / "rep")])
+        assert exc.value.code == 2
+        assert (f"--fit-window: must be N1:N2 with 0 < N1 < N2 finite, got {window!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_points_per_decade_below_one_rejected(self, tmp_path, capsys, value):

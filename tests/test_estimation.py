@@ -14,12 +14,10 @@ from tomosim.estimation import (
     NonIdentifiableDataError,
     log_likelihood,
     mle_estimate,
-    regularize_full_rank,
 )
 from tomosim.quantum import (
     DensityMatrix,
     PovmElement,
-    born_probability,
     fidelity,
     from_stokes,
     haar_unitary,
@@ -31,7 +29,7 @@ from tomosim.quantum import (
     random_pure_haar,
     to_stokes,
 )
-from conftest import bloch_ball_fit, bloch_ball_optimum
+from conftest import bloch_ball_fit, bloch_ball_optimum, born_probability, regularize_full_rank
 
 H_PROJ = PovmElement(projector(quantum.KET_H))
 V_PROJ = PovmElement(projector(quantum.KET_V))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomosim import quantum
-from tomosim.estimation import regularize_full_rank
 from tomosim.protocols import (
     PROTOCOLS,
     MeasurementPlan,
@@ -29,7 +28,7 @@ from tomosim.quantum import (
     random_pure_haar,
     to_stokes,
 )
-from conftest import numeric_rank
+from conftest import numeric_rank, regularize_full_rank
 
 MUB = mub_qubit()
 # The (6, 4) four-vectors of the MUB projectors.
@@ -476,6 +475,19 @@ class TestPlanValidation:
     def test_groups_must_partition(self):
         with pytest.raises(ValueError, match="partition"):
             MeasurementPlan([to_stokes(projector(quantum.KET_H))], [1.0], ((0, 0),))
+
+    @pytest.mark.parametrize("groups", [((1, 0),), ((2, 3), (0, 1))],
+                             ids=["reversed-pair", "later-group-first"])
+    def test_groups_must_list_indices_in_order(self, groups):
+        # Every plan lists each group's members next to each other, in
+        # index order; the same measurements in that order are accepted.
+        k = sum(map(len, groups))
+        vecs = to_stokes(np.array([projector(quantum.KET_H), projector(quantum.KET_V)] * 2))[:k]
+        with pytest.raises(ValueError, match=r"^groups must partition the measurement "
+                                             r"indices in index order$"):
+            MeasurementPlan(vecs, np.ones(k), groups)
+        in_order = tuple(sorted(tuple(sorted(g)) for g in groups))
+        assert MeasurementPlan(vecs, np.ones(k), in_order).groups == in_order
 
     def test_grouped_projectors_must_be_orthogonal(self):
         vecs = to_stokes(np.array([projector(quantum.KET_H), projector(quantum.KET_D)]))

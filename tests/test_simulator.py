@@ -10,13 +10,11 @@ import pytest
 from tomosim.protocols import (
     PROTOCOLS,
     MeasurementPlan,
-    initial_plan,
     next_plan,
 )
 from tomosim.quantum import (
     DensityMatrix,
     PovmElement,
-    born_probability,
     from_stokes,
     maximally_mixed,
     projector,
@@ -28,16 +26,17 @@ from tomosim.quantum import (
 from tomosim import quantum
 from tomosim.simulator import (
     _TRACE_COLUMNS,
+    POISSON_MAX,
     RecordStream,
     Schedule,
     SourceModel,
-    emitted_copies,
     read_records,
     replay_counts,
     run_tomography,
     sample_counts,
     write_records,
 )
+from conftest import born_probability, regularize_full_rank
 
 SRC = SourceModel(1000.0)
 
@@ -80,21 +79,18 @@ class TestSampleCounts:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_plan_draw_matches_per_measurement_draws(self, protocol):
         # One rng.poisson call over the plan draws what one call per
-        # measurement, in group order, drew, and leaves the same state.
+        # measurement, in index order, drew, and leaves the same state.
         src = SourceModel(1000.0, efficiency=0.8)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             rho = random_bures_mixed(rng)
             plan = next_plan(protocol, random_bures_mixed(rng), rng,
                              random_v=seed % 2 == 1)
-            if seed % 3 == 0:  # groups listing their members out of index order
-                plan = MeasurementPlan(plan.vectors, plan.time_weights,
-                                       tuple(g[::-1] for g in plan.groups[::-1]))
             base_time = 0.01 * (seed + 1)
             mine, loop = np.random.default_rng(seed), np.random.default_rng(seed)
             counts = sample_counts(plan, rho, src, base_time, mine)
             mats = from_stokes(plan.vectors)
-            for i in (i for g in plan.groups for i in g):
+            for i in range(len(mats)):
                 m = PovmElement(mats[i])
                 mean = (src.intensity * src.efficiency * born_probability(m, rho)
                         * plan.time_weights[i] * base_time)
@@ -105,26 +101,12 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="base_time"):
             sample_counts(h_plan(), maximally_mixed(), SRC, 0.0, rng)
 
-
-class TestEmittedCopies:
-    def test_zero_time(self):
-        assert emitted_copies(0.0, SRC) == 0.0
-
-    def test_mub_pass_with_pair_grouping(self, rng):
-        # 3 group exposures of unit duration at I = 100 emit 300 copies
-        src = SourceModel(100.0)
-        plan = initial_plan("rankp-nc", rng)
-        assert plan.exposure_weight() == pytest.approx(3.0)
-        assert emitted_copies(plan.exposure_weight() * 1.0, src) == pytest.approx(300.0)
-
-    def test_singleton_weights_sum(self):
-        # six singleton exposures with weights t sum as I * sum(t)
-        total_time = sum([0.5, 1.5, 2.0])
-        assert emitted_copies(total_time, SRC) == pytest.approx(4000.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            emitted_copies(-1.0, SRC)
+    @pytest.mark.parametrize("base_time", [-1.0, np.inf, np.nan])
+    def test_rejects_base_time_not_positive_and_finite(self, rng, base_time):
+        # As an extreme intensity gives: the message names the intensity.
+        with pytest.raises(ValueError, match=r"^base_time must be positive and finite, "
+                                             r"got .* at intensity 1000\.0$"):
+            sample_counts(h_plan(), maximally_mixed(), SRC, base_time, rng)
 
 
 class TestRunTomography:
@@ -163,6 +145,19 @@ class TestRunTomography:
         assert n[1] == pytest.approx(100.0 + 125.0)
         assert np.all(np.diff(n) > 0)
         assert n[-1] >= 10 ** 4
+
+    def test_n_emit_counts_each_group_exposure_once(self):
+        # N_emit grows by I times each exposure group's time, once per group
+        # however many members it reads out: the MUB pass's three basis
+        # pairs emit I * 3 * base_time = the initial budget, not twice it.
+        src = SourceModel(100.0)
+        tr, stream = run_tomography("rankp-nc", maximally_mixed(), src,
+                                    Schedule(100, 2.0, 1000), 3)
+        starts = np.flatnonzero(np.diff(stream.group_ids, prepend=-1))
+        group_times = np.maximum.reduceat(stream.times, starts)
+        assert tr.n_emit[0] == pytest.approx(100.0)
+        assert src.intensity * 3 * stream.times[0] == pytest.approx(100.0)
+        assert tr.n_emit[-1] == pytest.approx(src.intensity * group_times.sum(), rel=1e-12)
 
     def test_n_det_monotone(self):
         tr, _ = run_tomography("rankp-m", random_pure_haar(np.random.default_rng(0)),
@@ -333,7 +328,6 @@ def test_every_random_v_trace_column_matches_its_golden_campaigns(tmp_path_facto
 
 
 def regularized_pure(rng):
-    from tomosim.estimation import regularize_full_rank
     return regularize_full_rank(random_pure_haar(rng), 1e-3)
 
 
@@ -549,6 +543,18 @@ class TestScheduleAndSource:
             Schedule(n_max=float("inf"))
         with pytest.raises(ValueError):
             Schedule(initial_budget=float("nan"))
+
+    @pytest.mark.parametrize("n_max, growth", [(1e20, 1e10), (POISSON_MAX, 1.0),
+                                               (8e18, 1.25)])
+    def test_schedule_keeps_poisson_means_in_numpy_range(self, n_max, growth):
+        # Every Poisson mean stays below n_max * growth, and numpy's
+        # Generator.poisson rejects means above POISSON_MAX.
+        with pytest.raises(ValueError, match=r"n_max \* growth = .* must be below 9\.223e\+18"):
+            Schedule(n_max=n_max, growth=growth)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(np.nextafter(POISSON_MAX, np.inf))
+        Schedule(n_max=7e18, growth=1.25)
+        np.random.default_rng(0).poisson(POISSON_MAX)
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
