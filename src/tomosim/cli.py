@@ -425,21 +425,32 @@ def cmd_replay(record_files, n0: float | None, out_dir,
 
 def _parse_count(text: str) -> int:
     """Accept scientific notation for counts (1e6 -> 1000000)."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"count {text!r} is not a number") from None
     if not math.isfinite(value):
-        raise ValueError(f"count {text!r} is not finite")
+        raise argparse.ArgumentTypeError(f"count {text!r} is not finite")
     return int(round(value))
 
 
 def _parse_positive_int(text: str) -> int:
-    value = int(text)
+    rule = argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise rule from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        raise rule
     return value
 
 
 def _parse_window(text: str) -> tuple[float, float]:
-    n1, n2 = map(float, text.partition(":")[::2])
+    n1, _, n2 = text.partition(":")
+    try:
+        n1, n2 = float(n1), float(n2)
+    except ValueError:
+        n1 = n2 = math.nan    # not two numbers: fails the bounds below
     if not 0.0 < n1 < n2 < math.inf:
         raise argparse.ArgumentTypeError(f"must be N1:N2 with 0 < N1 < N2 finite, got {text!r}")
     return n1, n2

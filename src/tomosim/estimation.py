@@ -22,6 +22,7 @@ from .quantum import (
     NotPositiveSemidefiniteError,
     PovmElement,
     as_four_vectors,
+    bloch_state,
     first_failure,
     from_stokes,
     hermitize,
@@ -307,6 +308,9 @@ class MleOptions:
             raise ValueError("max_iter must be >= 1")
 
 
+_DEFAULT_OPTIONS = MleOptions()
+
+
 def _probabilities(mats: np.ndarray, rho: np.ndarray) -> np.ndarray:
     p = np.einsum("kij,ji->k", mats, rho).real
     return np.clip(p, 0.0, 1.0)
@@ -382,8 +386,9 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
     RuntimeWarning when ``opts.max_iter`` steps pass without reaching an
     end.
     """
-    opts = opts or MleOptions()
-    _, _, times, counts = data.arrays()
+    max_iter = (opts or _DEFAULT_OPTIONS).max_iter
+    arrays = data.arrays()
+    times, counts = arrays[2:]
     if not times.any():
         raise ValueError("need at least one record with positive time")
     if counts.sum() == 0:
@@ -391,104 +396,118 @@ def mle_estimate(data: LikelihoodData, opts: MleOptions | None = None,
         if logliks is not None:
             logliks.append(log_likelihood(data, rho0))
         return rho0
-    lik = _Likelihood(data)
-    solved = _newton_solve(lik, opts.max_iter) if lik.solvable else None
+    lik = _Likelihood(data, *arrays)
+    solved = _newton_solve(lik, max_iter) if lik.solvable else None
     if solved is not None:
         r, steps, capped = solved
         if logliks is not None:
             logliks.extend(steps)
-        est = DensityMatrix(from_stokes(np.concatenate(([1.0], r))))
+        est = bloch_state(r)
     else:
-        rho, capped = _line_search(lik, opts.max_iter, logliks)
+        rho, capped = _line_search(lik, max_iter, logliks)
         est = DensityMatrix(_clip_spectrum(rho))
     if capped:
-        warnings.warn(f"mle_estimate: max_iter = {opts.max_iter} steps reached before "
+        warnings.warn(f"mle_estimate: max_iter = {max_iter} steps reached before "
                       "no step could raise the log-likelihood above its round-off",
                       RuntimeWarning, stacklevel=2)
     return est
 
 
 class _Likelihood:
-    """The arrays of one estimator call: the records' traces, Bloch
-    vectors m_k (M_k = (Tr M_k + m_k.sigma)/2), times and counts, views of
-    the data's arrays; the counted records' (n_k > 0) I t_k, m_k, n_k and
-    the products of the m_k's components, stacked once; and the exposure
-    sums I sum t_k Tr M_k and I sum t_k m_k (the drift). When the counted
-    m_k span fewer than three directions, ``span`` holds an orthonormal
-    basis of their span, the products are those of the m_k's coordinates
-    on it, and Newton steps stay in it; otherwise ``span`` is None.
-    ``solvable`` tells whether the Newton loop may take the call. The
-    operators M_k themselves are built only for the line search."""
+    """The arrays of one estimator call, set up from the data's arrays
+    (traces, Bloch vectors m_k with M_k = (Tr M_k + m_k.sigma)/2, times and
+    counts): the counted records' (n_k > 0) n_k, t_k and I t_k, stacked
+    once, and what value() and step() read, kept pre-scaled by exact
+    powers of two: the counted records' half traces Tr M_k / 2 and half
+    Bloch vectors m_k / 2, the quarter products m_ka m_kb / 4 of their
+    components (the Hessian's terms), and the halved exposure sums
+    I sum t_k Tr M_k / 2 and I sum t_k m_k / 2 (the drift), with I t_k
+    formed once for both. A scaling by a power of two commutes with
+    rounding while no value leaves the normal range, so every sum the
+    estimator takes is, bit for bit, the scaled sum of the unscaled terms,
+    as long as each scaled array keeps the memory layout of the unscaled
+    one it stands for: BLAS sums in an order that follows the layout (the
+    quarter products are F-ordered, as the column gathers make them; a
+    C-ordered copy moves estimates by an ulp). When the counted m_k span
+    fewer than three directions, ``span`` holds an orthonormal basis of
+    their span, the products are those of the m_k's coordinates on it, and
+    Newton steps stay in it; otherwise ``span`` is None. ``solvable``
+    tells whether the Newton loop may take the call. The operators M_k
+    themselves are built only for the line search."""
 
-    def __init__(self, data: LikelihoodData):
+    def __init__(self, data: LikelihoodData, traces, bloch, times, counts):
         self.data, self.intensity = data, data.intensity
-        self.traces, self.bloch, self.times, self.counts = data.arrays()
-        self.pos = self.counts > 0
-        self.counts_pos = self.counts[self.pos]
-        self.times_pos = self.times[self.pos]
-        self.traces_pos = self.traces[self.pos]
-        self.rates_pos = self.intensity * self.times_pos
-        self.total_rate = self.intensity * self.times.sum()
-        self.bloch_pos = self.bloch[self.pos]
-        self.exposure = self.intensity * self.times @ self.traces
-        self.drift = self.intensity * self.times @ self.bloch
-        basis = data._arrays.span(data._n, self.bloch_pos)
+        self.times, self.counts = times, counts
+        self.pos = pos = counts > 0
+        self.counts_pos = counts[pos]
+        self.times_pos = times[pos]
+        rates = self.intensity * times
+        self.rates_pos = rates[pos]
+        self.total_rate = self.intensity * times.sum()
+        self.half_traces = 0.5 * traces[pos]
+        bloch_pos = bloch[pos]
+        self.half_bloch = 0.5 * bloch_pos
+        self.half_exposure = 0.5 * (rates @ traces)
+        self.half_drift = 0.5 * (rates @ bloch)
+        basis = data._arrays.span(data._n, bloch_pos)
         if basis is None:
             self.span, self.solvable = None, True
-            # The six distinct entries of m_k m_k^T, the Hessian's terms.
-            self.products = self.bloch_pos[:, _ROWS] * self.bloch_pos[:, _COLS]
+            half = self.half_bloch
         else:
-            self._on_span(basis)
+            half = self._on_span(basis)
+        # The six distinct entries of m_k m_k^T / 4, the Hessian's terms.
+        self.quarter_products = half[:, _ROWS] * half[:, _COLS]
 
-    def _on_span(self, basis: np.ndarray) -> None:
+    def _on_span(self, basis: np.ndarray) -> np.ndarray:
         """Set up Newton steps on the span of the counted m_k, given a (3, d)
         orthonormal basis Q of it, d < 3, where H is singular and the counted
-        terms are flat across the span. The steps run in the coordinates of
-        span, Q padded with zero columns, with the identity on the padded
+        terms are flat across the span, and return the half m_k's
+        coordinates on it. The steps run in the coordinates of span, Q
+        padded with zero columns, with the identity on the padded
         coordinates (pad) so that they take no step. The call is solvable
         there unless the drift has a part off the span beyond the
         exposure term's round-off (that term then tilts the likelihood
         along a flat direction, and the optimum lies on the sphere), or
         G = I sum t_k M_k, of spectrum (exposure -+ |drift|)/2, lacks full
-        support (the line search checks the counts against it)."""
+        support (the line search checks the counts against it). Both tests
+        read the halved sums: each side scales by the same power of two."""
         d = basis.shape[1]
         self.span = np.zeros((3, 3))
         self.span[:, :d] = basis
-        coords = self.bloch_pos @ self.span
-        self.products = coords[:, _ROWS] * coords[:, _COLS]
         self.pad = np.diag([0.0] * d + [1.0] * (3 - d))[_ROWS, _COLS]
-        off = self.drift - self.span @ (self.drift @ self.span)
-        lam = math.sqrt(self.drift @ self.drift)
-        self.solvable = (0.5 * math.sqrt(off @ off) <= _ROUNDOFF * self.total_rate
-                         and self.exposure - lam > _SUPPORT_RTOL * (self.exposure + lam))
+        half_off = self.half_drift - self.span @ (self.half_drift @ self.span)
+        half_lam = math.sqrt(self.half_drift @ self.half_drift)
+        exposure = self.half_exposure
+        self.solvable = (math.sqrt(half_off @ half_off) <= _ROUNDOFF * self.total_rate
+                         and exposure - half_lam > _SUPPORT_RTOL * (exposure + half_lam))
+        return self.half_bloch @ self.span
 
     @cached_property
     def mats(self) -> np.ndarray:
         return self.data.matrices()
 
     def value(self, r: np.ndarray):
-        """(log-likelihood, counted p_k, their logs ln(I t_k p_k)) at the
-        Bloch vector r, with p_k = (Tr M_k + m_k.r)/2 clamped below at
-        PROB_CLAMP in the logs, and the exposure term sum_k I t_k p_k over
-        every record in closed form, (I sum t_k Tr M_k + I sum t_k m_k.r)/2:
-        the value log_likelihood gives while every p_k lies in [0, 1] and
-        every counted one above PROB_CLAMP."""
-        p = 0.5 * (self.traces_pos + self.bloch_pos @ r)
-        logs = np.log(self.rates_pos * np.maximum(p, PROB_CLAMP))
-        return float(self.counts_pos @ logs) - 0.5 * (self.exposure + self.drift @ r), p, logs
+        """(log-likelihood, counted p_k clamped below at PROB_CLAMP, their
+        logs ln(I t_k p_k)) at the Bloch vector r, with p_k = (Tr M_k +
+        m_k.r)/2 and the exposure term sum_k I t_k p_k over every record in
+        closed form, (I sum t_k Tr M_k + I sum t_k m_k.r)/2: the value
+        log_likelihood gives while every p_k lies in [0, 1] and every
+        counted one above PROB_CLAMP."""
+        p = np.maximum(self.half_traces + self.half_bloch @ r, PROB_CLAMP)
+        logs = np.log(self.rates_pos * p)
+        return float(self.counts_pos @ logs) - (self.half_exposure + self.half_drift @ r), p, logs
 
     def step(self, p: np.ndarray, logs: np.ndarray):
         """(the log-likelihood's round-off, Newton step s, Newton decrement
-        g.s) at the counted p_k and logs of value(), where s = H^-1 g with
-        g = (1/2) sum (n_k/p_k - I t_k) m_k and H = (1/4) sum n_k/p_k^2
+        g.s) at the clamped counted p_k and logs of value(), where s = H^-1 g
+        with g = (1/2) sum (n_k/p_k - I t_k) m_k and H = (1/4) sum n_k/p_k^2
         m_k m_k^T; s and g.s are None unless H is positive definite. On a
         span Q, s = Q H_Q^-1 g_Q with H_Q = Q^T H Q and g_Q = Q^T g, and
         the decrement is g_Q.s_Q."""
-        p = np.maximum(p, PROB_CLAMP)
         ratios = self.counts_pos / p
         noise = _ROUNDOFF * (self.counts_pos @ np.abs(logs) + self.total_rate)
-        grad = 0.5 * (ratios @ self.bloch_pos - self.drift)
-        hess = 0.25 * ((ratios / p) @ self.products)
+        grad = ratios @ self.half_bloch - self.half_drift
+        hess = (ratios / p) @ self.quarter_products
         if self.span is None:
             return (noise, *_solve_spd(hess, grad))
         step, decrement = _solve_spd(hess + self.pad, grad @ self.span)
@@ -514,8 +533,8 @@ class _Likelihood:
         noise = _ROUNDOFF * (np.dot(self.counts_pos, np.abs(logs)) + self.total_rate)
         if self.span is not None:
             return ratios, noise, None, None
-        hess = 0.25 * (self.bloch_pos.T * (ratios / p_pos)) @ self.bloch_pos
-        grad = 0.5 * (ratios @ self.bloch_pos - self.drift)
+        hess = (self.half_bloch.T * (ratios / p_pos)) @ self.half_bloch
+        grad = ratios @ self.half_bloch - self.half_drift
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -529,7 +548,7 @@ class _Likelihood:
         so no state in the ball lies more than the decrement above the
         current one: at or below the round-off, the call has converged."""
         return (r_new @ r_new < 1.0 and decrement <= noise
-                and bool(np.all(p_pos > PROB_CLAMP)))
+                and float(p_pos.min()) > PROB_CLAMP)
 
 
 # Row and column of the six distinct entries of a symmetric 3x3 matrix, in
@@ -590,13 +609,14 @@ def _newton_solve(lik: _Likelihood, max_iter: int):
             a, b, c = step @ step, r @ step, r @ r - 1.0
             t = _SPHERE_SHARE * (math.sqrt(b * b - a * c) - b) / a
         while True:
-            ll_new, p_new, logs_new = lik.value(r + t * step)
+            trial = r + t * step
+            ll_new, p_new, logs_new = lik.value(trial)
             if ll_new - ll >= _NEWTON_GAIN * t * decrement:
                 break
             t /= 2
             if t * decrement < noise:
                 return None    # no resolvable ascent along the step
-        r, p, ll, logs = r + t * step, p_new, ll_new, logs_new
+        r, p, ll, logs = trial, p_new, ll_new, logs_new
         lls.append(ll)
     return r, lls, True
 

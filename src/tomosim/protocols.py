@@ -46,6 +46,9 @@ DEFAULT_DELTA = 1e-4
 _RANK_TOL = 1e-8
 _ORTHO_TOL = 1e-8
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
 
 class MeasurementPlan:
     """Timed measurements partitioned into simultaneity groups: measurements
@@ -142,7 +145,7 @@ def rank_preserving_map(rho_hat: DensityMatrix, delta: float = DEFAULT_DELTA) ->
     out = np.empty((4, 4))
     out[0, 0] = gamma
     out[0, 1:] = out[1:, 0] = -gamma * r
-    out[1:, 1:] = np.eye(3) + (gamma * gamma / (gamma + 1.0)) * np.outer(r, r)
+    out[1:, 1:] = _EYE3 + (gamma * gamma / (gamma + 1.0)) * (r[:, None] * r)
     return gamma * out
 
 
@@ -195,6 +198,8 @@ _MUB_VECTORS = to_stokes(np.array([e.matrix for e in mub_qubit()]))
 _MUB_VECTORS.setflags(write=False)
 # One group per basis: H/V, D/A, R/L, and eigen's aligned pairs.
 _BASIS_PAIRS = ((0, 1), (2, 3), (4, 5))
+# RankP's iteration-0 plan, read-only and shared by every run.
+_MUB_PLAN = normalize_with_time(_MUB_VECTORS, _BASIS_PAIRS)
 
 
 def _eigen_frame(rho_hat: DensityMatrix) -> np.ndarray:
@@ -283,11 +288,12 @@ def initial_plan(protocol: str, rng: np.random.Generator) -> MeasurementPlan:
     """Iteration-0 plan: the untransformed MUB set.
 
     RankP variants measure the MUB set with unit weights, grouping each of
-    its three orthonormal bases into one exposure. Eigen and Random start
-    from their ordinary first basis.
+    its three orthonormal bases into one exposure: one plan, built once and
+    shared, whose arrays are read-only. Eigen and Random start from their
+    ordinary first basis.
     """
     if protocol in ("eigen", "random"):
         return next_plan(protocol, maximally_mixed(), rng)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    return normalize_with_time(_MUB_VECTORS, _BASIS_PAIRS)
+    return _MUB_PLAN

@@ -8,6 +8,7 @@ and tolerances of the 2x2 complex matrices they are built on.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -87,9 +88,9 @@ def _hermitian_psd(a, what: str) -> tuple[np.ndarray, float]:
     read inf - inf as NaN."""
     m = as_square_complex(a)
     require_qubit(m.shape[0], what)
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} has a non-finite entry")
     (a00, a01), (a10, a11) = m.tolist()
+    if not all(map(cmath.isfinite, (a00, a01, a10, a11))):
+        raise ValueError(f"{what} has a non-finite entry")
     defect = max(2.0 * abs(a00.imag), 2.0 * abs(a11.imag), abs(a01 - a10.conjugate()))
     trace = a00.real + a11.real
     lowest = (trace - math.hypot(a00.real - a11.real, 2.0 * abs(a10))) / 2
@@ -183,6 +184,46 @@ def from_stokes(vecs) -> np.ndarray:
     return 0.5 * np.einsum("...a,aij->...ij", vecs, STOKES)
 
 
+# A four-vector v times _TO_ENTRIES, halved, is (a, Re M_10, Im M_10, b):
+# the entries of M = (v_0 + v.sigma)/2, a = M_00 = (v_0 + v_3)/2 and
+# b = M_11 = (v_0 - v_3)/2, as from_stokes rounds them. Times
+# _FROM_ENTRIES they give the four-vector (a + b, 2 Re M_10, 2 Im M_10,
+# a - b) that to_stokes reads back.
+_TO_ENTRIES = np.array([[1.0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]])
+_FROM_ENTRIES = np.array([[1.0, 0, 0, 1], [0, 2, 0, 0], [0, 0, 2, 0], [1, 0, 0, -1]])
+
+
+def stokes_round_trip(vecs: np.ndarray) -> np.ndarray:
+    """to_stokes(from_stokes(vecs)) of a (K, 4) stack of finite four-vectors,
+    bit for bit, without the 2x2 matrices. The trip rounds v_0 and v_3
+    through a = (v_0 + v_3)/2 and b = (v_0 - v_3)/2 to (a + b, a - b), and
+    v_1 and v_2 through a halving and a doubling, so both keep their value
+    unless the halving leaves the normal range. The matrix products add
+    only exact zeros, and + 0.0 turns a -0.0 into the 0.0 the matrix path
+    sums to."""
+    return (0.5 * (vecs @ _TO_ENTRIES)) @ _FROM_ENTRIES + 0.0
+
+
+def bloch_state(r: np.ndarray) -> DensityMatrix:
+    """The state (1 + r.sigma)/2 of a Bloch vector r, checked as every
+    DensityMatrix is. Its matrix is from_stokes((1, r)) and its .stokes,
+    kept read-only, is to_stokes of that matrix, bit for bit, from closed
+    forms on floats: from_stokes halves the sums 1 + r_3, 1 - r_3 and
+    r_1 -+ i r_2, in which a zero is 0.0, and to_stokes reads
+    (a + b, 2 (r_1/2), 2 (r_2/2), a - b) back from the halves a and b of
+    the first two, with 0.0 for a zero sum, as stokes_round_trip does.
+    + 0.0 turns a -0.0 into 0.0."""
+    x, y, z = r.tolist()
+    a, b = 0.5 * (1.0 + z + 0.0), 0.5 * (1.0 - z + 0.0)
+    hx, hy = 0.5 * (x + 0.0), 0.5 * (y + 0.0)
+    state = DensityMatrix(np.array([[a, complex(hx, 0.5 * (-y + 0.0))],
+                                    [complex(hx, hy), b]]))
+    stokes = np.array([a + b + 0.0, hx + hx + 0.0, hy + hy + 0.0, a - b + 0.0])
+    stokes.setflags(write=False)
+    state.__dict__["stokes"] = stokes
+    return state
+
+
 def _qubit_det(m: np.ndarray) -> float:
     """det of a 2x2 Hermitian matrix, rounded once from its exact value.
 
@@ -207,7 +248,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     to Tr^2 sqrt(sqrt(rho) sigma sqrt(rho)) for 2x2 PSD matrices. Equal
     states give exactly 1.
     """
-    if np.array_equal(rho.matrix, sigma.matrix):
+    if rho.matrix.tolist() == sigma.matrix.tolist():
         return 1.0
     overlap = float(np.einsum("ij,ji->", rho.matrix, sigma.matrix).real)
     dets = rho.det * sigma.det

@@ -40,6 +40,7 @@ from .quantum import (
     from_stokes,
     maximally_mixed,
     require_qubit,
+    stokes_round_trip,
     to_stokes,
 )
 
@@ -255,10 +256,11 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
         base_time = budget / (src.intensity * exposure)
         (gids, vecs, times, counts), detected, group_id = _measure_plan(
             plan, rho_true, src, base_time, rng, group_id)
-        # One round trip through 2x2 matrices rounds the plan's four-vectors
-        # as the golden traces were made, so traces keep their bytes; the
-        # stream, and a file written from it, hold what the estimator reads.
-        vecs = to_stokes(from_stokes(vecs))
+        # One round trip through 2x2 matrices, in closed form, rounds the
+        # plan's four-vectors as the golden traces were made, so traces keep
+        # their bytes; the stream, and a file written from it, hold what the
+        # estimator reads.
+        vecs = stokes_round_trip(vecs)
         batches.append((gids, vecs, times, counts))
         n_det += detected
         n_emit += src.intensity * (base_time * exposure)
@@ -291,7 +293,7 @@ def _row(iteration: int, n_emit: float, n_det: int, reference: DensityMatrix,
          est: DensityMatrix, loglik: float) -> tuple:
     """Trace row of an estimate, scored against a reference state."""
     f = fidelity(reference, est)
-    return (iteration, n_emit, n_det, 2.0 - 2.0 * np.sqrt(f), f, loglik)
+    return (iteration, n_emit, n_det, 2.0 - 2.0 * math.sqrt(f), f, loglik)
 
 
 def replay_counts(stream: RecordStream, n0: float | None = None, *,

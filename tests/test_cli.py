@@ -504,7 +504,8 @@ class TestAnalyzeCommand:
         fields = dict(line.split(" = ") for line in report.strip().splitlines())
         assert float(fields["ratio.rankp-b_vs_eigen"]) == pytest.approx(1.5, abs=1e-9)
 
-    @pytest.mark.parametrize("window", ["1e2:inf", "nan:1e3", "5:1", "7:7", "0:10", "-1:10"])
+    @pytest.mark.parametrize("window", ["1e2:inf", "nan:1e3", "5:1", "7:7", "0:10", "-1:10",
+                                        "5", "a:b"])
     def test_fit_window_checked_when_parsed(self, tmp_path, capsys, window):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", str(tmp_path), "--compare", "eigen:random",
@@ -653,7 +654,7 @@ class TestReplayCommand:
                      "--out", str(tmp_path / "ana")]) == 0
         assert "fit.replay.beta = " in (tmp_path / "ana" / "report.txt").read_text()
 
-    @pytest.mark.parametrize("window", ["5:1", "1e2:inf"])
+    @pytest.mark.parametrize("window", ["5:1", "1e2:inf", "5", "a:b"])
     def test_fit_window_checked_when_parsed(self, tmp_path, capsys, window):
         paths = self.make_records(tmp_path, n_max=2 * 10 ** 3)
         with pytest.raises(SystemExit) as exc:
@@ -826,3 +827,30 @@ def test_readers_raise_only_value_error(tmp_path_factory, reader, data):
         reader(path)
     except ValueError as exc:
         assert str(exc).startswith(str(path))
+
+
+class TestUsageErrors:
+    """An option value its parser rejects ends with argparse's status 2 and
+    the option's rule, never the name of the function that parsed it."""
+
+    @pytest.mark.parametrize("option, value, rule", [
+        (option, value, rule)
+        for option in ("--n-max", "--initial-budget")
+        for value, rule in (("abc", "is not a number"), ("1e400", "is not finite"),
+                            ("nan", "is not finite"))
+    ] + [
+        (option, value, "must be an integer >= 1")
+        for option in ("--workers", "--points-per-decade")
+        for value in ("1.5", "x")
+    ])
+    def test_rejected_value_names_the_rule(self, tmp_path, capsys, option, value, rule):
+        command = (["replay", str(tmp_path / "records.csv")] if option == "--points-per-decade"
+                   else ["simulate", "--protocol", "eigen", "--runs", "1"])
+        with pytest.raises(SystemExit) as exc:
+            main([*command, option, value, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {option}: " in err
+        assert rule in err and repr(value) in err
+        assert "_parse_" not in err
+        assert not (tmp_path / "out").exists()

@@ -558,3 +558,76 @@ class TestRegularizeFullRank:
             regularize_full_rank(maximally_mixed(), 0.0)
         with pytest.raises(ValueError):
             regularize_full_rank(maximally_mixed(), 1.0)
+
+
+# The estimator's arrays are pre-scaled by powers of two; these are the
+# formulas it takes on the unscaled arrays, written out.
+def _unscaled_value_and_step(data, lik, r):
+    traces, bloch, times, counts = data.arrays()
+    intensity, pos = data.intensity, counts > 0
+    bloch_pos, counts_pos = bloch[pos], counts[pos]
+    exposure = intensity * times @ traces
+    drift = intensity * times @ bloch
+    total_rate = intensity * times.sum()
+    p = 0.5 * (traces[pos] + bloch_pos @ r)
+    logs = np.log(intensity * times[pos] * np.maximum(p, estimation.PROB_CLAMP))
+    ll = float(counts_pos @ logs) - 0.5 * (exposure + drift @ r)
+    p = np.maximum(p, estimation.PROB_CLAMP)
+    ratios = counts_pos / p
+    noise = estimation._ROUNDOFF * (counts_pos @ np.abs(logs) + total_rate)
+    grad = 0.5 * (ratios @ bloch_pos - drift)
+    coords = bloch_pos if lik.span is None else bloch_pos @ lik.span
+    products = coords[:, estimation._ROWS] * coords[:, estimation._COLS]
+    hess = 0.25 * ((ratios / p) @ products)
+    if lik.span is None:
+        step, decrement = estimation._solve_spd(hess, grad)
+        solvable = True
+    else:
+        step, decrement = estimation._solve_spd(hess + lik.pad, grad @ lik.span)
+        step = None if step is None else lik.span @ step
+        off = drift - lik.span @ (drift @ lik.span)
+        lam = np.sqrt(drift @ drift)
+        solvable = (0.5 * np.sqrt(off @ off) <= estimation._ROUNDOFF * total_rate
+                    and exposure - lam > estimation._SUPPORT_RTOL * (exposure + lam))
+    line_hess = 0.25 * (bloch_pos.T * (ratios / p)) @ bloch_pos
+    return (ll, p, logs), (noise, step, decrement), solvable, (line_hess, grad)
+
+
+def _same_bits(a, b):
+    return a is b or np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), layout=st.sampled_from(["ball", "plane", "line"]))
+def test_prescaled_likelihood_is_the_unscaled_formulas(seed, layout):
+    # Halved and quartered arrays give, bit for bit, the value, the Newton
+    # step and the solvability the unscaled formulas give, on data whose
+    # counted Bloch vectors span the ball, a plane or a line.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 40))
+    m = rng.standard_normal((k, 3))
+    if layout == "plane":
+        m[:, 2] = 0.0
+    elif layout == "line":
+        m = np.outer(rng.choice([-1.0, 1.0], k), m[0])
+    m /= np.linalg.norm(m, axis=1)[:, None]
+    times = 10.0 ** rng.uniform(-1, 1, k) * (rng.random(k) > 0.1)
+    counts = rng.poisson(50.0 * times * rng.random(k))
+    assume(counts.sum() > 0)
+    data = LikelihoodData.from_arrays(1000.0, np.column_stack([np.ones(k), m]), times, counts)
+    lik = estimation._Likelihood(data, *data.arrays())
+    r = rng.standard_normal(3)
+    r *= 0.99 * rng.random() / np.linalg.norm(r)
+    value, step, solvable, line = _unscaled_value_and_step(data, lik, r)
+    got_value = lik.value(r)
+    assert all(map(_same_bits, got_value, value))
+    assert all(map(_same_bits, lik.step(*got_value[1:]), step))
+    assert lik.solvable == solvable
+    if lik.span is None:
+        p_all = 0.5 * (data.arrays()[0] + data.arrays()[1] @ r)
+        _, _, line_step, _ = lik.newton(p_all)
+        try:
+            want = np.linalg.solve(*line)
+        except np.linalg.LinAlgError:
+            want = None
+        assert _same_bits(line_step, want)

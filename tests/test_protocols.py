@@ -435,6 +435,20 @@ class TestInitialPlan:
             assert plan.groups == ((0, 1), (2, 3), (4, 5))
             assert all(t == pytest.approx(1.0) for t in plan.time_weights)
 
+    def test_rankp_start_plan_is_one_shared_read_only_plan(self, rng):
+        # Every RankP run starts from the one plan built at import: the MUB
+        # four-vectors with unit weights and one group per basis.
+        plan, *others = (initial_plan(proto, rng) for proto in ("rankp-nc", "rankp-b", "rankp-m"))
+        assert all(other is plan for other in others)
+        assert initial_plan("rankp-nc", rng) is plan
+        assert not plan.vectors.flags.writeable
+        assert not plan.time_weights.flags.writeable
+        fresh = MeasurementPlan(MUB_VECS / MUB_VECS[:, :1], MUB_VECS[:, 0],
+                                ((0, 1), (2, 3), (4, 5)))
+        for name in ("vectors", "time_weights", "group_of"):
+            assert getattr(plan, name).tobytes() == getattr(fresh, name).tobytes()
+        assert plan.groups == fresh.groups
+
     def test_eigen_initial_is_computational_frame(self, rng):
         plan = initial_plan("eigen", rng)
         first = from_stokes(plan.vectors[plan.groups[0][0]])

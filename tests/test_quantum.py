@@ -15,6 +15,7 @@ from tomosim.quantum import (
     PovmElement,
     bures_sq,
     fidelity,
+    from_stokes,
     haar_unitary,
     maximally_mixed,
     mub_qubit,
@@ -22,6 +23,7 @@ from tomosim.quantum import (
     pure_state,
     random_bures_mixed,
     random_pure_haar,
+    to_stokes,
 )
 from conftest import born_probability, numeric_rank, random_hermitian
 
@@ -331,6 +333,31 @@ def test_fidelity_bounds_property(seed):
     f = fidelity(a, b)
     assert 0.0 <= f <= 1.0
     assert 0.0 <= bures_sq(a, b) <= 2.0
+
+
+# Finite four-vector entries: signed zeros and magnitudes from 1e-300 to 1e300.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=8))
+def test_stokes_round_trip_is_the_matrix_round_trip(rows):
+    vecs = np.array(rows)
+    assert quantum.stokes_round_trip(vecs).tobytes() == to_stokes(from_stokes(vecs)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3))
+def test_bloch_state_is_the_matrix_state(r):
+    # Components of at most 0.57 keep |r| below 1; hypothesis draws signed
+    # zeros and subnormals among them.
+    r = np.array(r)
+    state = quantum.bloch_state(r)
+    matrix = from_stokes(np.concatenate(([1.0], r)))
+    assert state.matrix.tobytes() == matrix.tobytes()
+    assert state.stokes.tobytes() == to_stokes(matrix).tobytes()
+    assert not state.stokes.flags.writeable
 
 
 def _qubit(low, high, theta, phi):
