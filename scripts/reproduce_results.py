@@ -5,7 +5,8 @@ Runs pure-state and Bures-mixed campaigns for all five protocols, fits
 the averaged convergence curves and prints the power-law exponents plus
 the complementation efficiency ratios. Desk scale by default (12 runs to
 N = 1e5); pass --full for the 50-run, N = 1e6 version used by the
-acceptance suite (takes ~10 min on a small desktop).
+acceptance suite. With --workers 2 on a 2-vCPU VM, desk scale takes about
+9 s of wall time and --full about 51 s.
 """
 
 import argparse

@@ -211,7 +211,8 @@ def run_campaign(cfg: CampaignConfig, workers: int | None = None,
         # Imported here: a serial campaign does not pay for the import.
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool starts all its processes at once: no more than there are jobs.
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = {pool.submit(_run_one, cfg, p, r, states[r]): (p, r) for p, r in jobs}
             for fut in as_completed(futures):
                 finish(*futures[fut], *fut.result())

@@ -192,14 +192,6 @@ class _RecordArrays:
             new[:n] = old[:n]
             setattr(self, name, new)
 
-    def prefix(self, n: int) -> "_RecordArrays":
-        """A copy holding the first n records only."""
-        out = _RecordArrays()
-        for name in self._BUFFERS:
-            setattr(out, name, getattr(self, name)[:n].copy())
-        out.size = n
-        return out
-
     def records(self, n: int):
         """(four-vectors, times, counts) of the first n records, as views."""
         return self._vecs[:n], self._times[:n], self._counts[:n]
@@ -234,10 +226,11 @@ class LikelihoodData:
     """A record collection plus the source intensity I.
 
     The records are held as arrays of four-vectors, times and counts
-    (_RecordArrays), which ``extended_arrays`` grows in place, so a run
-    that appends each iteration's records stacks every record once. Matrices
-    are views: ``records`` is the MeasurementRecord tuple the data was
-    built from, or, for data built from arrays, views of them built on
+    (_RecordArrays). Arrays come in one way: a run or a replay starts from
+    the empty data ``LikelihoodData((), rate)`` and grows it forward only,
+    by ``extended_arrays``, in place, so it stacks every record once.
+    Matrices are views: ``records`` is the MeasurementRecord tuple the data
+    was built from, or, for data grown from arrays, views of them built on
     first use, and ``matrices`` are built per call. Every record is kept,
     those with t = 0 too: the limits on I * t (check_exposure) hold for the
     records with t > 0.
@@ -249,21 +242,16 @@ class LikelihoodData:
         self._hold(intensity, _RecordArrays(), to_stokes(mats), times, counts)
         self.__dict__["records"] = records
 
-    @classmethod
-    def from_arrays(cls, intensity: float, vecs: np.ndarray, times: np.ndarray,
-                    counts: np.ndarray) -> "LikelihoodData":
-        """Data of records given as arrays, (K, 4) four-vectors of unit-trace
-        operators, times and counts, that are already checked: a
-        MeasurementPlan's measurements, or a RecordStream's records."""
-        out = object.__new__(cls)
-        out._hold(intensity, _RecordArrays(), vecs, times, counts)
-        return out
-
     def _hold(self, intensity: float, arrays: _RecordArrays, vecs, times, counts) -> None:
         """Append checked records to arrays and keep all its records as this
-        data's."""
+        data's; records that fail the limits on I * t are dropped again."""
+        n = arrays.size
         arrays.extend(vecs, times, counts)
-        check_exposure(intensity, arrays.records(arrays.size)[1])
+        try:
+            check_exposure(intensity, arrays.records(arrays.size)[1])
+        except ValueError:
+            arrays.size = n
+            raise
         self.intensity = intensity
         self._arrays = arrays
         self._n = arrays.size
@@ -271,14 +259,16 @@ class LikelihoodData:
     def extended_arrays(self, vecs: np.ndarray, times: np.ndarray,
                         counts: np.ndarray) -> "LikelihoodData":
         """This data with records appended, already checked and given as
-        arrays, as from_arrays takes them: it shares and grows this data's
-        arrays, or a copy of their prefix when a longer data already grew
-        them."""
-        arrays = self._arrays
-        if arrays.size != self._n:
-            arrays = arrays.prefix(self._n)
+        arrays, (K, 4) four-vectors of unit-trace operators, times and
+        counts: a MeasurementPlan's measurements, or a slice of a
+        RecordStream's records. It shares and grows this data's arrays, so
+        data grows forward only: extending a data that was already
+        extended is an error."""
+        if self._arrays.size != self._n:
+            raise ValueError("extended_arrays: this data was already extended; "
+                             "only the newest data of its arrays can grow")
         out = object.__new__(LikelihoodData)
-        out._hold(self.intensity, arrays, vecs, times, counts)
+        out._hold(self.intensity, self._arrays, vecs, times, counts)
         return out
 
     @cached_property

@@ -38,7 +38,6 @@ from .quantum import (
     PovmElement,
     fidelity,
     from_stokes,
-    maximally_mixed,
     require_qubit,
     stokes_round_trip,
     to_stokes,
@@ -209,17 +208,6 @@ def sample_counts(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceMod
     return rng.poisson(src.intensity * src.efficiency * p * plan.time_weights * base_time)
 
 
-def _measure_plan(plan: MeasurementPlan, rho_true: DensityMatrix, src: SourceModel,
-                  base_time: float, rng: np.random.Generator, next_group_id: int):
-    """Sample every group of a plan; returns its records in index order as
-    arrays (group ids, four-vectors, times, counts), the detected total and
-    the next free group id."""
-    counts = sample_counts(plan, rho_true, src, base_time, rng)
-    records = (next_group_id + plan.group_of, plan.vectors,
-               plan.time_weights * base_time, counts)
-    return records, int(counts.sum()), next_group_id + len(plan.groups)
-
-
 def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
                    sched: Schedule, seed, *, delta: float = DEFAULT_DELTA,
                    random_v: bool = False,
@@ -235,12 +223,12 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
     call.
     """
     rng = np.random.default_rng(seed)
+    # Counts arrive at the detected rate I * eff; N_emit stays on I.
     rate = src.intensity * src.efficiency
 
     batches = []
-    data = None
+    data = LikelihoodData((), rate)
     rows = []
-    rho_hat = maximally_mixed()
     n_emit = 0.0
     n_det = 0
     budget = float(sched.initial_budget)
@@ -254,21 +242,20 @@ def run_tomography(protocol: str, rho_true: DensityMatrix, src: SourceModel,
             plan = next_plan(protocol, rho_hat, rng, delta=delta, random_v=random_v)
         exposure = plan.exposure_weight()
         base_time = budget / (src.intensity * exposure)
-        (gids, vecs, times, counts), detected, group_id = _measure_plan(
-            plan, rho_true, src, base_time, rng, group_id)
+        counts = sample_counts(plan, rho_true, src, base_time, rng)
         # One round trip through 2x2 matrices, in closed form, rounds the
         # plan's four-vectors as the golden traces were made, so traces keep
         # their bytes; the stream, and a file written from it, hold what the
         # estimator reads.
-        vecs = stokes_round_trip(vecs)
-        batches.append((gids, vecs, times, counts))
-        n_det += detected
+        vecs = stokes_round_trip(plan.vectors)
+        times = plan.time_weights * base_time
+        batches.append((group_id + plan.group_of, vecs, times, counts))
+        group_id += len(plan.groups)
+        n_det += int(counts.sum())
         n_emit += src.intensity * (base_time * exposure)
 
-        # Counts arrive at the detected rate I * eff; N_emit stays on I.
         # Each iteration's data extends the last one's arrays.
-        data = (LikelihoodData.from_arrays(rate, vecs, times, counts)
-                if data is None else data.extended_arrays(vecs, times, counts))
+        data = data.extended_arrays(vecs, times, counts)
         rho_hat, loglik = _estimate(data, mle_iters)
         rows.append(_row(iteration, n_emit, n_det, rho_true, rho_hat, loglik))
         if n_emit >= sched.n_max:
@@ -305,7 +292,8 @@ def replay_counts(stream: RecordStream, n0: float | None = None, *,
     I * t. Distances are measured against the final assessment, the
     estimate at N0 (defaults to the full stream), instead of an unknown
     true state. Prefixes are cut at exposure-group boundaries on a
-    logarithmic N grid from the first group with N > 0.
+    logarithmic N grid from the first group with N > 0, and estimated in
+    one forward pass over the stream.
     """
     if not stream.times.any():
         raise ValueError("empty record stream: it needs a record with positive time")
@@ -315,29 +303,27 @@ def replay_counts(stream: RecordStream, n0: float | None = None, *,
     cum_n = list(accumulate(emitted * t for t in group_times))
     n_det = np.cumsum(stream.counts)[ends - 1].tolist()
 
-    def prefix(idx: int) -> LikelihoodData:
-        """The data of the first idx + 1 groups."""
-        stop = ends[idx]
-        return LikelihoodData.from_arrays(stream.rate, stream.vectors[:stop],
-                                          stream.times[:stop], stream.counts[:stop])
-
     first = next(i for i, n in enumerate(cum_n) if n > 0)
     n0 = cum_n[-1] if n0 is None else float(n0)
     ref_idx = max(i for i, n in enumerate(cum_n) if n <= n0 or i == first)
-    ref_state, ref_loglik = _estimate(prefix(ref_idx))
 
     span = math.log10(cum_n[ref_idx] / cum_n[first])
     targets = np.geomspace(cum_n[first], cum_n[ref_idx],
                            num=max(2, int(span * points_per_decade) + 1))
     picks = sorted({min(bisect_left(cum_n, t), ref_idx) for t in targets} | {ref_idx})
 
-    rows = []
+    # One forward pass: the data grows by the stream up to each pick's group
+    # end. The last pick is ref_idx, so the last estimate is the reference.
+    data, stop = LikelihoodData((), stream.rate), 0
+    estimates = []
     for idx in picks:
-        if idx == ref_idx:
-            est, loglik = ref_state, ref_loglik
-        else:
-            est, loglik = _estimate(prefix(idx))
-        rows.append(_row(idx, cum_n[idx], n_det[idx], ref_state, est, loglik))
+        start, stop = stop, ends[idx]
+        data = data.extended_arrays(stream.vectors[start:stop], stream.times[start:stop],
+                                    stream.counts[start:stop])
+        estimates.append(_estimate(data))
+    ref_state = estimates[-1][0]
+    rows = [_row(idx, cum_n[idx], n_det[idx], ref_state, est, loglik)
+            for idx, (est, loglik) in zip(picks, estimates)]
     return _trace("replay", rows)
 
 

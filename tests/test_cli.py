@@ -187,6 +187,42 @@ class TestSimulateCommand:
             cmd_simulate(cfg, workers=0)
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("workers, cpus", [("500", 4), (None, 64), ("1", 64)])
+    def test_pool_never_exceeds_the_jobs(self, tmp_path, monkeypatch, workers, cpus):
+        # A process pool forks all its workers at the first submit, so a
+        # 2-job campaign sizes it at 2 however many workers are asked for;
+        # the manifest keeps the requested count. A recording stand-in runs
+        # each job in this process: no process is started.
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        args = simulate_args(tmp_path, runs=2, n_max="1e3")[:-2]
+        if workers is not None:
+            args += ["--workers", workers]
+        assert main(args) == 0
+        assert sizes == ([] if workers == "1" else [2])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["workers"] == (int(workers) if workers else cpus)
+        assert len(list(tmp_path.glob("trace_eigen_*.csv"))) == 2
+
     def test_reproduction_script_rejects_workers_below_one(self, tmp_path):
         # The script parses --workers as simulate does: a usage error before
         # any campaign runs, so nothing is written where it would write.

@@ -79,6 +79,20 @@ class TestRecordTypes:
         with pytest.raises(ValueError):
             LikelihoodData((MeasurementRecord(H_PROJ, 1.0, 1),), 0.0)
 
+    def test_empty_data_holds_no_records(self):
+        # The start of every run and replay: no records, nothing to estimate.
+        data = LikelihoodData((), 10.0)
+        assert data.records == ()
+        assert [a.shape[0] for a in data.arrays()] == [0, 0, 0, 0]
+        assert data.matrices().shape == (0, 2, 2)
+        with pytest.raises(ValueError, match="need at least one record with positive time"):
+            mle_estimate(data)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_empty_data_checks_its_rate_when_built(self, rate):
+        with pytest.raises(ValueError, match="intensity must be positive and finite"):
+            LikelihoodData((), rate)
+
     def test_pickle_rebuilds_frozen_element(self):
         rec = pickle.loads(pickle.dumps(MeasurementRecord(H_PROJ, 1.5, 3)))
         assert (rec.time, rec.counts) == (1.5, 3)
@@ -472,7 +486,7 @@ def test_mle_reaches_bloch_ball_optimum_on_bures_data(elements, seed):
 
 
 @pytest.mark.xfail(strict=True, reason="the line search ends this boundary call at "
-                   "max_iter, 0.0255 nats below a feasible point; a Newton step on "
+                   "max_iter, 0.0363 nats below a feasible point; a Newton step on "
                    "the sphere should reach the optimum")
 @pytest.mark.filterwarnings("ignore:mle_estimate. max_iter")
 def test_mle_reaches_boundary_optimum_of_haar_data():
@@ -614,7 +628,8 @@ def test_prescaled_likelihood_is_the_unscaled_formulas(seed, layout):
     times = 10.0 ** rng.uniform(-1, 1, k) * (rng.random(k) > 0.1)
     counts = rng.poisson(50.0 * times * rng.random(k))
     assume(counts.sum() > 0)
-    data = LikelihoodData.from_arrays(1000.0, np.column_stack([np.ones(k), m]), times, counts)
+    data = LikelihoodData((), 1000.0).extended_arrays(np.column_stack([np.ones(k), m]),
+                                                       times, counts)
     lik = estimation._Likelihood(data, *data.arrays())
     r = rng.standard_normal(3)
     r *= 0.99 * rng.random() / np.linalg.norm(r)

@@ -247,22 +247,25 @@ class TestRunArrays:
             assert len(data.records) > len(prev.records)
             assert data.records[0].element.matrix.shape == (2, 2)
 
-    def test_extending_an_older_data_leaves_the_newer_one(self):
+    def test_extending_an_older_data_is_rejected(self):
         from tomosim.estimation import LikelihoodData, MeasurementRecord
         h, v = PovmElement(projector(quantum.KET_H)), PovmElement(projector(quantum.KET_V))
         first = LikelihoodData((MeasurementRecord(h, 1.0, 3),), 100.0)
         hs, vs = to_stokes(h.matrix), to_stokes(v.matrix)
         newer = first.extended_arrays(vs[None], np.array([2.0]), np.array([5]))
-        branch = first.extended_arrays(np.array([vs, hs]), np.array([0.5, 0.0]),
-                                       np.array([7, 0]))
+        with pytest.raises(ValueError, match="already extended"):
+            first.extended_arrays(np.array([vs, hs]), np.array([0.5, 0.0]), np.array([7, 0]))
         assert list(newer.arrays()[2]) == [1.0, 2.0]
         assert list(newer.arrays()[3]) == [3.0, 5.0]
-        assert list(branch.arrays()[2]) == [1.0, 0.5, 0.0]    # t = 0 records are kept
         assert list(first.arrays()[3]) == [3.0]
-        assert len(branch.records) == 3
-        assert not np.shares_memory(newer.arrays()[2], branch.arrays()[2])
         with pytest.raises(ValueError, match="normal float"):
-            first.extended_arrays(vs[None], np.array([1e-320]), np.array([0]))
+            newer.extended_arrays(vs[None], np.array([1e-320]), np.array([0]))
+        # The records that failed are dropped, so the newest data still grows.
+        newest = newer.extended_arrays(np.array([vs, hs]), np.array([0.5, 0.0]),
+                                       np.array([7, 0]))
+        assert list(newest.arrays()[2]) == [1.0, 2.0, 0.5, 0.0]    # t = 0 records are kept
+        assert len(newest.records) == 4
+        assert np.shares_memory(newer.arrays()[2], newest.arrays()[2])
 
     def test_n_det_matches_the_golden_campaigns(self, golden_campaigns):
         # Every trace row's n_det of two five-protocol campaigns: the same
@@ -373,6 +376,39 @@ class TestReplayCounts:
         rep = replay_counts(records)
         assert len(calls) == len(rep.n_emit)
         assert calls.count(max(calls)) == 1
+
+    @pytest.mark.parametrize("protocol", ["eigen", "rankp-b"])
+    def test_forward_pass_equals_fresh_prefixes(self, monkeypatch, protocol):
+        # Seed-7 pure-state streams, whose estimates take the line search
+        # too: every row of the one forward pass, bit for bit, as a data
+        # built fresh from the empty start for that prefix alone gives it.
+        from tomosim.cli import CampaignConfig, _run_one, _true_states
+        from tomosim.estimation import LikelihoodData, _line_search
+        from tomosim import estimation
+
+        cfg = CampaignConfig(protocols=(protocol,), states="pure", runs=2, seed=7,
+                             schedule=Schedule(n_max=10 ** 4))
+        searched = []
+        monkeypatch.setattr(estimation, "_line_search",
+                            lambda *a: searched.append(1) or _line_search(*a))
+        for run, state in enumerate(_true_states(cfg)):
+            stream = _run_one(cfg, protocol, run, state)[1]
+            rep = replay_counts(stream, points_per_decade=4)
+            ends = stream.group_ends()
+            fresh = []
+            for idx in rep.iteration:
+                stop = ends[idx]
+                data = LikelihoodData((), stream.rate).extended_arrays(
+                    stream.vectors[:stop], stream.times[:stop], stream.counts[:stop])
+                logliks = []
+                fresh.append((estimation.mle_estimate(data, logliks=logliks), logliks[-1]))
+            ref = fresh[-1][0]
+            for i, (est, loglik) in enumerate(fresh):
+                f = quantum.fidelity(ref, est)
+                assert rep.fidelity[i] == f
+                assert rep.d_bures_sq[i] == 2.0 - 2.0 * np.sqrt(f)
+                assert rep.loglik[i] == loglik
+        assert searched
 
     def test_n_grid_is_increasing(self):
         _, records = self.make_trace()
