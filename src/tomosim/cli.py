@@ -14,6 +14,8 @@ import math
 import os
 import platform
 import sys
+import warnings
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -41,8 +43,8 @@ from .simulator import (
     Schedule,
     SourceModel,
     Trace,
-    _at_line,
     _fmt,
+    _naming,
     _numbered_lines,
     _qubit_matrix,
     read_records,
@@ -60,13 +62,16 @@ OUTPUT_ENV_VAR = "TOMOSIM_OUT"
 # Curve files
 
 
+def _write_table(path, head: list[str], columns) -> None:
+    """The head lines, then one line per index of the columns, their values
+    at that index."""
+    rows = (",".join(_fmt(c[i]) for c in columns) for i in range(len(columns[0])))
+    Path(path).write_text("\n".join([*head, *rows]) + "\n")
+
+
 def write_curve_file(path, curve: ConvergenceCurve, meta: dict) -> None:
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append("n,mean,std_of_mean")
-    for i in range(curve.n.size):
-        lines.append(",".join(
-            [_fmt(curve.n[i]), _fmt(curve.mean[i]), _fmt(curve.std_of_mean[i])]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, [*(f"# {k}={v}" for k, v in meta.items()), "n,mean,std_of_mean"],
+                 [curve.n, curve.mean, curve.std_of_mean])
 
 
 def read_curve_file(path) -> tuple[ConvergenceCurve, dict]:
@@ -77,7 +82,7 @@ def read_curve_file(path) -> tuple[ConvergenceCurve, dict]:
     runs = 0
     header_seen = False
     for no, ln in _numbered_lines(path):
-        with _at_line(path, no):
+        with _naming(f"{path}:{no}"):
             if ln.startswith("#"):
                 key, _, value = ln[1:].strip().partition("=")
                 meta[key] = value
@@ -92,11 +97,8 @@ def read_curve_file(path) -> tuple[ConvergenceCurve, dict]:
     if not header_seen or not rows:
         raise ValueError(f"{path}: not a curve file")
     arr = np.array(rows)
-    try:
-        curve = ConvergenceCurve(arr[:, 0], arr[:, 1], arr[:, 2], runs=runs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return curve, meta
+    with _naming(str(path)):
+        return ConvergenceCurve(arr[:, 0], arr[:, 1], arr[:, 2], runs=runs), meta
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +144,10 @@ def read_state_file(path) -> DensityMatrix:
     if len(lines) != 2:
         raise ValueError(f"{path}: expected two lines (dimension, entries)")
     (dim_no, dim), (no, entries) = lines
-    with _at_line(path, dim_no):
+    with _naming(f"{path}:{dim_no}"):
         dim = int(dim)
     require_qubit(dim, f"{path}:{dim_no}")
-    with _at_line(path, no):
+    with _naming(f"{path}:{no}"):
         return DensityMatrix(_qubit_matrix(entries.split(",")))
 
 
@@ -175,53 +177,37 @@ def _run_one(cfg: CampaignConfig, protocol: str, run_idx: int,
     return replace(trace, run_id=run_idx, seed=cfg.seed), records, mle_iters
 
 
-def run_campaign(cfg: CampaignConfig, workers: int | None = None,
-                 on_run=None, mle_stats: dict | None = None) -> dict[str, list[Trace]]:
-    """Execute all (protocol, run) jobs, optionally in parallel.
+def run_campaign(cfg: CampaignConfig, workers: int | None = None):
+    """Execute all (protocol, run) jobs, optionally in parallel, yielding
+    (protocol, run index, trace, record stream, iteration count of each of
+    the run's estimator calls) as each job completes.
 
-    ``on_run(protocol, trace, records)`` is invoked as each run completes,
-    with the run's record stream. Pass ``mle_stats`` to collect, per
-    protocol, the estimator calls, their total iterations and the calls
-    that reached ``MleOptions().max_iter``. Results are deterministic for
-    a fixed config regardless of worker count.
+    Results are deterministic for a fixed config regardless of worker
+    count; with more than one worker, the order they arrive in is not.
+    Closing the generator early shuts its process pool down.
     """
     jobs = [(p, r) for p in cfg.protocols for r in range(cfg.runs)]
     workers = _worker_count(workers)
-    results: dict[str, list[Trace]] = {p: [None] * cfg.runs for p in cfg.protocols}
-    if mle_stats is not None:
-        mle_stats.update({p: {"mle_calls": 0, "mle_iters": 0, "mle_cap_hits": 0}
-                          for p in cfg.protocols})
-    cap = MleOptions().max_iter
     states = _true_states(cfg)
-
-    def finish(p: str, r: int, trace: Trace, records: RecordStream, iters: list[int]) -> None:
-        results[p][r] = trace
-        if mle_stats is not None:
-            stats = mle_stats[p]
-            stats["mle_calls"] += len(iters)
-            stats["mle_iters"] += sum(iters)
-            stats["mle_cap_hits"] += sum(n >= cap for n in iters)
-        if on_run:
-            on_run(p, trace, records)
-
     if workers <= 1 or len(jobs) == 1:
-        for p, r in jobs:
-            finish(p, r, *_run_one(cfg, p, r, states[r]))
-    else:
-        # Imported here: a serial campaign does not pay for the import.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        yield from ((p, r, *_run_one(cfg, p, r, states[r])) for p, r in jobs)
+        return
+    # Imported here: a serial campaign does not pay for the import.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        # The pool starts all its processes at once: no more than there are jobs.
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            futures = {pool.submit(_run_one, cfg, p, r, states[r]): (p, r) for p, r in jobs}
-            for fut in as_completed(futures):
-                finish(*futures[fut], *fut.result())
-    return results
+    # The pool starts all its processes at once: no more than there are jobs.
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        futures = {pool.submit(_run_one, cfg, p, r, states[r]): (p, r) for p, r in jobs}
+        for fut in as_completed(futures):
+            yield *futures[fut], *fut.result()
 
 
 def _worker_count(workers: int | None) -> int:
-    """Worker processes a campaign uses: all CPUs unless given."""
+    """Worker processes a campaign uses: unless given, one per CPU this
+    process may run on."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -257,32 +243,33 @@ def cmd_simulate(cfg: CampaignConfig, workers: int | None = None,
     workers = _worker_count(workers)    # fail before any output exists
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    done, total = 0, len(cfg.protocols) * cfg.runs
-
-    def flush(protocol: str, trace: Trace, stream: RecordStream) -> None:
-        nonlocal done
-        done += 1
-        print(f"tomosim: {protocol} run {trace.run_id} done ({done}/{total}, "
-              f"{perf_counter() - t0:.1f} s)", file=sys.stderr, flush=True)
-        name = f"{protocol}_{trace.run_id:03d}.csv"
-        write_trace_file(out / f"trace_{name}", trace)
-        if records:
-            write_records(out / f"records_{name}", stream)
-
-    mle_stats: dict[str, dict[str, int]] = {}
-    results = run_campaign(cfg, workers=workers, on_run=flush, mle_stats=mle_stats)
-    for protocol, traces in results.items():
-        if len(traces) >= 2:
-            curve = average_curves(traces)
+    traces = {p: [None] * cfg.runs for p in cfg.protocols}
+    mle_iters = {p: [] for p in cfg.protocols}
+    with closing(run_campaign(cfg, workers)) as runs:
+        for done, (protocol, r, trace, stream, iters) in enumerate(runs, 1):
+            print(f"tomosim: {protocol} run {r} done ({done}/{len(cfg.protocols) * cfg.runs}, "
+                  f"{perf_counter() - t0:.1f} s)", file=sys.stderr, flush=True)
+            name = f"{protocol}_{r:03d}.csv"
+            write_trace_file(out / f"trace_{name}", trace)
+            if records:
+                write_records(out / f"records_{name}", stream)
+            traces[protocol][r] = trace
+            mle_iters[protocol] += iters
+    for protocol, group in traces.items():
+        if len(group) >= 2:
+            curve = average_curves(group)
             meta = {"protocol": protocol, **_campaign_meta(cfg)}
             write_curve_file(out / f"curve_{protocol}.csv", curve, meta)
+    cap = MleOptions().max_iter
     manifest = {
         "config": asdict(cfg),
         "versions": {"tomosim": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "workers": workers,
         "wall_s": perf_counter() - t0,
-        "estimator": mle_stats,
+        "estimator": {p: {"mle_calls": len(n), "mle_iters": sum(n),
+                          "mle_cap_hits": sum(k >= cap for k in n)}
+                      for p, n in mle_iters.items()},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, default=str) + "\n")
     return 0
@@ -326,36 +313,27 @@ def _collect_trace_files(inputs) -> dict[str, list[Trace]]:
 def cmd_analyze(inputs, window: tuple[float, float] | None,
                 comparisons, out_dir) -> int:
     """Fit grouped traces, emit pairwise ratios and plot-ready columns.
-    Every trace file is read and checked before any output exists."""
+    Every trace file is read and checked, and every curve, fit and ratio
+    computed, before any output exists."""
     by_protocol = _collect_trace_files(inputs)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     report: list[str] = []
-    fits = {}
+    fits, plots = {}, {}
     for protocol, group in sorted(by_protocol.items()):
         if len(group) < 2:
             raise ValueError(f"protocol {protocol!r} has {len(group)} trace(s); need >= 2")
-        curve = average_curves(group)
+        with _naming(f"protocol {protocol!r}"):
+            curve = average_curves(group)
         win = window or (100.0, float(curve.n[-1]))
-        fit = fit_power_law(curve, win)
+        with _naming(f"protocol {protocol!r}, fit window {_fmt(win[0])}:{_fmt(win[1])}"):
+            fit = fit_power_law(curve, win)
         fits[protocol] = fit
-        report += [
-            f"fit.{protocol}.alpha = {_fmt(fit.alpha)}",
-            f"fit.{protocol}.alpha_err = {_fmt(fit.alpha_err)}",
-            f"fit.{protocol}.beta = {_fmt(fit.beta)}",
-            f"fit.{protocol}.beta_err = {_fmt(fit.beta_err)}",
-            f"fit.{protocol}.window = {_fmt(fit.window[0])}:{_fmt(fit.window[1])}",
-            f"fit.{protocol}.runs = {len(group)}",
-        ]
-        plot_lines = ["n,mean,std_of_mean,bound_mixed,bound_pure"]
-        for i in range(curve.n.size):
-            plot_lines.append(",".join([
-                _fmt(curve.n[i]), _fmt(curve.mean[i]), _fmt(curve.std_of_mean[i]),
-                _fmt(gill_massar_bound(curve.n[i], "mixed-qubit")),
-                _fmt(gill_massar_bound(curve.n[i], "pure-qubit")),
-            ]))
-        (out / f"plot_{protocol}.csv").write_text("\n".join(plot_lines) + "\n")
+        report += [f"fit.{protocol}.{k} = {_fmt(getattr(fit, k))}"
+                   for k in ("alpha", "alpha_err", "beta", "beta_err")]
+        report += [f"fit.{protocol}.window = {_fmt(fit.window[0])}:{_fmt(fit.window[1])}",
+                   f"fit.{protocol}.runs = {len(group)}"]
+        plots[protocol] = [curve.n, curve.mean, curve.std_of_mean,
+                           *([gill_massar_bound(n, kind) for n in curve.n]
+                             for kind in ("mixed-qubit", "pure-qubit"))]
 
     for comp in comparisons or []:
         subject, _, reference = comp.partition(":")
@@ -366,6 +344,11 @@ def cmd_analyze(inputs, window: tuple[float, float] | None,
         ratio = efficiency_ratio(f_r, f_s, win[0], win[1])
         report.append(f"ratio.{subject}_vs_{reference} = {_fmt(ratio)}")
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for protocol, columns in plots.items():
+        _write_table(out / f"plot_{protocol}.csv",
+                     ["n,mean,std_of_mean,bound_mixed,bound_pure"], columns)
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
     return 0
@@ -385,36 +368,54 @@ def cmd_replay(record_files, n0: float | None, out_dir,
     construction, so the averaged curve keeps only points with N <= N0/4;
     the per-stream trace files keep every point. Each record file is read
     once however often it is named, and replay_NNN.csv numbers the files
-    by first mention.
+    by first mention. Every stream is read, checked and replayed, and the
+    averaged curve fitted, before any output exists.
     """
     if n0 is not None and not 0.0 < n0 < math.inf:
         raise ValueError(f"--n0 must be positive and finite, got {n0!r}")
     record_files = _distinct_files(record_files)
-    # Every stream is read and checked before any output exists.
     streams = [read_records(path)[0] for path in record_files]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    traces: list[Trace] = []
     clipped: list[Trace] = []
     for i, (path, stream) in enumerate(zip(record_files, streams)):
-        trace = replace(replay_counts(stream, n0, points_per_decade=points_per_decade), run_id=i)
-        write_trace_file(out / f"replay_{i:03d}.csv", trace)
+        # Each capped estimator call warns; the stream's count is one line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = replace(replay_counts(stream, n0, points_per_decade=points_per_decade),
+                            run_id=i)
+        capped = 0
+        for w in caught:
+            if str(w.message).startswith("mle_estimate: max_iter"):
+                capped += 1
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        if capped:
+            print(f"tomosim: {path}: {capped} estimator call(s) took the max_iter = "
+                  f"{MleOptions().max_iter} cap", file=sys.stderr)
         keep = trace.n_emit <= trace.n_emit[-1] / 4
         if not np.any(keep):
             raise ValueError(f"{path}: no points survive clipping at N0/4")
+        traces.append(trace)
         clipped.append(trace.select(keep))
 
     report = [f"replay.files = {len(clipped)}"]
+    curve = None
     if len(clipped) >= 2:
-        curve = average_curves(clipped, per_decade=points_per_decade)
+        with _naming("replay, streams clipped at N0/4, N0 = "
+                     + (_fmt(n0) if n0 else "the last N of each stream")):
+            curve = average_curves(clipped, per_decade=points_per_decade)
+        win = window or (float(curve.n[0]), float(curve.n[-1]))
+        with _naming(f"replay, fit window {_fmt(win[0])}:{_fmt(win[1])}"):
+            fit = fit_power_law(curve, win)
+        report += [f"replay.{k} = {_fmt(getattr(fit, k))}" for k in ("alpha", "beta", "beta_err")]
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for i, trace in enumerate(traces):
+        write_trace_file(out / f"replay_{i:03d}.csv", trace)
+    if curve is not None:
         meta = {"protocol": "replay", "runs": str(len(clipped)), "n0": _fmt(n0 or -1)}
         write_curve_file(out / "replay_curve.csv", curve, meta)
-        win = window or (float(curve.n[0]), float(curve.n[-1]))
-        fit = fit_power_law(curve, win)
-        report += [
-            f"replay.alpha = {_fmt(fit.alpha)}",
-            f"replay.beta = {_fmt(fit.beta)}",
-            f"replay.beta_err = {_fmt(fit.beta_err)}",
-        ]
     (out / "replay_report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
     return 0
@@ -535,11 +536,8 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg, workers=args.workers, records=args.records)
         if args.command == "analyze":
             return cmd_analyze(args.inputs, args.fit_window, args.compare, args.out)
-        if args.command == "replay":
-            return cmd_replay(args.records, args.n0, args.out,
-                              window=args.fit_window,
-                              points_per_decade=args.points_per_decade)
-        raise ValueError(f"unknown command {args.command!r}")
+        return cmd_replay(args.records, args.n0, args.out, window=args.fit_window,
+                          points_per_decade=args.points_per_decade)
     except (ValueError, OSError) as exc:
         print(f"tomosim: {exc}", file=sys.stderr)
         return 1

@@ -357,14 +357,14 @@ def write_trace_file(path, trace: Trace) -> None:
 
 
 @contextmanager
-def _at_line(path, no: int):
-    """Raise a parse error of line ``no`` of file ``path`` inside the block,
-    a ValueError or an OverflowError (an integer beyond int64), as a
-    ValueError naming ``path:no``."""
+def _naming(where: str):
+    """Raise an error inside the block, a ValueError or an OverflowError (an
+    integer beyond int64), as a ValueError that starts with ``where``, such
+    as a file's ``path:line``."""
     try:
         yield
     except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}:{no}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _numbered_lines(path) -> list[tuple[int, str]]:
@@ -384,7 +384,7 @@ def read_trace_file(path) -> Trace:
         raise ValueError(f"{path}: no trace rows")
     label, rows, last = None, [], -math.inf
     for no, ln in lines[1:]:
-        with _at_line(path, no):
+        with _naming(f"{path}:{no}"):
             cells = ln.split(",")
             if len(cells) != len(_TRACE_COLUMNS):
                 raise ValueError(f"trace row needs {len(_TRACE_COLUMNS)} fields, "
@@ -441,7 +441,7 @@ def read_records(path) -> tuple[RecordStream, int, float]:
     if not lines:
         raise ValueError(f"{path}: empty record file")
     head_no, line = lines[0]
-    with _at_line(path, head_no):
+    with _naming(f"{path}:{head_no}"):
         head = line.split(",")
         if len(head) not in (2, 3):
             raise ValueError(f"malformed header: {line!r}")
@@ -450,7 +450,7 @@ def read_records(path) -> tuple[RecordStream, int, float]:
     require_qubit(dim, f"{path}:{head_no}")
     cells, legacy = [], {}
     for no, ln in lines[1:]:
-        with _at_line(path, no):
+        with _naming(f"{path}:{no}"):
             parts = ln.split(",")
             if len(parts) == 11:
                 legacy[len(cells)] = _qubit_matrix(parts[1:-2])
@@ -476,6 +476,6 @@ def read_records(path) -> tuple[RecordStream, int, float]:
         where=lambda i: f"{path}:{lines[1 + i][0]}")
     if not times.any():
         raise ValueError(f"{path}: need at least one record with positive time")
-    with _at_line(path, head_no):
+    with _naming(f"{path}:{head_no}"):
         stream = RecordStream(gids, vecs, times, counts, rate, efficiency)
     return stream, dim, stream.rate

@@ -7,8 +7,6 @@ exactness suites; criterion 10 exercises the CLI end to end.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary lines.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -41,7 +39,6 @@ from conftest import born_probability, numeric_rank, regularize_full_rank
 RUNS = 50
 N_MAX = 10 ** 6
 SEED = 424242
-WORKERS = os.cpu_count() or 1
 
 _CAMPAIGN_CACHE = {}
 
@@ -54,7 +51,10 @@ def campaign(states: str, protocols: tuple, random_v: bool = False):
             schedule=Schedule(100, 1.25, N_MAX),
             source=SourceModel(1000.0), random_v=random_v,
         )
-        _CAMPAIGN_CACHE[key] = run_campaign(cfg, workers=WORKERS)
+        traces = {p: [None] * RUNS for p in protocols}
+        for protocol, run, trace, *_ in run_campaign(cfg):
+            traces[protocol][run] = trace
+        _CAMPAIGN_CACHE[key] = traces
     return _CAMPAIGN_CACHE[key]
 
 

@@ -275,3 +275,14 @@ class TestNonFiniteCurves:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError, match="shape"):
             ConvergenceCurve(np.array([1.0, 2.0]), np.ones(3), np.zeros(2), runs=2)
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    (0.0, 1.0, "need 0 < n_lo <= n_hi"),
+    (2.0, 1.0, "need 0 < n_lo <= n_hi"),
+    (1.1, 1.2, "no grid points inside the common support"),
+])
+def test_log_grid_boundary_messages(lo, hi, message):
+    with pytest.raises(ValueError) as exc:
+        log_grid(lo, hi)
+    assert str(exc.value) == message

@@ -3,6 +3,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from tomosim.analysis import ConvergenceCurve
 from tomosim.estimation import MleOptions
 from tomosim.protocols import PROTOCOLS
 from tomosim.quantum import maximally_mixed, pure_state, random_bures_mixed
-from tomosim import quantum
+from tomosim import quantum, simulator
 from tomosim.simulator import (
     Schedule,
     SourceModel,
@@ -187,24 +188,24 @@ class TestSimulateCommand:
             cmd_simulate(cfg, workers=0)
         assert not (tmp_path / "sim").exists()
 
-    @pytest.mark.parametrize("workers, cpus", [("500", 4), (None, 64), ("1", 64)])
-    def test_pool_never_exceeds_the_jobs(self, tmp_path, monkeypatch, workers, cpus):
-        # A process pool forks all its workers at the first submit, so a
-        # 2-job campaign sizes it at 2 however many workers are asked for;
-        # the manifest keeps the requested count. A recording stand-in runs
-        # each job in this process: no process is started.
+    @staticmethod
+    def recording_pool(monkeypatch):
+        """Replace the process pool by a stand-in that runs each job in this
+        process, so no process is started; returns the list of its events,
+        ("start", max_workers) and ("shutdown",)."""
         import concurrent.futures
 
-        sizes = []
+        events = []
 
         class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                events.append(("start", max_workers))
 
             def __enter__(self):
                 return self
 
             def __exit__(self, *exc):
+                events.append(("shutdown",))
                 return False
 
             def submit(self, fn, *args):
@@ -213,15 +214,61 @@ class TestSimulateCommand:
                 return fut
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        return events
+
+    @pytest.mark.parametrize("workers, cpus", [("500", 4), (None, 64), ("1", 64)])
+    def test_pool_never_exceeds_the_jobs(self, tmp_path, monkeypatch, workers, cpus):
+        # A process pool forks all its workers at the first submit, so a
+        # 2-job campaign sizes it at 2 however many workers are asked for;
+        # the manifest keeps the requested count.
+        events = self.recording_pool(monkeypatch)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         args = simulate_args(tmp_path, runs=2, n_max="1e3")[:-2]
         if workers is not None:
             args += ["--workers", workers]
         assert main(args) == 0
-        assert sizes == ([] if workers == "1" else [2])
+        assert events == ([] if workers == "1" else [("start", 2), ("shutdown",)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["workers"] == (int(workers) if workers else cpus)
         assert len(list(tmp_path.glob("trace_eigen_*.csv"))) == 2
+
+    @pytest.mark.parametrize("runs", [2, 4])
+    def test_default_workers_are_the_cpus_this_process_may_use(self, tmp_path, monkeypatch,
+                                                                runs):
+        # Three CPUs in the affinity set, whatever the host counts.
+        events = self.recording_pool(monkeypatch)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert main(simulate_args(tmp_path, runs=runs, n_max="1e3")[:-2]) == 0
+        assert events == [("start", min(3, runs)), ("shutdown",)]
+        assert json.loads((tmp_path / "manifest.json").read_text())["workers"] == 3
+
+    @pytest.mark.parametrize("cpus, workers", [(5, 5), (None, 1)])
+    def test_default_workers_without_cpu_affinity(self, tmp_path, monkeypatch, cpus, workers):
+        # Where the platform has no affinity call, the CPU count, or one
+        # worker when even that is unknown.
+        events = self.recording_pool(monkeypatch)
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(simulate_args(tmp_path, runs=2, n_max="1e3")[:-2]) == 0
+        assert events == ([] if workers == 1 else [("start", 2), ("shutdown",)])
+        assert json.loads((tmp_path / "manifest.json").read_text())["workers"] == workers
+
+    def test_failed_write_shuts_the_pool_down_first(self, tmp_path, monkeypatch, capsys):
+        # An error while the campaign's loop writes a run closes the
+        # campaign, and its pool, before simulate returns.
+        events = self.recording_pool(monkeypatch)
+
+        def failing_write(path, trace):
+            events.append(("write", path.name))
+            raise OSError(f"cannot write {path.name}")
+
+        monkeypatch.setattr(cli, "write_trace_file", failing_write)
+        assert main(simulate_args(tmp_path, runs=3, n_max="1e3", extra=("--workers", "2"))) == 1
+        (start, (write, name), *rest) = events
+        assert (start, write, rest) == (("start", 2), "write", [("shutdown",)])
+        assert capsys.readouterr().err.endswith(f"tomosim: cannot write {name}\n")
 
     def test_reproduction_script_rejects_workers_below_one(self, tmp_path):
         # The script parses --workers as simulate does: a usage error before
@@ -305,8 +352,7 @@ class TestSimulateCommand:
         cfg = CampaignConfig(protocols=("eigen",), states="bures", runs=2, seed=3,
                              schedule=Schedule(50, 1.3, 500),
                              source=SourceModel(1000.0, 0.8), out_dir=tmp_path)
-        streams = []
-        run_campaign(cfg, workers=2, on_run=lambda p, trace, recs: streams.append(recs))
+        streams = [recs for _, _, _, recs, _ in run_campaign(cfg, workers=2)]
         assert len(streams) == 2
         rec = streams[0][0].record
         assert not rec.element.matrix.flags.writeable
@@ -324,13 +370,10 @@ class TestSimulateCommand:
         cfg = CampaignConfig(protocols=("eigen", "rankp-nc"), states=str(state), runs=3,
                              schedule=Schedule(50, 1.3, 500), out_dir=tmp_path)
         done = []
-
-        def on_run(protocol, trace, records):
+        for protocol, run, *_ in run_campaign(cfg, workers=workers):
             state.unlink(missing_ok=True)
-            done.append(protocol)
-
-        traces = run_campaign(cfg, workers=workers, on_run=on_run)
-        assert len(done) == 6 and all(len(t) == 3 for t in traces.values())
+            done.append((protocol, run))
+        assert sorted(done) == [(p, r) for p in ("eigen", "rankp-nc") for r in range(3)]
         assert len(reads) <= 2
 
     def test_missing_state_file_fails(self, tmp_path, capsys):
@@ -501,6 +544,19 @@ class TestStateFileRoundTrip:
         assert np.array_equal(back.matrix, rho.matrix)
 
 
+@pytest.fixture(scope="module")
+def short_campaigns(tmp_path_factory):
+    """An eigen campaign to N = 1e4 with record streams, and a rankp-nc one
+    that ends below N = 100, the default fit window's start."""
+    root = tmp_path_factory.mktemp("short")
+    assert main(["simulate", "--protocol", "eigen", "--runs", "2", "--n-max", "1e4",
+                 "--seed", "1", "--records", "--workers", "1", "--out", str(root / "eigen")]) == 0
+    assert main(["simulate", "--protocol", "rankp-nc", "--runs", "2", "--initial-budget", "10",
+                 "--n-max", "60", "--seed", "1", "--workers", "1",
+                 "--out", str(root / "rankp-nc")]) == 0
+    return root
+
+
 class TestAnalyzeCommand:
     def test_recovers_synthetic_power_law(self, tmp_path):
         # hand-made traces following d = 2.25 / N exactly
@@ -554,6 +610,19 @@ class TestAnalyzeCommand:
     def test_missing_inputs_fail(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "void"), "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_failed_fit_names_protocol_and_window_before_any_output(self, tmp_path, capsys,
+                                                                    short_campaigns):
+        # eigen fits, rankp-nc's curve ends below the default window's 100:
+        # one line naming rankp-nc and its window, and no plot_eigen.csv.
+        capsys.readouterr()
+        rc = main(["analyze", str(short_campaigns / "eigen"), str(short_campaigns / "rankp-nc"),
+                   "--out", str(tmp_path / "ana")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"tomosim: protocol 'rankp-nc', fit window 100:[0-9.]+: "
+                            r"window must satisfy N1 < N2\n", err), err
+        assert not (tmp_path / "ana").exists()
 
     def test_file_named_twice_is_read_once(self, tmp_path):
         # A directory plus one of its own traces, also by another spelling
@@ -623,6 +692,55 @@ class TestReplayCommand:
         rc = main(["replay", str(paths[0]), "--n0", "50", "--out", str(tmp_path / "r50")])
         assert rc == 1
         assert "no points survive clipping" in capsys.readouterr().err
+        assert not (tmp_path / "r50").exists()
+
+    def test_failed_average_names_the_cut_before_any_output(self, tmp_path, capsys,
+                                                            short_campaigns):
+        streams = [str(short_campaigns / "eigen" / f"records_eigen_00{i}.csv") for i in (0, 1)]
+        capsys.readouterr()
+        rc = main(["replay", *streams, "--n0", "150", "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err == ("tomosim: replay, streams clipped at N0/4, N0 = 150: "
+                                           "traces have disjoint N support\n")
+        assert not (tmp_path / "rep").exists()
+
+    def test_capped_estimator_calls_get_one_line_per_stream(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # Every estimator call of the second stream warns that it took the
+        # cap, and its first call also warns otherwise: one tomosim line
+        # names the stream and its count, the other warning passes through,
+        # and the outputs are those of a replay without warnings.
+        paths = self.make_records(tmp_path, n_runs=2)
+        args = ["replay", *map(str, paths), "--points-per-decade", "4"]
+        assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+        capsys.readouterr()
+        replayed, calls = [], []
+        replay, estimate = cli.replay_counts, simulator.mle_estimate
+
+        def counting_replay(*a, **kw):
+            replayed.append(len(replayed))
+            return replay(*a, **kw)
+
+        def capped_estimate(*a, **kw):
+            if replayed[-1] == 1:
+                calls.append(len(calls))
+                if len(calls) == 1:
+                    warnings.warn("an unrelated warning", UserWarning)
+                warnings.warn(f"mle_estimate: max_iter = {MleOptions().max_iter} steps "
+                              "reached before ...", RuntimeWarning)
+            return estimate(*a, **kw)
+
+        monkeypatch.setattr(cli, "replay_counts", counting_replay)
+        monkeypatch.setattr(simulator, "mle_estimate", capped_estimate)
+        with pytest.warns(UserWarning, match="an unrelated warning"):
+            assert main([*args, "--out", str(tmp_path / "capped")]) == 0
+        rows = len(read_trace_file(tmp_path / "plain" / "replay_001.csv").n_emit)
+        assert len(calls) == rows >= 2
+        assert capsys.readouterr().err == (
+            f"tomosim: {paths[1]}: {rows} estimator call(s) took the max_iter = 1000 cap\n")
+        for f in (tmp_path / "plain").iterdir():
+            assert (tmp_path / "capped" / f.name).read_bytes() == f.read_bytes()
+        assert len(list((tmp_path / "capped").iterdir())) == 4
 
     @pytest.mark.parametrize("again", ["records_0.csv", "sub/../records_0.csv"])
     def test_a_file_named_twice_replays_once(self, tmp_path, again):
@@ -890,3 +1008,21 @@ class TestUsageErrors:
         assert rule in err and repr(value) in err
         assert "_parse_" not in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (lambda sim, empty: ["simulate", "--protocol", "eigen", "--runs", "0"], "runs must be >= 1"),
+    (lambda sim, empty: ["analyze", str(empty)], "no trace files found among inputs"),
+    (lambda sim, empty: ["analyze", str(sim / "trace_eigen_000.csv")],
+     "protocol 'eigen' has 1 trace(s); need >= 2"),
+    (lambda sim, empty: ["analyze", str(sim), "--compare", "eigen:random"],
+     "comparison 'eigen:random' references unknown protocol"),
+], ids=["runs", "no-traces", "one-trace", "comparison"])
+def test_boundary_failure_is_one_line_before_any_output(tmp_path, capsys, short_campaigns,
+                                                        command, message):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    capsys.readouterr()
+    assert main([*command(short_campaigns / "eigen", empty), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"tomosim: {message}\n"
+    assert not (tmp_path / "out").exists()

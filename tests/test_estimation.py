@@ -12,6 +12,7 @@ from tomosim.estimation import (
     MeasurementRecord,
     MleOptions,
     NonIdentifiableDataError,
+    checked_records,
     log_likelihood,
     mle_estimate,
 )
@@ -646,3 +647,21 @@ def test_prescaled_likelihood_is_the_unscaled_formulas(seed, layout):
         except np.linalg.LinAlgError:
             want = None
         assert _same_bits(line_step, want)
+
+
+_PAIR = np.array([[1.0, 0, 0, 1], [1.0, 0, 0, -1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: checked_records(_PAIR, [1.0, 1.0, 1.0], [1, 1]),
+     "2 records but times of shape (3,) and counts of shape (2,)"),
+    (lambda: checked_records(_PAIR[:1], [1.0], [1.0]), "record counts must be integers"),
+    (lambda: checked_records([[2.0, 0, 0, 1]], [1.0], [1]),
+     "record 0: record element must have unit trace, got 2.0"),
+    (lambda: MeasurementRecord(mub_qubit()[0], np.inf, 0),
+     "record time must be finite and >= 0, got inf"),
+], ids=["shapes", "float-counts", "unit-trace", "record-time"])
+def test_boundary_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -587,3 +587,21 @@ def test_four_vector_checks_fail_as_the_matrix_checks(seed, protocol, pick, defe
     else:
         assert want == (a, b)
         assert str(failed.value).startswith(f"grouped projectors {a},{b} not orthogonal")
+
+
+_PAIR = np.array([[1.0, 0, 0, 1], [1.0, 0, 0, -1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MeasurementPlan(np.empty((0, 4)), [], ()), "a plan needs at least one measurement"),
+    (lambda: MeasurementPlan(_PAIR, [1.0], ((0, 1),)), "2 projectors but 1 time weights"),
+    (lambda: rank_preserving_map(maximally_mixed(), 1.0), "delta must be in (0, 1)"),
+    (lambda: rank_preserving_map(maximally_mixed(), 0.0), "delta must be in (0, 1)"),
+    (lambda: complement_minimal(np.zeros((1, 4))), "element sum has no positive eigenvalue"),
+    (lambda: initial_plan("nope", np.random.default_rng(0)),
+     f"unknown protocol 'nope'; expected one of {PROTOCOLS}"),
+], ids=["empty-plan", "time-weights", "delta-1", "delta-0", "zero-sum", "initial-protocol"])
+def test_boundary_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

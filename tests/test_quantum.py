@@ -420,3 +420,11 @@ class TestNumericRank:
 def test_trace_norm_hermitian(rng):
     a = random_hermitian(rng, 3)
     assert quantum.trace_norm(a) == pytest.approx(np.sum(np.abs(np.linalg.eigvalsh(a))))
+
+
+@pytest.mark.parametrize("build", [quantum.as_square_complex, DensityMatrix, PovmElement])
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0)])
+def test_non_square_matrix_message(build, shape):
+    with pytest.raises(ValueError) as exc:
+        build(np.zeros(shape))
+    assert str(exc.value) == f"expected a square matrix, got shape {shape}"

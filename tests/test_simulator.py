@@ -31,6 +31,7 @@ from tomosim.simulator import (
     Schedule,
     SourceModel,
     read_records,
+    read_trace_file,
     replay_counts,
     run_tomography,
     sample_counts,
@@ -604,3 +605,26 @@ class TestScheduleAndSource:
                 SourceModel(value)
             with pytest.raises(ValueError):
                 SourceModel(10.0, efficiency=value)
+
+
+def _header_only_trace(path):
+    path.write_text(",".join(_TRACE_COLUMNS) + "\n")
+    return read_trace_file(path)
+
+
+_PAIR = np.array([[1.0, 0, 0, 1], [1.0, 0, 0, -1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: _header_only_trace(tmp / "t.csv"), "{tmp}/t.csv: no trace rows"),
+    (lambda tmp: write_records(tmp / "r.csv", RecordStream(
+        [], np.empty((0, 4)), np.empty(0), np.empty(0, dtype=int), 1000.0, 1.0)),
+     "nothing to write"),
+    (lambda tmp: RecordStream([0], _PAIR, [1.0, 1.0], [1, 1], 1000.0, 1.0),
+     "1 group ids for 2 records"),
+], ids=["header-only-trace", "empty-stream", "group-ids"])
+def test_boundary_messages(tmp_path, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(tmp_path)
+    assert str(exc.value) == message.format(tmp=tmp_path)
+    assert not (tmp_path / "r.csv").exists()
